@@ -80,29 +80,20 @@ def exact_weights_all(family, theta, objective, scheme):
 
     Returns (points, probabilities, values, weights).  For a group of
     points sharing an objective value with lower/upper quantiles q- < q+,
-    the weight is the average of w over [q-, q+].
+    the weight is the average of w over [q-, q+].  A degenerate group, one
+    whose mass is zero or too small to move the running quantile
+    (q- == q+), gets w(q+), as in ``exact_weight``.
     """
     points = family.enumerate_points()
     probs = np.exp(family.log_density(theta, points))
     values = _values_for(family, objective, points)
-    w = np.empty_like(values)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    sorted_probs = probs[order]
-    boundaries = np.nonzero(np.diff(sorted_vals))[0] + 1
-    start = 0
-    cum = 0.0
-    for stop in list(boundaries) + [len(sorted_vals)]:
-        mass = sorted_probs[start:stop].sum()
-        q_minus, q_plus = cum, min(1.0, cum + mass)
-        if mass > 0.0:
-            w_val = scheme.integral(q_minus, q_plus) / (q_plus - q_minus)
-        else:
-            w_val = scheme(q_plus)
-        w[order[start:stop]] = w_val
-        cum = q_plus
-        start = stop
-    return points, probs, values, w
+    _, inverse = np.unique(values, return_inverse=True)
+    q_plus = np.minimum(1.0, np.cumsum(np.bincount(inverse, weights=probs)))
+    q_minus = np.concatenate(([0.0], q_plus[:-1]))
+    w = scheme(q_plus)
+    wide = q_plus > q_minus
+    w[wide] = scheme.integral(q_minus[wide], q_plus[wide]) / (q_plus - q_minus)[wide]
+    return points, probs, values, w[inverse]
 
 
 def exact_weight(family, theta, objective, scheme, x):

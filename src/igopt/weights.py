@@ -94,22 +94,26 @@ class WeightScheme:
 
     # -- exact integrals -------------------------------------------------
     def integral(self, a, b):
-        """Exact integral of w over [a, b] for 0 <= a <= b <= 1."""
-        if not (0.0 <= a <= b <= 1.0):
+        """Exact integral of w over [a, b] for 0 <= a <= b <= 1, elementwise
+        on arrays of bounds; scalar bounds give a float."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if not np.all((0.0 <= a) & (a <= b) & (b <= 1.0)):
             raise ValueError("integration bounds must satisfy 0 <= a <= b <= 1")
         if self.kind == "truncation":
-            base = max(0.0, min(b, self.q0) - a)
+            base = np.maximum(0.0, np.minimum(b, self.q0) - a)
         elif self.kind == "signed_median":
-            below = max(0.0, min(b, 0.5) - a)
-            above = max(0.0, b - max(a, 0.5))
+            below = np.maximum(0.0, np.minimum(b, 0.5) - a)
+            above = np.maximum(0.0, b - np.maximum(a, 0.5))
             base = below - above
         else:
             base = 0.0
             qs = [n[0] for n in self.nodes] + [1.0]
             vs = [n[1] for n in self.nodes]
             for lo, hi, v in zip(qs[:-1], qs[1:], vs):
-                base += v * max(0.0, min(b, hi) - max(a, lo))
-        return self.scale * base + self.shift * (b - a)
+                base = base + v * np.maximum(0.0, np.minimum(b, hi) - np.maximum(a, lo))
+        out = self.scale * base + self.shift * (b - a)
+        return float(out) if out.ndim == 0 else out
 
     def mean(self):
         """integral of w over [0, 1]."""
@@ -194,15 +198,16 @@ def compute_quantile_weights(objective_values, scheme):
     if not np.all(np.isfinite(values)):
         raise ValueError("objective values must all be finite")
     n = values.size
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     upper = np.cumsum(counts)          # rk+ per unique value
     lower = upper - counts             # rk- per unique value
-    w_uniq = np.array(
-        [scheme.integral(lo / n, hi / n) / (hi - lo) for lo, hi in zip(lower, upper)]
-    )
-    weights = w_uniq[inverse]
-    groups = [np.nonzero(inverse == g)[0] for g in range(uniq.size) if counts[g] > 1]
-    return RankedWeights(weights, groups)
+    w_uniq = scheme.integral(lower / n, upper / n) / counts
+    # Tied samples in value order, ascending index within each block.
+    tied = np.flatnonzero(counts[inverse] > 1)
+    tied = tied[np.argsort(inverse[tied], kind="stable")]
+    ends = np.cumsum(counts[counts > 1]).tolist()
+    groups = [tied[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    return RankedWeights(w_uniq[inverse], groups)
 
 
 def pbil_schedule(n, mu, lr):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +19,80 @@ from igopt.flow import (
     lyapunov_monitor,
 )
 from igopt.normal import Phi_inv, phi
-from igopt.objectives import linear, onemax
+from igopt.objectives import evaluate, linear, onemax
+from igopt.weights import signed_median, table
 
 
 def two_point_objective(dim=1):
     # f(x) = 1 - x on one bit: x = 1 is the good point
     return linear(np.ones(dim), 1.0, space="bits")
+
+
+def reference_exact_weights(family, theta, objective, scheme):
+    """The per-group loop the vectorized exact weights replace."""
+    points = family.enumerate_points()
+    probs = np.exp(family.log_density(theta, points))
+    values = evaluate(objective, family.points_of(points))
+    w = np.empty_like(values)
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    sorted_probs = probs[order]
+    boundaries = np.nonzero(np.diff(sorted_vals))[0] + 1
+    start = 0
+    cum = 0.0
+    for stop in list(boundaries) + [len(sorted_vals)]:
+        mass = sorted_probs[start:stop].sum()
+        q_minus, q_plus = cum, min(1.0, cum + mass)
+        if mass > 0.0:
+            w_val = scheme.integral(q_minus, q_plus) / (q_plus - q_minus)
+        else:
+            w_val = scheme(q_plus)
+        w[order[start:stop]] = w_val
+        cum = q_plus
+        start = stop
+    return w
+
+
+@pytest.mark.parametrize("scheme", [truncation(0.3), truncation(0.45, shift=-0.2),
+                                    signed_median(0.1, 2.0),
+                                    table([(0.0, 2.0), (0.25, 1.0), (0.6, -0.5)], shift=0.3)])
+def test_exact_weights_match_per_group_loop_bit_for_bit_on_binval(scheme):
+    # BinVal weighs bit i by 2**-i: every point is its own value group
+    d = 8
+    fam = BernoulliFamily(d)
+    obj = linear(2.0 ** -np.arange(d), space="bits")
+    theta = substream(65, 0).uniform(0.05, 0.95, size=d)
+    _, _, values, w = exact_weights_all(fam, theta, obj, scheme)
+    assert np.unique(values).size == values.size
+    np.testing.assert_array_equal(w, reference_exact_weights(fam, theta, obj, scheme))
+
+
+def test_exact_weights_all_matches_exact_weight_on_tied_onemax():
+    d = 10
+    fam = BernoulliFamily(d)
+    obj = onemax(d)
+    rng = substream(66, 0)
+    for scheme in (truncation(0.3), signed_median(0.2), truncation(0.6, shift=0.5)):
+        theta = rng.uniform(0.05, 0.95, size=d)
+        points, _, _, w = exact_weights_all(fam, theta, obj, scheme)
+        per_point = [exact_weight(fam, theta, obj, scheme, x) for x in points[::37]]
+        np.testing.assert_allclose(w[::37], per_point, rtol=1e-12, atol=1e-15)
+
+
+def test_exact_weights_degenerate_group_gets_w_at_its_quantile():
+    # the points with the middle bit set carry mass ~1e-17, too small to
+    # move the running quantile: they take w(q+) instead of 0/0
+    fam = BernoulliFamily(3)
+    obj = linear(2.0 ** -np.arange(3), space="bits")
+    scheme = truncation(0.3)
+    theta = np.array([0.5, 1e-17, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points, _, _, w = exact_weights_all(fam, theta, obj, scheme)
+        rhs = flow_rhs(fam, theta, obj, scheme)
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(rhs))
+    per_point = [exact_weight(fam, theta, obj, scheme, x) for x in points]
+    np.testing.assert_allclose(w, per_point, rtol=1e-12)
 
 
 def test_exact_weight_two_point_hand_values():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from igopt.weights import (
     compute_quantile_weights,
@@ -11,6 +13,75 @@ from igopt.weights import (
 )
 
 RNG = np.random.default_rng(20240817)
+
+
+def reference_integral(scheme, a, b):
+    """Scalar integral of w over [a, b], one Python float operation at a time."""
+    if scheme.kind == "truncation":
+        base = max(0.0, min(b, scheme.q0) - a)
+    elif scheme.kind == "signed_median":
+        base = max(0.0, min(b, 0.5) - a) - max(0.0, b - max(a, 0.5))
+    else:
+        base = 0.0
+        qs = [q for q, _ in scheme.nodes] + [1.0]
+        for lo, hi, (_, v) in zip(qs[:-1], qs[1:], scheme.nodes):
+            base += v * max(0.0, min(b, hi) - max(a, lo))
+    return scheme.scale * base + scheme.shift * (b - a)
+
+
+def reference_quantile_weights(values, scheme):
+    """The per-group loop the vectorized weights must reproduce bit for bit."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    upper = np.cumsum(counts)
+    lower = upper - counts
+    w_uniq = np.array(
+        [reference_integral(scheme, float(lo / n), float(hi / n)) / (hi - lo)
+         for lo, hi in zip(lower, upper)]
+    )
+    groups = [np.nonzero(inverse == g)[0] for g in range(uniq.size) if counts[g] > 1]
+    return w_uniq[inverse], groups
+
+
+SCHEMES = st.one_of(
+    st.floats(0.01, 1.0).map(truncation),
+    st.tuples(st.floats(0.01, 1.0), st.floats(-2.0, 2.0)).map(lambda p: truncation(*p)),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 3.0)).map(lambda p: signed_median(*p)),
+    st.tuples(
+        st.lists(st.floats(0.01, 0.99), min_size=0, max_size=4, unique=True),
+        st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+        st.floats(-1.0, 1.0),
+    ).map(lambda p: table(zip([0.0] + sorted(p[0]), sorted(p[1], reverse=True)), shift=p[2])),
+)
+VALUES = st.one_of(
+    st.lists(st.integers(0, 3).map(float), min_size=1, max_size=60),  # heavy ties
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),          # mostly distinct
+)
+
+
+@given(VALUES, SCHEMES)
+def test_vectorized_weights_match_per_group_loop_bit_for_bit(values, scheme):
+    rw = compute_quantile_weights(values, scheme)
+    ref_weights, ref_groups = reference_quantile_weights(values, scheme)
+    np.testing.assert_array_equal(rw.weights, ref_weights)
+    assert len(rw.tie_groups) == len(ref_groups)
+    for got, want in zip(rw.tie_groups, ref_groups):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_integral_is_elementwise_and_scalar_gives_float():
+    a = np.array([0.0, 0.1, 0.45, 0.5, 0.9])
+    b = np.array([1.0, 0.3, 0.55, 0.5, 1.0])
+    for scheme in (truncation(0.3, shift=0.2), signed_median(0.1, 2.0),
+                   table([(0.0, 2.0), (0.4, 1.0), (0.6, -1.0)], shift=-0.5)):
+        got = scheme.integral(a, b)
+        assert got.shape == a.shape
+        np.testing.assert_array_equal(
+            got, [reference_integral(scheme, float(x), float(y)) for x, y in zip(a, b)])
+        assert type(scheme.integral(0.2, 0.7)) is float
+        with pytest.raises(ValueError):
+            scheme.integral(a, b[::-1])
 
 
 def test_distinct_values_hand_example():
