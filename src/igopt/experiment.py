@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ValueError("n, steps, repeats must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.gibbs_burn_in < 0:
+            raise ValueError("gibbs_burn_in must be non-negative")
         if not (self.fisher == "exact" or self.fisher.startswith("mc:")):
             raise ValueError(f"unknown fisher mode {self.fisher!r}")
         if not (self.stop in ("steps", "both_optima") or self.stop.startswith("target:")):
@@ -116,6 +118,8 @@ class ExperimentConfig:
 
 
 _BOOL_KEYS = {"lift_noisy", "paper_scale"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 _INT_KEYS = {"n", "steps", "seed", "repeats", "gibbs_burn_in", "workers",
              "concentration_stop"}
 _FLOAT_KEYS = {"dt"}
@@ -138,7 +142,9 @@ def parse_config(text):
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         if key in _BOOL_KEYS:
-            values[key] = val.lower() in ("1", "true", "yes", "on")
+            if val.lower() not in _BOOL_WORDS:
+                raise ValueError(f"line {lineno}: {key} must be true or false, got {val!r}")
+            values[key] = _BOOL_WORDS[val.lower()]
         elif key in _INT_KEYS:
             values[key] = int(val)
         elif key in _FLOAT_KEYS:

@@ -40,9 +40,12 @@ class BernoulliFamily(Family):
         return (rng.random((n, self.dim)) < theta).astype(np.uint8)
 
     def log_density(self, theta, samples):
-        # xlogy handles exact 0/1 coordinates (the flow evaluates corners)
-        x = np.asarray(samples, dtype=float)
-        return xlogy(x, theta).sum(axis=1) + xlogy(1.0 - x, 1.0 - theta).sum(axis=1)
+        # One log per coordinate, picked per bit.  xlogy(1, .) gives -inf at an
+        # exact 0 without a warning, and np.where drops it where the bit does
+        # not use it (the flow evaluates corners)
+        on = np.asarray(samples) != 0
+        return (np.where(on, xlogy(1.0, theta), 0.0).sum(axis=1)
+                + np.where(on, 0.0, xlogy(1.0, 1.0 - theta)).sum(axis=1))
 
     def grad_log_density(self, theta, samples):
         _check_interior(theta)

@@ -17,11 +17,15 @@ Exact quantities (partition function, moments, Fisher) enumerate the 2^n_x
 visible configurations with the hidden layer marginalized analytically, and
 are refused above ENUMERATION_CUTOFF total units.  Gibbs estimates remain
 available at any size: chains are vectorized, one independent chain per
-sample, with a configurable number of burn-in sweeps.
+sample, with a configurable number of burn-in sweeps.  While 2^n_h <= n,
+visible units are drawn from a per-hidden-state table of P(x | h), built
+once per call; wider hidden layers fall back to one matmul per sweep.  Both
+paths give the same bits.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,10 +130,22 @@ class _RbmCommon(Family):
     def _gibbs(self, theta, n, rng):
         p = self.unpack(theta)
         x = (rng.random((n, self.n_x)) < 0.5).astype(np.float64)
-        for _ in range(self.burn_in):
-            h = (rng.random((n, self.n_h)) < _sigmoid(p.b + x @ p.W)).astype(np.float64)
-            x = (rng.random((n, self.n_x)) < _sigmoid(p.a + h @ p.W.T)).astype(np.float64)
-        h = (rng.random((n, self.n_h)) < _sigmoid(p.b + x @ p.W)).astype(np.float64)
+        if 2**self.n_h <= n:
+            # P(x | h) takes one row per hidden state: gather it by the
+            # hidden code instead of a fresh n x n_x matmul and sigmoid
+            H = _enumerate_bits(self.n_h).astype(np.float64)
+            px_table = _sigmoid(p.a + H @ p.W.T)
+            place = 2 ** np.arange(self.n_h)
+            px, u = np.empty_like(x), np.empty_like(x)
+            for _ in range(self.burn_in):
+                h = rng.random((n, self.n_h)) < _sigmoid(p.b + x @ p.W)
+                np.take(px_table, h @ place, axis=0, out=px, mode="clip")
+                np.less(rng.random(out=u), px, out=x)
+        else:
+            for _ in range(self.burn_in):
+                h = (rng.random((n, self.n_h)) < _sigmoid(p.b + x @ p.W)).astype(np.float64)
+                x = (rng.random((n, self.n_x)) < _sigmoid(p.a + h @ p.W.T)).astype(np.float64)
+        h = rng.random((n, self.n_h)) < _sigmoid(p.b + x @ p.W)
         return x.astype(np.uint8), h.astype(np.uint8)
 
     # -- exact quantities by visible-side enumeration -----------------------
@@ -139,27 +155,41 @@ class _RbmCommon(Family):
                 f"exact RBM quantities need n_x + n_h <= {ENUMERATION_CUTOFF}"
             )
 
-    def _visible_table(self, theta):
-        """All visible configs with unnormalized log-mass and P(h | x)."""
+    @cached_property
+    def _visible_bits(self):
+        """The 2^n_x visible configurations as float rows, built once."""
         self._check_enumerable()
+        X = _enumerate_bits(self.n_x).astype(float)
+        X.flags.writeable = False
+        return X
+
+    def _log_mass(self, theta):
+        """Hidden activations and unnormalized log-mass of every visible config."""
         p = self.unpack(theta)
-        X = _enumerate_bits(self.n_x)
-        act = p.b + X.astype(float) @ p.W
-        logmass = X.astype(float) @ p.a + _softplus(act).sum(axis=1)
+        X = self._visible_bits
+        act = p.b + X @ p.W
+        return act, X @ p.a + _softplus(act).sum(axis=1)
+
+    def _visible_table(self, theta):
+        """All visible configs with normalized mass, P(h | x) and ln Z."""
+        act, logmass = self._log_mass(theta)
         log_z = _logsumexp(logmass)
         probs = np.exp(logmass - log_z)
-        return X.astype(float), probs, _sigmoid(act), log_z
+        return self._visible_bits, probs, _sigmoid(act), log_z
 
     def log_partition(self, theta):
-        return self._visible_table(theta)[3]
+        return _logsumexp(self._log_mass(theta)[1])
 
     def exact_stats(self, theta):
         """Exact expectation of the sufficient statistics (x, h, x (x) h)."""
-        X, probs, PH, _ = self._visible_table(theta)
-        ex = X.T @ probs
-        eh = PH.T @ probs
-        exh = (X * probs[:, None]).T @ PH
-        return np.concatenate([ex, eh, exh.ravel()])
+        return _stats_of(*self._visible_table(theta)[:3])
+
+
+def _stats_of(X, probs, PH):
+    ex = X.T @ probs
+    eh = PH.T @ probs
+    exh = (X * probs[:, None]).T @ PH
+    return np.concatenate([ex, eh, exh.ravel()])
 
 
 def _logsumexp(v):
@@ -223,7 +253,7 @@ class JointRbmFamily(_RbmCommon):
             [m_xh.T, m_hh, m_h_xh],
             [m_x_xh.T, m_h_xh.T, m_xh_xh],
         ])
-        mean = self.exact_stats(theta)
+        mean = _stats_of(X, probs, PH)
         return second - np.outer(mean, mean)
 
     def enumerate_points(self):
@@ -239,8 +269,9 @@ class JointRbmFamily(_RbmCommon):
         theta, so KL(P||Q) = (theta_p - theta_q) . E_P[T] - ln Z_p + ln Z_q."""
         tp = np.asarray(theta_p, dtype=float)
         tq = np.asarray(theta_q, dtype=float)
-        return float((tp - tq) @ self.exact_stats(tp)
-                     - self.log_partition(tp) + self.log_partition(tq))
+        X, probs, PH, log_zp = self._visible_table(tp)
+        return float((tp - tq) @ _stats_of(X, probs, PH)
+                     - log_zp + self.log_partition(tq))
 
 
 class MarginalRbmFamily(_RbmCommon):
@@ -281,9 +312,10 @@ class MarginalRbmFamily(_RbmCommon):
 
     def exact_kl(self, theta_p, theta_q):
         # The marginal law is not exponential in theta: sum directly.
-        x = self.enumerate_points()
-        lp = self.log_density(theta_p, x)
-        lq = self.log_density(theta_q, x)
+        lp = self._log_mass(theta_p)[1]
+        lp -= _logsumexp(lp)
+        lq = self._log_mass(theta_q)[1]
+        lq -= _logsumexp(lq)
         return float(np.exp(lp) @ (lp - lq))
 
 

@@ -252,3 +252,26 @@ def test_paper_scale_defaults():
     # explicit keys still win
     cfg2 = parse_config("paper_scale = true\nfisher = mc:m=10000\nn = 50\nseed = 3\n")
     assert cfg2.n == 50
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("lift_noisy = ture\n", "lift_noisy"),
+    ("paper_scale = 2\n", "paper_scale"),
+    ("gibbs_burn_in = -1\n", "gibbs_burn_in"),
+])
+def test_bad_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, extra, key):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    with pytest.raises(ValueError, match=key):
+        parse_config(PBIL_CONFIG + extra)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(PBIL_CONFIG + extra)
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_booleans_parse_strictly():
+    for word, value in [("true", True), ("On", True), ("1", True),
+                        ("false", False), ("NO", False), ("0", False)]:
+        assert parse_config(PBIL_CONFIG + f"lift_noisy = {word}\n").lift_noisy is value

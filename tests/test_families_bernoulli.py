@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from igopt import igo_step, substream, truncation
 from igopt.families import BernoulliFamily, DomainError, LogitBernoulliFamily
@@ -120,3 +121,19 @@ def test_theta_vs_logit_steps_differ_at_second_order():
     ratios = [gaps[i] / gaps[i + 1] for i in range(3)]
     for r in ratios:
         assert 2.0 < r < 8.0  # 4x within a factor of 2
+
+
+def test_log_density_matches_xlogy_form_bit_for_bit():
+    # frozen reference: two xlogy passes over the whole point matrix
+    fam = BernoulliFamily(6)
+    pts = fam.enumerate_points()   # includes the all-zeros point
+    rng = substream(90, 0)
+    thetas = [rng.random(6), np.full(6, 0.5),
+              np.array([0.0, 1.0, 0.3, 0.0, 1.0, 0.9]),   # exact corners
+              np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])]
+    for theta in thetas:
+        x = pts.astype(float)
+        ref = xlogy(x, theta).sum(axis=1) + xlogy(1.0 - x, 1.0 - theta).sum(axis=1)
+        np.testing.assert_array_equal(fam.log_density(theta, pts), ref)
+    assert fam.log_density(thetas[3], pts)[0b000111] == 0.0
+    assert fam.log_density(thetas[3], pts)[0] == -np.inf

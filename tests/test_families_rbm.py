@@ -273,3 +273,95 @@ def test_serialization_order():
     np.testing.assert_array_equal(params.flat(), [1, 2, 3, 4, 5])
     back = RbmParams.from_flat(params.flat(), 2, 1)
     np.testing.assert_array_equal(back.W, params.W)
+
+
+# -- frozen references: the sampler and exact quantities as first written ----
+# The family now gathers P(x | h) from a per-hidden-state table and builds one
+# visible table per theta; its outputs must equal these bit for bit.
+
+def _ref_sigmoid(t):
+    return 1.0 / (1.0 + np.exp(-np.clip(t, -40.0, 40.0)))
+
+
+def _ref_bits(n):
+    codes = np.arange(2**n, dtype=np.uint32)
+    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+
+
+def ref_gibbs(fam, theta, n, rng):
+    p = fam.unpack(theta)
+    x = (rng.random((n, fam.n_x)) < 0.5).astype(np.float64)
+    for _ in range(fam.burn_in):
+        h = (rng.random((n, fam.n_h)) < _ref_sigmoid(p.b + x @ p.W)).astype(np.float64)
+        x = (rng.random((n, fam.n_x)) < _ref_sigmoid(p.a + h @ p.W.T)).astype(np.float64)
+    h = (rng.random((n, fam.n_h)) < _ref_sigmoid(p.b + x @ p.W)).astype(np.float64)
+    return x.astype(np.uint8), h.astype(np.uint8)
+
+
+def ref_table(fam, theta):
+    p = fam.unpack(theta)
+    X = _ref_bits(fam.n_x)
+    act = p.b + X.astype(float) @ p.W
+    logmass = X.astype(float) @ p.a + np.logaddexp(0.0, act).sum(axis=1)
+    m = logmass.max()
+    log_z = float(m + np.log(np.exp(logmass - m).sum()))
+    probs = np.exp(logmass - log_z)
+    return X.astype(float), probs, _ref_sigmoid(act), log_z
+
+
+def ref_stats(fam, theta):
+    X, probs, PH, _ = ref_table(fam, theta)
+    exh = (X * probs[:, None]).T @ PH
+    return np.concatenate([X.T @ probs, PH.T @ probs, exh.ravel()])
+
+
+def ref_joint_kl(fam, tp, tq):
+    return float((tp - tq) @ ref_stats(fam, tp)
+                 - ref_table(fam, tp)[3] + ref_table(fam, tq)[3])
+
+
+def ref_marginal_kl(fam, tp, tq):
+    x = _ref_bits(fam.n_x).astype(float)
+
+    def log_density(theta):
+        p = fam.unpack(theta)
+        return (x @ p.a + np.logaddexp(0.0, p.b + x @ p.W).sum(axis=1)
+                - ref_table(fam, theta)[3])
+
+    lp, lq = log_density(tp), log_density(tq)
+    return float(np.exp(lp) @ (lp - lq))
+
+
+@pytest.mark.parametrize("n_x, n_h, n", [
+    (16, 1, 500),   # per-hidden-state table
+    (12, 3, 300),
+    (2, 2, 64),
+    (10, 5, 200),
+    (10, 5, 32),    # 2^n_h == n: still the table
+    (6, 8, 100),    # 2^n_h > n: matmul fallback
+])
+@pytest.mark.parametrize("burn_in", [0, 30])
+def test_gibbs_matches_reference_bit_for_bit(n_x, n_h, n, burn_in):
+    for seed, scale in [(0, 0.5), (1, 3.0)]:
+        theta = tiny_params(n_x, n_h, seed=60 + seed, scale=scale).flat()
+        joint = JointRbmFamily(n_x, n_h, burn_in=burn_in)
+        x, h = joint.sample(theta, n, substream(61, seed))
+        x_ref, h_ref = ref_gibbs(joint, theta, n, substream(61, seed))
+        assert x.dtype == h.dtype == np.uint8
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(h, h_ref)
+        marg = MarginalRbmFamily(n_x, n_h, burn_in=burn_in)
+        np.testing.assert_array_equal(marg.sample(theta, n, substream(61, seed)), x_ref)
+
+
+@pytest.mark.parametrize("n_x, n_h", [(8, 1), (5, 2), (4, 3), (1, 1)])
+def test_exact_quantities_match_reference_bit_for_bit(n_x, n_h):
+    tp = tiny_params(n_x, n_h, seed=70).flat()
+    tq = tiny_params(n_x, n_h, seed=71, scale=0.8).flat()
+    joint, marg = JointRbmFamily(n_x, n_h), MarginalRbmFamily(n_x, n_h)
+    for fam in (joint, marg):
+        for theta in (tp, tq):
+            assert fam.log_partition(theta) == ref_table(fam, theta)[3]
+            np.testing.assert_array_equal(fam.exact_stats(theta), ref_stats(fam, theta))
+    assert joint.exact_kl(tp, tq) == ref_joint_kl(joint, tp, tq)
+    assert marg.exact_kl(tp, tq) == ref_marginal_kl(marg, tp, tq)
