@@ -95,8 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.n < 1 or self.steps < 0 or self.repeats < 1:
             raise ValueError("n, steps, repeats must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.gibbs_burn_in < 0:
             raise ValueError("gibbs_burn_in must be non-negative")
         if not (self.fisher == "exact" or self.fisher.startswith("mc:")):
@@ -120,9 +120,9 @@ class ExperimentConfig:
 _BOOL_KEYS = {"lift_noisy", "paper_scale"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
-_INT_KEYS = {"n", "steps", "seed", "repeats", "gibbs_burn_in", "workers",
-             "concentration_stop"}
-_FLOAT_KEYS = {"dt"}
+_NUMBER_KEYS = {**dict.fromkeys(("n", "steps", "seed", "repeats", "gibbs_burn_in", "workers",
+                                  "concentration_stop"), (int, "an integer")),
+                "dt": (float, "a number")}
 
 
 def parse_config(text):
@@ -145,10 +145,12 @@ def parse_config(text):
             if val.lower() not in _BOOL_WORDS:
                 raise ValueError(f"line {lineno}: {key} must be true or false, got {val!r}")
             values[key] = _BOOL_WORDS[val.lower()]
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
+        elif key in _NUMBER_KEYS:
+            convert, kind = _NUMBER_KEYS[key]
+            try:
+                values[key] = convert(val)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} must be {kind}, got {val!r}") from None
         else:
             values[key] = val
     cfg = ExperimentConfig(**values)

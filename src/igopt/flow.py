@@ -183,14 +183,27 @@ def f_quantile(values, probs, q):
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     order = np.argsort(values, kind="stable")
-    v = values[order]
-    p = probs[order] / probs.sum()
+    return _sorted_quantile(values[order], probs[order] / probs.sum(), q)
+
+
+def batch_quantile(values, q):
+    """Empirical q-quantile of a batch, same midpoint convention."""
+    # Equal probabilities need no stable order, so a plain sort gives
+    # f_quantile's bits; so does normalizing by their (pairwise) float sum.
+    values = np.sort(np.asarray(values, dtype=float))
+    probs = np.full(values.size, 1.0 / values.size)
+    return _sorted_quantile(values, probs / probs.sum(), q)
+
+
+def _sorted_quantile(v, p, q):
+    """f_quantile of ascending values v with normalized probabilities p."""
     keep = p > 0.0
     v, p = v[keep], p[keep]
-    # merge duplicates
-    uniq, inv = np.unique(v, return_inverse=True)
-    mass = np.zeros_like(uniq)
-    np.add.at(mass, inv, p)
+    # merge duplicates: group masses summed in index order
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    uniq = v[first]
+    mass = np.bincount(np.cumsum(first) - 1, weights=p)
     cum = np.cumsum(mass)
     mid = cum - 0.5 * mass
     if q <= mid[0]:
@@ -200,63 +213,25 @@ def f_quantile(values, probs, q):
     return float(np.interp(q, mid, uniq))
 
 
-def batch_quantile(values, q):
-    """Empirical q-quantile of a batch, same midpoint convention."""
-    values = np.asarray(values, dtype=float)
-    return f_quantile(values, np.full(values.size, 1.0 / values.size), q)
-
-
 # -- closed-form constants for linear objectives ------------------------------
 
-def _adaptive_simpson(f, a, b, tol, max_depth=48):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= max_depth or abs(left + right - whole) < 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1) + \
-            recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1)
-
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
-_TAIL_CUT = 1e-10
-
-
-def _quantile_square_integral(q0, tol=1e-10):
-    """integral over [0, q0] of Phi_inv(u)^2, adaptive Simpson.
-
-    The integrand has a logarithmic singularity at 0; below u = 1e-10 the
-    asymptotic expansion Phi_inv(u)^2 ~ 2L - ln(2L) - ln(2 pi), L = ln(1/u),
-    is integrated in closed form (the neglected terms contribute O(1e-11)).
-    """
-    eps = min(_TAIL_CUT, 0.5 * q0)
-    L = math.log(1.0 / eps)
-    tail = 2.0 * eps * (L + 1.0) - eps * math.log(2.0 * math.pi) \
-        - eps * math.log(2.0 * L) - eps / L
-    body = _adaptive_simpson(lambda u: Phi_inv(u) ** 2, eps, q0, tol)
-    return tail + body
-
-
-def gaussian_linear_constants(q0, d, tol=1e-10):
+def gaussian_linear_constants(q0, d):
     """Growth and drift rates of the isotropic-Gaussian flow on a linear f.
 
-    beta = E[Z 1{Z <= Phi_inv(q0)}] = -phi(Phi_inv(q0));
-    alpha = (1/(2d)) (integral_0^q0 Phi_inv(u)^2 du - q0), by quadrature.
+    With c = Phi_inv(q0):
+    beta = E[Z 1{Z <= c}] = -phi(c);
+    alpha = (1/(2d)) (integral_0^q0 Phi_inv(u)^2 du - q0) = c beta / (2d),
+    since u = Phi(z) turns the integral into integral_{-inf}^c z^2 phi(z) dz
+    = q0 - c phi(c).
     """
     if not 0.0 < q0 <= 1.0:
         raise ValueError("q0 must be in (0, 1]")
     if q0 == 1.0:
         # Everything selected: the full-normal moments give 0 exactly.
         return LinearFlowConstants(alpha=0.0, beta=0.0, q0=q0, d=d)
-    beta = -phi(Phi_inv(q0))
-    alpha = (_quantile_square_integral(q0, tol) - q0) / (2.0 * d)
+    c = Phi_inv(q0)
+    beta = -phi(c)
+    alpha = c * beta / (2.0 * d)
     return LinearFlowConstants(alpha=alpha, beta=beta, q0=q0, d=d)
 
 

@@ -2,15 +2,15 @@
 
 Frozen utility used by the flow constants and the critical-step-size
 formulas.  ``Phi`` wraps the libm erfc rational approximation (relative
-error below 1e-15).  ``Phi_inv`` refines the Acklam rational initial guess
-with one Halley iteration against ``Phi``, which brings the absolute error
-below 1e-14 on (1e-300, 1 - 1e-16); see tests/test_normal.py for the grid
-check against an independent implementation.
+error below 1e-15).  ``Phi_inv`` is scipy's ``ndtri`` restricted to the open
+interval (0, 1); see tests/test_normal.py for the grid and round-trip
+checks.
 """
 
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
 __all__ = ["phi", "Phi", "Phi_inv"]
 
@@ -33,59 +33,10 @@ def Phi(x):
     return np.array([0.5 * math.erfc(-v / _SQRT2) for v in xs.ravel()]).reshape(xs.shape)
 
 
-# Acklam's rational approximation coefficients (max abs error ~1.15e-9
-# before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_P_LOW = 0.02425
-_P_HIGH = 1.0 - _P_LOW
-
-
-def _acklam(p):
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-               ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p > _P_HIGH:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-               ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-           (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-
-
-def _phi_inv_lower(p):
-    # p in (0, 1/2]: erfc is evaluated on its relative-accurate tail side.
-    x = _acklam(p)
-    # One Halley step: u = (Phi(x) - p) / phi(x); x <- x - u / (1 + x u / 2).
-    e = 0.5 * math.erfc(-x / _SQRT2) - p
-    try:
-        u = e * _SQRT2PI * math.exp(0.5 * x * x)
-    except OverflowError:
-        return x  # beyond ~37 sigma the rational guess is already at double resolution
-    return x - u / (1.0 + 0.5 * x * u)
-
-
-def _phi_inv_scalar(p):
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    if p > 0.5:
-        return -_phi_inv_lower(1.0 - p)
-    return _phi_inv_lower(p)
-
-
 def Phi_inv(p):
-    """Inverse of the standard normal cdf."""
-    if np.ndim(p) == 0:
-        return _phi_inv_scalar(float(p))
+    """Inverse of the standard normal cdf; p must lie strictly inside (0, 1)."""
     ps = np.asarray(p, dtype=float)
-    return np.array([_phi_inv_scalar(v) for v in ps.ravel()]).reshape(ps.shape)
+    if not np.all((ps > 0.0) & (ps < 1.0)):
+        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    out = ndtri(ps)
+    return float(out) if out.ndim == 0 else out

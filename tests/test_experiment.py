@@ -271,6 +271,20 @@ def test_bad_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, extra, k
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("text, message", [
+    (PBIL_CONFIG + "gibbs_burn_in = abc\n", "line 12: gibbs_burn_in must be an integer, got 'abc'"),
+    (PBIL_CONFIG.replace("dt = 0.1", "dt = fast"), "line 8: dt must be a number, got 'fast'"),
+    (PBIL_CONFIG.replace("dt = 0.1", "dt = nan"), "dt must be positive and finite"),
+])
+def test_bad_numbers_exit_2_with_one_line(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_booleans_parse_strictly():
     for word, value in [("true", True), ("On", True), ("1", True),
                         ("false", False), ("NO", False), ("0", False)]:

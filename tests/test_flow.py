@@ -3,6 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import integrate as sp_integrate
+from scipy.special import ndtri
 
 from igopt import compute_quantile_weights, igo_step, substream, truncation
 from igopt.families import BernoulliFamily
@@ -219,22 +223,37 @@ def test_lyapunov_monitor_values():
         assert lyapunov_monitor(theta, alpha) > 0.0
 
 
+def quadrature_alpha(q0, d):
+    """alpha = (integral_0^q0 Phi_inv(u)^2 du - q0) / (2d), with u = Phi(z)."""
+    c = ndtri(q0)
+    body = sp_integrate.quad(lambda z: z * z * math.exp(-0.5 * z * z), -np.inf, c,
+                             epsabs=1e-14, epsrel=1e-13)[0]
+    return (body / math.sqrt(2 * math.pi) - q0) / (2 * d)
+
+
 def test_linear_constants_closed_form_oracle():
-    # independent oracle: alpha = -c phi(c) / (2 d) with c = Phi_inv(q0)
-    for q0 in (0.1, 0.25, 0.27, 0.5, 0.8):
+    for q0 in (1e-9, 0.01, 0.1, 0.25, 0.27, 0.5, 0.8, 0.99, 1 - 1e-9):
         for d in (1, 2, 5):
             lc = gaussian_linear_constants(q0, d)
-            c = Phi_inv(q0)
-            assert lc.alpha == pytest.approx(-c * phi(c) / (2 * d), abs=1e-9)
-            assert lc.beta == pytest.approx(-phi(c), abs=1e-12)
+            assert abs(lc.alpha - quadrature_alpha(q0, d)) < 1e-10
+            assert lc.beta == pytest.approx(-phi(ndtri(q0)), rel=1e-12)
     half = gaussian_linear_constants(0.5, 3)
-    assert half.alpha == pytest.approx(0.0, abs=1e-10)
+    assert half.alpha == 0.0
     assert half.beta == pytest.approx(-1.0 / math.sqrt(2 * math.pi), abs=1e-12)
     # frozen regression value, from the quadrature oracle (d = 1, q0 = 0.25)
     assert gaussian_linear_constants(0.25, 1).alpha == pytest.approx(0.1071685206, abs=1e-8)
-    # sign structure
-    assert gaussian_linear_constants(0.25, 2).alpha > 0
-    assert gaussian_linear_constants(0.75, 2).alpha < 0
+    assert gaussian_linear_constants(1.0, 2).alpha == 0.0
+
+
+@given(st.floats(1e-12, 1 - 1e-12), st.integers(1, 50))
+def test_linear_constants_sign_symmetry_and_beta(q0, d):
+    lc = gaussian_linear_constants(q0, d)
+    assert (lc.alpha > 0.0) == (q0 < 0.5)
+    # 1 - q0 rounds; its own complement is exact, so compare the two of those
+    mirror = gaussian_linear_constants(1.0 - q0, d)
+    assert mirror.alpha == pytest.approx(-gaussian_linear_constants(1.0 - mirror.q0, d).alpha,
+                                         rel=1e-12, abs=1e-300)
+    assert lc.beta == pytest.approx(-phi(ndtri(q0)), rel=1e-12)
 
 
 def test_linear_constants_trajectory_forms():
@@ -297,6 +316,58 @@ def test_f_quantile_midpoint_interpolation():
     rng = substream(64, 0)
     big = rng.normal(size=200001)
     assert batch_quantile(big, 0.5) == pytest.approx(np.median(big), abs=1e-6)
+
+
+def reference_f_quantile(values, probs, q):
+    """The np.unique / np.add.at form the single-sort quantile replaces."""
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    p = probs[order] / probs.sum()
+    keep = p > 0.0
+    v, p = v[keep], p[keep]
+    uniq, inv = np.unique(v, return_inverse=True)
+    mass = np.zeros_like(uniq)
+    np.add.at(mass, inv, p)
+    cum = np.cumsum(mass)
+    mid = cum - 0.5 * mass
+    if q <= mid[0]:
+        return float(uniq[0])
+    if q >= mid[-1]:
+        return float(uniq[-1])
+    return float(np.interp(q, mid, uniq))
+
+
+QUANTILE_VALUES = st.one_of(
+    st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]), min_size=1, max_size=60),
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200),
+)
+
+
+def assert_same_quantile(got, ref, values):
+    # Equal floats have equal bits except for the sign of zero, which may
+    # differ only when a tied group mixes -0.0 and 0.0.
+    assert got == ref
+    if not np.any(np.signbit(values) & (np.asarray(values) == 0.0)):
+        assert np.signbit(got) == np.signbit(ref)
+
+
+@given(QUANTILE_VALUES, st.data(), st.floats(0.0, 1.0))
+def test_f_quantile_matches_unique_form_bit_for_bit(values, data, q):
+    probs = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                               min_size=len(values), max_size=len(values)))
+    if not any(probs):
+        probs[0] = 0.5
+    assert_same_quantile(f_quantile(values, probs, q), reference_f_quantile(values, probs, q),
+                         values)
+
+
+@given(QUANTILE_VALUES, st.floats(0.0, 1.0))
+def test_batch_quantile_matches_unique_form_bit_for_bit(values, q):
+    equal = np.full(len(values), 1.0 / len(values))
+    assert_same_quantile(batch_quantile(values, q), reference_f_quantile(values, equal, q),
+                         values)
 
 
 def test_flow_rhs_matches_derivative_free_covariance_form():

@@ -42,3 +42,15 @@ def test_quantile_rejects_boundary():
         except ValueError:
             continue
         raise AssertionError(f"Phi_inv accepted {bad}")
+    for bad in ([0.5, 0.0], [0.2, np.nan]):
+        try:
+            Phi_inv(np.array(bad))
+        except ValueError:
+            continue
+        raise AssertionError(f"Phi_inv accepted {bad}")
+
+
+def test_quantile_returns_float_for_scalars():
+    assert type(Phi_inv(0.3)) is float
+    assert type(Phi_inv(np.float64(0.3))) is float
+    assert Phi_inv(np.array([0.3, 0.7])).shape == (2,)
