@@ -24,6 +24,7 @@ import numpy as np
 from . import experiment as exp_mod
 from . import flow as flow_mod
 from . import objectives as objectives_mod
+from .rng import INIT, substream
 
 OUTPUT_DIR_ENV = "IGOPT_OUTPUT_DIR"
 
@@ -53,30 +54,22 @@ def cmd_run(args):
 
 _FLOW_KEYS = {"family", "objective", "scheme", "horizon", "flow_step", "method",
               "out_prefix", "theta0", "q_report", "seed"}
-
-
-def _parse_flow_config(text):
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not sep or key not in _FLOW_KEYS:
-            raise ValueError(f"line {lineno}: unknown flow key in {raw!r}")
-        values[key] = val
-    for required in ("family", "objective"):
-        if required not in values:
-            raise ValueError(f"flow config needs {required!r}")
-    return values
+_FLOW_TYPED = {**dict.fromkeys(("horizon", "flow_step", "q_report"), (float, "a number")),
+               "seed": (int, "an integer"),
+               "theta0": (lambda v: np.array([float(t) for t in v.split()]),
+                          "numbers separated by spaces")}
 
 
 def cmd_flow(args):
     try:
         with open(args.config) as fh:
-            spec = _parse_flow_config(fh.read())
-        path = _run_flow(spec)
+            spec = exp_mod.read_key_values(fh.read(), _FLOW_KEYS, _FLOW_TYPED)
+        for required in ("family", "objective"):
+            if required not in spec:
+                raise ValueError(f"flow config needs {required!r}")
+        header, rows = _run_flow(spec)
+        path = _write_csv(f"{spec.get('out_prefix', 'flow')}_trajectory.csv",
+                          f"igopt flow schema v{exp_mod.CSV_SCHEMA_VERSION}", header, rows)
     except (OSError, ValueError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -85,15 +78,15 @@ def cmd_flow(args):
 
 
 def _run_flow(spec):
-    horizon = float(spec.get("horizon", 1.0))
-    step = float(spec.get("flow_step", 0.01))
+    """Integrate the flow of a flow config; returns the CSV header and rows."""
+    horizon = spec.get("horizon", 1.0)
+    step = spec.get("flow_step", 0.01)
     method = spec.get("method", "rk4")
-    prefix = spec.get("out_prefix", "flow")
-    q_report = float(spec.get("q_report", 0.5))
+    q_report = spec.get("q_report", 0.5)
     scheme = exp_mod._parse_scheme(spec.get("scheme", "truncation:q0=0.5"))
     if isinstance(scheme, tuple):
         raise ValueError("flow integration needs a quantile scheme, not a schedule")
-    fam_kind, fam_opts = exp_mod._kv(spec["family"])
+    fam_kind, fam_opts = objectives_mod.parse_spec(spec["family"])
     obj = objectives_mod.parse_objective(spec["objective"])
 
     if fam_kind == "gaussian_iso" and obj.kind == "sphere":
@@ -107,19 +100,14 @@ def _run_flow(spec):
             rows.append([state.t, state.theta[0], state.theta[1],
                          sphere.median_f(state.theta), sphere.speed(state.theta),
                          float("nan")])
-        header = ["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"]
-        return _write_flow_csv(prefix, header, rows)
+        return ["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"], rows
 
     cfg = exp_mod.ExperimentConfig(family=spec["family"], objective=spec["objective"])
-    family = exp_mod._build_family(cfg)
+    family, start = exp_mod._family_and_start(cfg, substream(spec.get("seed", 1), 0, INIT))
     if "enumerable" not in family.capabilities:
         raise ValueError("flow integration needs an enumerable family "
                          "(or gaussian_iso with a sphere objective)")
-    from .rng import INIT, substream
-    init_rng = substream(int(spec.get("seed", 1)), 0, INIT)
-    theta0 = (np.array([float(v) for v in spec["theta0"].split()])
-              if "theta0" in spec
-              else exp_mod._init_theta(cfg, family, init_rng))
+    theta0 = spec.get("theta0", start)
     alpha = None
     if obj.kind == "onemax":
         alpha = np.ones(obj.dim)
@@ -141,15 +129,16 @@ def _run_flow(spec):
         rows.append([state.t, *state.theta, quant, speed, lyap])
     header = (["t"] + [f"theta_{i}" for i in range(len(theta0))]
               + ["f_quantile", "speed", "lyapunov"])
-    return _write_flow_csv(prefix, header, rows)
+    return header, rows
 
 
-def _write_flow_csv(prefix, header, rows):
-    path = os.path.join(_out_dir(), f"{prefix}_trajectory.csv")
+def _write_csv(name, comment, header, rows):
+    """Write ``# comment``, the header and the rows to ``name`` in the output
+    directory; returns the path."""
+    path = os.path.join(_out_dir(), name)
     os.makedirs(_out_dir(), exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(f"# igopt flow schema v{exp_mod.CSV_SCHEMA_VERSION}\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(f"# {comment}\n" + ",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(exp_mod._fmt(v) for v in row) + "\n")
     return path
@@ -157,13 +146,10 @@ def _write_flow_csv(prefix, header, rows):
 
 def cmd_table(args):
     try:
-        kind, opts = exp_mod._kv(args.spec)
-        if kind == "critical_dt":
-            path = _critical_dt_table(opts)
-        elif kind == "linear_constants":
-            path = _linear_constants_table(opts)
-        else:
+        kind, opts = objectives_mod.parse_spec(args.spec)
+        if kind not in _TABLES:
             raise ValueError(f"unknown table {kind!r}")
+        path = _TABLES[kind](opts)
     except (ValueError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -178,29 +164,25 @@ def _grid(opts, lo_key="q_min", hi_key="q_max", default_lo=0.01, default_hi=0.6)
     return np.linspace(lo, hi, points)
 
 def _critical_dt_table(opts):
-    path = os.path.join(_out_dir(), "critical_dt.csv")
-    os.makedirs(_out_dir(), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("# critical step size vs truncation quantile, per update family j\n")
-        fh.write("q,j0,j1,j2,j_inf\n")
-        for q in _grid(opts):
-            cells = [q] + [flow_mod.critical_dt(float(q), j)
-                           for j in (0, 1, 2, math.inf)]
-            fh.write(",".join(exp_mod._fmt(c) for c in cells) + "\n")
-    return path
+    rows = [[q] + [flow_mod.critical_dt(float(q), j) for j in (0, 1, 2, math.inf)]
+            for q in _grid(opts)]
+    return _write_csv("critical_dt.csv",
+                      "critical step size vs truncation quantile, per update family j",
+                      ["q", "j0", "j1", "j2", "j_inf"], rows)
 
 
 def _linear_constants_table(opts):
     d = int(opts.get("d", 1))
-    path = os.path.join(_out_dir(), f"linear_constants_d{d}.csv")
-    os.makedirs(_out_dir(), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("# isotropic-Gaussian linear-objective flow rates\n")
-        fh.write("q0,alpha,beta\n")
-        for q0 in _grid(opts, default_lo=0.05, default_hi=0.95):
-            lc = flow_mod.gaussian_linear_constants(float(q0), d)
-            fh.write(",".join(exp_mod._fmt(c) for c in (q0, lc.alpha, lc.beta)) + "\n")
-    return path
+    rows = []
+    for q0 in _grid(opts, default_lo=0.05, default_hi=0.95):
+        lc = flow_mod.gaussian_linear_constants(float(q0), d)
+        rows.append([q0, lc.alpha, lc.beta])
+    return _write_csv(f"linear_constants_d{d}.csv",
+                      "isotropic-Gaussian linear-objective flow rates",
+                      ["q0", "alpha", "beta"], rows)
+
+
+_TABLES = {"critical_dt": _critical_dt_table, "linear_constants": _linear_constants_table}
 
 
 def cmd_selftest(args):

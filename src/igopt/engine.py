@@ -40,39 +40,40 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _fisher_for(family, theta, fisher):
-    if fisher is None:
-        return fisher_mod.exact_fisher(family, theta)
-    return fisher
+def _score(family, theta, samples, model_stats):
+    if model_stats is None:
+        return family.grad_log_density(theta, samples)
+    return family.grad_log_density(theta, samples, model_stats=model_stats)
 
 
-def igo_step(family, theta, samples, weights, dt, *, fisher=None, use_closed_form=True):
+def igo_step(family, theta, samples, weights, dt, *, fisher=None, model_stats=None,
+             use_closed_form=True):
     """One natural-gradient step.  Deterministic given its inputs.
 
     With ``use_closed_form`` (default) the family's closed-form
-    Fisher-preconditioned score is used when available; otherwise the step
+    Fisher-preconditioned step is used when available; otherwise the step
     solves against ``fisher`` (an explicit FisherMatrix estimate) or the
-    family's exact Fisher matrix.  SingularFisher propagates to the caller.
+    family's exact Fisher matrix.  ``model_stats`` centres the score of a
+    ``centred_score`` family.  SingularFisher propagates to the caller.
     """
     w = as_weight_array(weights)
     theta = np.asarray(theta, dtype=float)
     if use_closed_form and fisher is None:
         try:
-            nat = family.natural_grad_log_density(theta, samples)
-            return theta + dt * (w @ nat)
+            return family.natural_step(theta, samples, w, dt)
         except CapabilityError:
             pass
-    grad_sum = w @ family.grad_log_density(theta, samples)
-    fm = _fisher_for(family, theta, fisher)
+    grad_sum = w @ _score(family, theta, samples, model_stats)
+    fm = fisher_mod.exact_fisher(family, theta) if fisher is None else fisher
     return theta + dt * fisher_mod.solve(fm, grad_sum)
 
 
-def vanilla_step(family, theta, samples, weights, dt):
+def vanilla_step(family, theta, samples, weights, dt, *, model_stats=None):
     """Plain-gradient baseline: identical loop with the Fisher inverse
     replaced by the identity."""
     w = as_weight_array(weights)
     theta = np.asarray(theta, dtype=float)
-    return theta + dt * (w @ family.grad_log_density(theta, samples))
+    return theta + dt * (w @ _score(family, theta, samples, model_stats))
 
 
 def _normalized(w, on_unnormalized, what):
@@ -190,7 +191,7 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
     theta_before = np.asarray(theta_before, dtype=float)
     theta_after = np.asarray(theta_after, dtype=float)
     delta = theta_after - theta_before
-    fm = _fisher_for(family, theta_before, fisher)
+    fm = fisher_mod.exact_fisher(family, theta_before) if fisher is None else fisher
     norm2 = float(delta @ fm.matrix @ delta)
     fisher_step_norm = math.sqrt(max(0.0, norm2))
 
@@ -264,10 +265,15 @@ class LiftedNoisyFamily(Family):
     def __init__(self, base):
         self.base = base
         self.latent = base.latent
+        self.centred_score = base.centred_score
 
     @property
     def dim_theta(self):
         return self.base.dim_theta
+
+    @property
+    def capabilities(self):
+        return super().capabilities & self.base.capabilities
 
     def sample(self, theta, n, rng):
         x = self.base.sample(theta, n, rng)
@@ -277,11 +283,14 @@ class LiftedNoisyFamily(Family):
     def log_density(self, theta, samples):
         return self.base.log_density(theta, samples[0])  # uniform density is 1
 
-    def grad_log_density(self, theta, samples):
-        return self.base.grad_log_density(theta, samples[0])
+    def grad_log_density(self, theta, samples, **kwargs):
+        return self.base.grad_log_density(theta, samples[0], **kwargs)
 
-    def natural_grad_log_density(self, theta, samples):
-        return self.base.natural_grad_log_density(theta, samples[0])
+    def score_stats(self, theta, samples):
+        return self.base.score_stats(theta, samples[0])
+
+    def natural_step(self, theta, samples, w, dt):
+        return self.base.natural_step(theta, samples[0], w, dt)
 
     def fisher(self, theta):
         return self.base.fisher(theta)
@@ -296,16 +305,10 @@ class LiftedNoisyFamily(Family):
         return self.base.from_expectation(tbar)
 
     def exact_kl(self, theta_p, theta_q):
-        kl = getattr(self.base, "exact_kl", None)
-        if kl is None:
-            raise CapabilityError("base family has no exact KL")
-        return kl(theta_p, theta_q)
+        return self.base.exact_kl(theta_p, theta_q)
 
     def project(self, theta):
         return self.base.project(theta)
-
-    def points_of(self, samples):
-        return samples
 
     def sample_size(self, samples):
         return len(samples[1])

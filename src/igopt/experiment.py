@@ -15,6 +15,7 @@ it.  These statuses are recorded in the run record, never raised.
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -46,9 +47,11 @@ from .families import (
     SingularFisher,
     gaussian_step,
 )
-from .families.bernoulli import bernoulli_igo_update
-from .fisher import FisherMatrix, reliability_check, solve
+# reliability_check and solve run inside mc_fisher and igo_step; they stay
+# names of this module because perfbench/tracing.py wraps them here
+from .fisher import mc_fisher, reliability_check, solve  # noqa: F401
 from .flow import batch_quantile
+from .objectives import parse_spec
 from .rng import spawn_run_seed, substream
 from .weights import (
     compute_quantile_weights,
@@ -64,9 +67,6 @@ __all__ = ["ExperimentConfig", "RunRecord", "StepRow", "parse_config",
            "CSV_SCHEMA_VERSION"]
 
 CSV_SCHEMA_VERSION = 1
-
-ALGORITHMS = ("igo", "igo_ml", "cem", "smoothed_cem", "cma", "emna", "xnes",
-              "vanilla_gradient")
 
 
 @dataclass
@@ -91,43 +91,40 @@ class ExperimentConfig:
     concentration_stop: int = 0  # stop after this many steps of pinned hidden unit
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in STEPS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.n < 1 or self.steps < 0 or self.repeats < 1:
-            raise ValueError("n, steps, repeats must be positive")
+        if self.n < 1 or self.steps < 0 or self.repeats < 1 or self.workers < 1:
+            raise ValueError("n, repeats and workers must be positive, steps non-negative")
         if not 0.0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
         if self.gibbs_burn_in < 0:
             raise ValueError("gibbs_burn_in must be non-negative")
-        if not (self.fisher == "exact" or self.fisher.startswith("mc:")):
-            raise ValueError(f"unknown fisher mode {self.fisher!r}")
-        if not (self.stop in ("steps", "both_optima") or self.stop.startswith("target:")):
+        m = _fisher_sample_count(self.fisher)
+        if not (self.stop in ("steps", "both_optima") or _stop_target(self) is not None):
             raise ValueError(f"unknown stop rule {self.stop!r}")
-        fam = _build_family(self)
-        if self.fisher.startswith("mc:"):
-            m = _fisher_sample_count(self.fisher)
-            if m < fam.dim_theta:
-                raise ValueError(
-                    f"fisher sample count {m} below dim_theta = {fam.dim_theta}; "
-                    "a rank-1-sum estimate cannot be invertible")
-        if self.fisher == "exact" and isinstance(fam, (JointRbmFamily, MarginalRbmFamily)):
+        fam = _setup(self, np.random.default_rng(0), np.random.default_rng(0))[0]
+        if 0 < m < fam.dim_theta:
+            raise ValueError(f"fisher sample count {m} below dim_theta = {fam.dim_theta}; "
+                             "a rank-1-sum estimate cannot be invertible")
+        if not m and isinstance(fam, (JointRbmFamily, MarginalRbmFamily)):
             if fam.n_x + fam.n_h > 20:
                 raise ValueError("exact Fisher needs n_x + n_h <= 20; use fisher = mc:m=...")
-        _parse_scheme(self.scheme)
         return self
 
 
-_BOOL_KEYS = {"lift_noisy", "paper_scale"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
-_NUMBER_KEYS = {**dict.fromkeys(("n", "steps", "seed", "repeats", "gibbs_burn_in", "workers",
-                                  "concentration_stop"), (int, "an integer")),
-                "dt": (float, "a number")}
+_TYPED_KEYS = {**dict.fromkeys(("n", "steps", "seed", "repeats", "gibbs_burn_in", "workers",
+                                 "concentration_stop"), (int, "an integer")),
+               "dt": (float, "a number"),
+               **dict.fromkeys(("lift_noisy", "paper_scale"),
+                               (lambda v: _BOOL_WORDS[v.lower()], "true or false"))}
 
 
-def parse_config(text):
-    """Parse flat ``key = value`` config text; unknown keys are rejected."""
-    known = {f.name for f in fields(ExperimentConfig)}
+def read_key_values(text, known, typed):
+    """Values of a flat config text by key: ``#`` comments, one known key per
+    ``key = value`` line, each key once; ``typed`` maps a key to (convert,
+    what the value must be).  Errors are ValueErrors that name the line."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -141,18 +138,17 @@ def parse_config(text):
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        if key in _BOOL_KEYS:
-            if val.lower() not in _BOOL_WORDS:
-                raise ValueError(f"line {lineno}: {key} must be true or false, got {val!r}")
-            values[key] = _BOOL_WORDS[val.lower()]
-        elif key in _NUMBER_KEYS:
-            convert, kind = _NUMBER_KEYS[key]
-            try:
-                values[key] = convert(val)
-            except ValueError:
-                raise ValueError(f"line {lineno}: {key} must be {kind}, got {val!r}") from None
-        else:
-            values[key] = val
+        convert, kind = typed.get(key, (str, "text"))
+        try:
+            values[key] = convert(val)
+        except (ValueError, KeyError):
+            raise ValueError(f"line {lineno}: {key} must be {kind}, got {val!r}") from None
+    return values
+
+
+def parse_config(text):
+    """Parse flat ``key = value`` config text; unknown keys are rejected."""
+    values = read_key_values(text, {f.name for f in fields(ExperimentConfig)}, _TYPED_KEYS)
     cfg = ExperimentConfig(**values)
     if cfg.paper_scale:
         _apply_paper_scale(cfg, values)
@@ -165,7 +161,7 @@ def _apply_paper_scale(cfg, given):
     if "family" not in given:
         cfg.family = "rbm:n_x=40,n_h=1"
     if "objective" not in given:
-        d = int(_kv(cfg.family)[1].get("n_x", 40))
+        d = int(parse_spec(cfg.family)[1].get("n_x", 40))
         cfg.objective = f"two_min:d={d},per_run=1"
     if "n" not in given:
         cfg.n = 10000
@@ -176,69 +172,70 @@ def _apply_paper_scale(cfg, given):
 
 
 def _fisher_sample_count(spec):
-    kind, opts = _kv(spec)
+    """Monte-Carlo Fisher sample count of a ``fisher`` spec; 0 for exact."""
+    if spec == "exact":
+        return 0
+    kind, opts = parse_spec(spec)
     if kind != "mc" or "m" not in opts:
-        raise ValueError(f"bad fisher spec {spec!r}; expected mc:m=<count>")
+        raise ValueError(f"bad fisher spec {spec!r}; expected exact or mc:m=<count>")
     return int(opts["m"])
 
 
 # -- spec-string builders ------------------------------------------------------
 
-def _kv(spec):
-    kind, _, rest = spec.partition(":")
-    opts = {}
-    if rest:
-        for item in rest.split(","):
-            k, sep, v = item.partition("=")
-            if not sep:
-                raise ValueError(f"bad option {item!r} in {spec!r}")
-            opts[k.strip()] = v.strip()
-    return kind.strip(), opts
-
-
-def _build_family(cfg):
-    kind, opts = _kv(cfg.family)
+def _family_and_start(cfg, rng):
+    """The family of ``cfg`` and its starting theta; ``rng`` draws an RBM's."""
+    kind, opts = parse_spec(cfg.family)
+    if kind in ("rbm", "rbm_marginal"):
+        rbm = JointRbmFamily if kind == "rbm" else MarginalRbmFamily
+        family = rbm(int(opts["n_x"]), int(opts.get("n_h", 1)), burn_in=cfg.gibbs_burn_in)
+        return family, family.init_params(rng)
+    d = int(opts["d"])
+    p0 = float(opts.get("p0", 0.5)) * np.ones(d)
+    m0 = float(opts.get("m0", 0.0)) * np.ones(d)
+    s0 = float(opts.get("sigma0", 1.0))
     if kind == "bernoulli":
-        return BernoulliFamily(int(opts["d"]))
+        return BernoulliFamily(d), p0
     if kind == "bernoulli_logit":
-        return LogitBernoulliFamily(int(opts["d"]))
+        return LogitBernoulliFamily(d), LogitBernoulliFamily.from_probabilities(p0)
     if kind == "gaussian":
-        return FullGaussianFamily(int(opts["d"]))
+        family = FullGaussianFamily(d)
+        return family, family.pack(GaussianParams(m0, s0**2 * np.eye(d)))
     if kind == "gaussian_iso":
-        return IsotropicGaussianFamily(int(opts["d"]))
+        return IsotropicGaussianFamily(d), np.concatenate([m0, [math.log(s0)]])
     if kind == "gaussian_mean":
-        return MeanGaussianFamily(int(opts["d"]))
-    if kind == "rbm":
-        return JointRbmFamily(int(opts["n_x"]), int(opts.get("n_h", 1)),
-                              burn_in=cfg.gibbs_burn_in)
-    if kind == "rbm_marginal":
-        return MarginalRbmFamily(int(opts["n_x"]), int(opts.get("n_h", 1)),
-                                 burn_in=cfg.gibbs_burn_in)
+        return MeanGaussianFamily(d), m0
     raise ValueError(f"unknown family spec {cfg.family!r}")
 
 
-def _init_theta(cfg, family, rng):
-    kind, opts = _kv(cfg.family)
-    if kind == "bernoulli":
-        return float(opts.get("p0", 0.5)) * np.ones(family.dim)
-    if kind == "bernoulli_logit":
-        p0 = float(opts.get("p0", 0.5)) * np.ones(family.dim)
-        return LogitBernoulliFamily.from_probabilities(p0)
-    if kind == "gaussian":
-        d = family.dim
-        m0 = float(opts.get("m0", 0.0)) * np.ones(d)
-        s0 = float(opts.get("sigma0", 1.0))
-        return family.pack(GaussianParams(m0, s0**2 * np.eye(d)))
-    if kind == "gaussian_iso":
-        m0 = float(opts.get("m0", 0.0)) * np.ones(family.dim)
-        return np.concatenate([m0, [math.log(float(opts.get("sigma0", 1.0)))]])
-    if kind == "gaussian_mean":
-        return float(opts.get("m0", 0.0)) * np.ones(family.dim)
-    return family.init_params(rng)  # rbm variants
+def _stop_target(cfg):
+    """The value that ends a run under ``stop = target:<value>``, else None."""
+    kind, _, value = cfg.stop.partition(":")
+    try:
+        return float(value) if kind == "target" else None
+    except ValueError:
+        raise ValueError(f"stop target must be a number, got {value!r}") from None
+
+
+def _setup(cfg, objective_rng, init_rng):
+    """Family, starting theta, objective, weight scheme and step part of one
+    run; raises ValueError when they do not fit together."""
+    family, theta = _family_and_start(cfg, init_rng)
+    obj = objectives_mod.parse_objective(cfg.objective, rng=objective_rng)
+    if obj.dim != family.dim:
+        raise ValueError(f"objective dimension {obj.dim} does not match "
+                         f"the family's {family.dim}")
+    scheme = _parse_scheme(cfg.scheme)
+    needs, make = STEPS[cfg.algorithm]
+    missing = needs - (lift_noisy(family) if cfg.lift_noisy else family).capabilities
+    if missing:
+        raise ValueError(f"algorithm {cfg.algorithm} needs a family with "
+                         f"{', '.join(sorted(missing))}; {cfg.family} has none")
+    return family, theta, obj, scheme, make(cfg, scheme)
 
 
 def _parse_scheme(spec):
-    kind, opts = _kv(spec)
+    kind, opts = parse_spec(spec)
     if kind == "truncation":
         return truncation(float(opts.get("q0", 0.5)),
                           shift=float(opts.get("shift", 0.0)))
@@ -298,28 +295,11 @@ def _weights_for(values, scheme_obj, n):
     return rw.weights, scheme_obj.variance()
 
 
-def _report_quantile(scheme_obj):
-    if not isinstance(scheme_obj, tuple) and scheme_obj.kind == "truncation":
-        return scheme_obj.q0
-    return 0.5
-
-
-def _base_of(family):
-    return family.base if hasattr(family, "base") else family
-
-
-def _is_rbm(family):
-    return isinstance(_base_of(family), (JointRbmFamily, MarginalRbmFamily))
-
-
 def single_run(cfg, run_id):
     """Execute one repeat; returns its RunRecord."""
     run_seed = spawn_run_seed(cfg.seed, run_id)
-    family = _build_family(cfg)
-    obj = objectives_mod.parse_objective(
-        cfg.objective, rng=substream(run_seed, 0, rng_mod.OBJECTIVE))
-    scheme_obj = _parse_scheme(cfg.scheme)
-    theta = _init_theta(cfg, family, substream(run_seed, 0, rng_mod.INIT))
+    family, theta, obj, scheme_obj, part = _setup(
+        cfg, substream(run_seed, 0, rng_mod.OBJECTIVE), substream(run_seed, 0, rng_mod.INIT))
     if cfg.lift_noisy:
         if obj.kind != "noisy":
             raise ValueError("lift_noisy needs a noisy objective")
@@ -328,17 +308,13 @@ def single_run(cfg, run_id):
     record = RunRecord(run_id, run_seed)
     record.thetas.append(np.array(theta, dtype=float, copy=True))
     joint_rbm = isinstance(family, JointRbmFamily)
-    mc_mode = cfg.fisher.startswith("mc:")
-    mc_count = _fisher_sample_count(cfg.fisher) if mc_mode else 0
-    gate_on_fisher = cfg.algorithm == "igo" and mc_mode
+    mc_count = _fisher_sample_count(cfg.fisher)
     two_min_y = obj.params["y"] if obj.kind == "two_min" else None
-    target = float(cfg.stop.split(":", 1)[1]) if cfg.stop.startswith("target:") else None
+    target = _stop_target(cfg)
+    truncating = not isinstance(scheme_obj, tuple) and scheme_obj.kind == "truncation"
+    q_report = scheme_obj.q0 if truncating else 0.5
     seen_optima = (False, False)
     pinned_steps = 0
-    xnes_state = None
-    if cfg.algorithm == "xnes":
-        params = FullGaussianFamily(_base_of(family).dim).unpack(theta)
-        xnes_state = GaussianSqrtParams(params.m, np.linalg.cholesky(params.C))
 
     for step in range(cfg.steps):
         rng = substream(run_seed, step, rng_mod.SAMPLING)
@@ -357,25 +333,19 @@ def single_run(cfg, run_id):
             bit_points = family.points_of(samples)
         weights, record.weight_variance = _weights_for(values, scheme_obj, cfg.n)
 
-        fm = model_stats = None
+        fm = None
         reliability = "exact"
-        if mc_mode:
-            try:
-                fm, reliability, model_stats = _estimate_fisher(
-                    family, theta, mc_count, run_seed, step)
-            except SingularFisher:
-                if gate_on_fisher:
-                    record.status = "failed_singular"
-                    break
-                fm, reliability = None, "skipped"
-            if gate_on_fisher and reliability == "fail":
+        if mc_count:
+            fm = mc_fisher(family, theta, mc_count,
+                           substream(run_seed, step, rng_mod.FISHER))
+            reliability = fm.reliability
+            # only the natural gradient steps on the estimate itself
+            if cfg.algorithm == "igo" and reliability == "fail":
                 record.status = "failed_unreliable"
                 break
 
         try:
-            new_theta, xnes_state = _advance(cfg, family, scheme_obj, theta, samples,
-                                             values, weights, fm, model_stats,
-                                             xnes_state)
+            new_theta = part(family, theta, samples, values, weights, cfg.dt, fm)
         except (SingularFisher, DegenerateUpdate):
             # a degenerate parameter state has the same operational meaning
             # as a singular Fisher matrix: the run cannot continue
@@ -390,7 +360,7 @@ def single_run(cfg, run_id):
             step=step,
             time=(step + 1) * cfg.dt,
             best_f=float(values.min()),
-            f_quantile=batch_quantile(values, _report_quantile(scheme_obj)),
+            f_quantile=batch_quantile(values, q_report),
             dist_second=(_dist_second(bit_points, two_min_y, values)
                          if two_min_y is not None else float("nan")),
             mean_hidden=(float(np.asarray(samples[1], dtype=float).mean())
@@ -425,84 +395,74 @@ def single_run(cfg, run_id):
     return record
 
 
-def _estimate_fisher(family, theta, m, run_seed, step):
-    """Monte-Carlo Fisher with split-sample cross-validation.
+# -- step parts ----------------------------------------------------------------
+# One part per algorithm, built once per run by its maker make(cfg, scheme):
+#     part(family, theta, samples, values, weights, dt, fisher) -> new theta,
+# with ``fisher`` the step's Monte-Carlo estimate or None.  STEPS maps each
+# algorithm to the family capabilities its part uses and to its maker.
 
-    One batch of m samples is drawn; the two halves give independent
-    estimates for the reliability check and the full batch gives the
-    estimate actually used.  For RBM families the same batch also provides
-    the model-expectation term of the score.
-    """
-    rng = substream(run_seed, step, rng_mod.FISHER)
-    samples = family.sample(theta, m, rng)
-    if _is_rbm(family):
-        stats = family.sufficient_stats(samples)
-        model_stats = stats.mean(axis=0)
-        half = m // 2
-        f1, f2 = _cov_fisher(stats[:half]), _cov_fisher(stats[half:])
-        full = _cov_fisher(stats)
-    else:
-        model_stats = None
-        g = family.grad_log_density(theta, samples)
-        half = m // 2
-        f1 = FisherMatrix(g[:half].T @ g[:half] / half, "monte_carlo", half)
-        f2 = FisherMatrix(g[half:].T @ g[half:] / (m - half), "monte_carlo", m - half)
-        full = FisherMatrix(g.T @ g / m, "monte_carlo", m)
-    verdict = reliability_check(f1, f2)
-    full.reliability = verdict
-    full.mean_eigenvalue = f1.mean_eigenvalue
-    return full, verdict, model_stats
+def _igo(family, theta, samples, values, weights, dt, fm):
+    return igo_step(family, theta, samples, weights, dt, fisher=fm,
+                    model_stats=getattr(fm, "model_stats", None))
 
 
-def _cov_fisher(stats_matrix):
-    mean = stats_matrix.mean(axis=0)
-    dev = stats_matrix - mean
-    return FisherMatrix(dev.T @ dev / dev.shape[0], "monte_carlo", dev.shape[0])
+def _vanilla(family, theta, samples, values, weights, dt, fm):
+    return vanilla_step(family, theta, samples, weights, dt,
+                        model_stats=getattr(fm, "model_stats", None))
 
 
-def _advance(cfg, family, scheme_obj, theta, samples, values, weights, fm,
-             model_stats, xnes_state):
-    algo = cfg.algorithm
-    if algo == "igo":
-        if isinstance(_base_of(family), BernoulliFamily):
-            bits = samples[0] if cfg.lift_noisy else samples
-            return bernoulli_igo_update(theta, bits, weights, cfg.dt), xnes_state
-        if model_stats is not None:
-            g = family.grad_log_density(theta, samples, model_stats=model_stats)
-            return theta + cfg.dt * solve(fm, weights @ g), xnes_state
-        return igo_step(family, theta, samples, weights, cfg.dt, fisher=fm), xnes_state
-    if algo == "vanilla_gradient":
-        if model_stats is not None:
-            g = family.grad_log_density(theta, samples, model_stats=model_stats)
-            return theta + cfg.dt * (weights @ g), xnes_state
-        return vanilla_step(family, theta, samples, weights, cfg.dt), xnes_state
-    if algo == "igo_ml":
-        return igo_ml_step(family, theta, samples, weights, cfg.dt,
-                           on_unnormalized="renormalize"), xnes_state
-    if algo == "cem":
-        if isinstance(scheme_obj, tuple) or scheme_obj.kind != "truncation":
-            raise ValueError("cem needs a truncation scheme for its elite fraction")
-        return cem_step(family, samples, values, scheme_obj.q0), xnes_state
-    if algo == "smoothed_cem":
-        return smoothed_cem_step(family, theta, samples, weights, cfg.dt,
-                                 cfg.smoothed_cem_coords), xnes_state
-    # Gaussian structured rules
-    gfam = FullGaussianFamily(_base_of(family).dim)
-    if algo == "xnes":
-        new_state = gaussian_step("xnes", xnes_state, samples, weights, dt=cfg.dt)
-        return gfam.pack(GaussianParams(new_state.m, new_state.C)), new_state
-    params = gfam.unpack(theta)
-    if algo == "emna":
-        return gfam.pack(gaussian_step("emna", params, samples, weights)), xnes_state
-    return gfam.pack(gaussian_step("cma", params, samples, weights, dt=cfg.dt)), xnes_state
+def _igo_ml(family, theta, samples, values, weights, dt, fm):
+    return igo_ml_step(family, theta, samples, weights, dt, on_unnormalized="renormalize")
+
+
+def _cem(cfg, scheme):
+    if isinstance(scheme, tuple) or scheme.kind != "truncation":
+        raise ValueError("cem needs a truncation scheme for its elite fraction")
+    return lambda family, theta, samples, values, weights, dt, fm: cem_step(
+        family, samples, values, scheme.q0)
+
+
+def _smoothed_cem(cfg, scheme):
+    return lambda family, theta, samples, values, weights, dt, fm: smoothed_cem_step(
+        family, theta, samples, weights, dt, cfg.smoothed_cem_coords)
+
+
+def _gaussian_rule(kind):
+    return lambda family, theta, samples, values, weights, dt, fm: family.pack(
+        gaussian_step(kind, family.unpack(theta), samples, weights, dt=dt))
+
+
+def _xnes(cfg, scheme):
+    """xNES moves the square root A of C; the part keeps A between steps."""
+    sqrt = None
+
+    def part(family, theta, samples, values, weights, dt, fm):
+        nonlocal sqrt
+        if sqrt is None:
+            start = family.unpack(theta)
+            sqrt = GaussianSqrtParams(start.m, np.linalg.cholesky(start.C))
+        sqrt = gaussian_step("xnes", sqrt, samples, weights, dt=dt)
+        return family.pack(GaussianParams(sqrt.m, sqrt.C))
+    return part
+
+
+STEPS = {
+    "igo": ({"grad_log_density"}, lambda cfg, scheme: _igo),
+    "vanilla_gradient": ({"grad_log_density"}, lambda cfg, scheme: _vanilla),
+    "igo_ml": ({"expectation_params"}, lambda cfg, scheme: _igo_ml),
+    "cem": ({"expectation_params"}, _cem),
+    "smoothed_cem": ({"expectation_params"}, _smoothed_cem),
+    "cma": ({"mean_cov"}, lambda cfg, scheme: _gaussian_rule("cma")),
+    "emna": ({"mean_cov"}, lambda cfg, scheme: _gaussian_rule("emna")),
+    "xnes": ({"mean_cov"}, _xnes),
+}
 
 
 def _kl_for(family, theta, new_theta, samples):
-    if hasattr(family, "exact_kl"):
-        try:
-            return family.exact_kl(theta, new_theta), 0.0
-        except (CapabilityError, DomainError, DegenerateUpdate):
-            pass
+    try:
+        return family.exact_kl(theta, new_theta), 0.0
+    except (CapabilityError, DomainError, DegenerateUpdate):
+        pass
     try:
         diff = family.log_density(theta, samples) - family.log_density(new_theta, samples)
     except (CapabilityError, DomainError, DegenerateUpdate):
@@ -547,18 +507,13 @@ def run_experiment(cfg, out_dir=None):
     cfg.validate()
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_one, [(cfg, r) for r in range(cfg.repeats)]))
+            records = list(pool.map(single_run, [cfg] * cfg.repeats, range(cfg.repeats)))
     else:
         records = [single_run(cfg, r) for r in range(cfg.repeats)]
     records.sort(key=lambda r: r.run_id)
     if out_dir is not None:
         write_csv_outputs(cfg, records, out_dir)
     return records
-
-
-def _run_one(args):
-    cfg, run_id = args
-    return single_run(cfg, run_id)
 
 
 _RUN_COLUMNS = ["run_id", "step", "time", "best_f", "f_quantile", "dist_second",
@@ -612,7 +567,4 @@ def write_csv_outputs(cfg, records, out_dir):
 
 
 def status_counts(records):
-    out = {}
-    for r in records:
-        out[r.status] = out.get(r.status, 0) + 1
-    return out
+    return dict(Counter(r.status for r in records))

@@ -5,7 +5,7 @@ from .base import (
     Family,
     SingularFisher,
 )
-from .bernoulli import BernoulliFamily, LogitBernoulliFamily, bernoulli_igo_update
+from .bernoulli import BernoulliFamily, LogitBernoulliFamily
 from .gaussian import (
     FullGaussianFamily,
     GaussianExpectationFamily,
@@ -30,7 +30,7 @@ from .rbm import (
 
 __all__ = [
     "Family", "CapabilityError", "DomainError", "DegenerateUpdate", "SingularFisher",
-    "BernoulliFamily", "LogitBernoulliFamily", "bernoulli_igo_update",
+    "BernoulliFamily", "LogitBernoulliFamily",
     "FullGaussianFamily", "GaussianExpectationFamily", "GaussianParams",
     "GaussianSqrtParams", "IsotropicGaussianFamily", "MeanGaussianFamily",
     "gaussian_step", "to_second_moment", "from_second_moment",

@@ -11,7 +11,8 @@ Methods are optional; a family advertises what it implements through
 
 import numpy as np
 
-__all__ = ["Family", "CapabilityError", "DomainError", "DegenerateUpdate", "SingularFisher"]
+__all__ = ["Family", "CapabilityError", "DomainError", "DegenerateUpdate", "SingularFisher",
+           "enumerate_bits"]
 
 
 class CapabilityError(NotImplementedError):
@@ -33,6 +34,8 @@ class SingularFisher(ValueError):
 class Family:
     dim_theta = None
     latent = False  # True when the density marginalizes hidden variables
+    # score U(x) - E[U], with U = score_stats(theta, x) and E[U] a batch mean
+    centred_score = False
 
     # -- sampling and densities ------------------------------------------
     def sample(self, theta, n, rng):
@@ -49,6 +52,10 @@ class Family:
         """Closed-form Fisher-preconditioned score, when known."""
         raise CapabilityError(f"{type(self).__name__} has no closed-form natural gradient")
 
+    def natural_step(self, theta, samples, w, dt):
+        """theta + dt * sum_i w_i (closed-form natural score at x_i)."""
+        return theta + dt * (w @ self.natural_grad_log_density(theta, samples))
+
     # -- geometry ----------------------------------------------------------
     def fisher(self, theta):
         """Exact Fisher information matrix at theta."""
@@ -63,6 +70,10 @@ class Family:
 
     def from_expectation(self, tbar):
         raise CapabilityError(f"{type(self).__name__} has no expectation parameters")
+
+    def pack(self, params):
+        """Flat theta from a (mean, covariance) GaussianParams."""
+        raise CapabilityError(f"{type(self).__name__} has no (mean, covariance) form")
 
     # -- enumeration ---------------------------------------------------------
     def enumerate_points(self):
@@ -86,19 +97,25 @@ class Family:
     @property
     def capabilities(self):
         caps = set()
-        base = Family
-        for cap, name in [
-            ("sample", "sample"),
-            ("grad_log_density", "grad_log_density"),
-            ("exact_fisher", "fisher"),
-            ("expectation_params", "to_expectation"),
-            ("enumerable", "enumerate_points"),
+        for cap, names in [
+            ("sample", ["sample"]),
+            ("grad_log_density", ["grad_log_density"]),
+            ("exact_fisher", ["fisher"]),
+            ("expectation_params", ["to_expectation", "from_expectation"]),
+            ("mean_cov", ["pack"]),
+            ("enumerable", ["enumerate_points"]),
         ]:
-            if getattr(type(self), name) is not getattr(base, name):
+            if all(getattr(type(self), name) is not getattr(Family, name) for name in names):
                 caps.add(cap)
         if self.latent:
             caps.add("latent")
         return frozenset(caps)
+
+
+def enumerate_bits(n):
+    """All 2^n bit vectors as uint8 rows; row k holds the binary digits of k."""
+    codes = np.arange(2**n, dtype=np.uint32)
+    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
 def as_weight_array(weights):

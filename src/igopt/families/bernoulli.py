@@ -11,9 +11,9 @@ O(dt^2), which the invariance tests exercise.
 import numpy as np
 from scipy.special import xlogy
 
-from .base import CapabilityError, DomainError, Family
+from .base import CapabilityError, DomainError, Family, enumerate_bits
 
-__all__ = ["BernoulliFamily", "LogitBernoulliFamily", "bernoulli_igo_update"]
+__all__ = ["BernoulliFamily", "LogitBernoulliFamily"]
 
 EPS = 1e-6  # boundary clamp: the Fisher matrix blows up at 0 and 1
 
@@ -32,9 +32,6 @@ class BernoulliFamily(Family):
     @property
     def dim_theta(self):
         return self.dim
-
-    def init_params(self):
-        return np.full(self.dim, 0.5)
 
     def sample(self, theta, n, rng):
         return (rng.random((n, self.dim)) < theta).astype(np.uint8)
@@ -55,6 +52,12 @@ class BernoulliFamily(Family):
     def natural_grad_log_density(self, theta, samples):
         return np.asarray(samples, dtype=float) - theta
 
+    def natural_step(self, theta, samples, w, dt):
+        """The convex blend (1 - w_total dt) theta + dt sum_i w_i x_i.  With
+        one unit weight on the best sample and dt = LR this is the classic
+        incremental update toward the best solution."""
+        return (1.0 - w.sum() * dt) * theta + dt * (w @ np.asarray(samples, dtype=float))
+
     def fisher(self, theta):
         _check_interior(theta)
         return np.diag(1.0 / (theta * (1.0 - theta)))
@@ -74,9 +77,7 @@ class BernoulliFamily(Family):
     def enumerate_points(self):
         if self.dim > 22:
             raise CapabilityError("Bernoulli enumeration limited to d <= 22")
-        codes = np.arange(2**self.dim, dtype=np.uint32)
-        bits = (codes[:, None] >> np.arange(self.dim, dtype=np.uint32)) & 1
-        return bits.astype(np.uint8)
+        return enumerate_bits(self.dim)
 
     def exact_kl(self, theta_p, theta_q):
         """KL between two product-Bernoulli laws, closed form."""
@@ -147,16 +148,3 @@ class LogitBernoulliFamily(Family):
     def exact_kl(self, theta_p, theta_q):
         return BernoulliFamily(self.dim).exact_kl(self.mean(theta_p), self.mean(theta_q))
 
-
-def bernoulli_igo_update(theta, samples, weights, dt):
-    """Natural-gradient update in probability coordinates, closed form.
-
-    theta' = (1 - w_total * dt) * theta + dt * sum_j w_j x_j, clamped to
-    [EPS, 1 - EPS].  With a single unit weight on the best sample and
-    dt = LR this is the classic incremental update toward the best solution.
-    """
-    w = getattr(weights, "weights", weights)
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(samples, dtype=float)
-    out = (1.0 - w.sum() * dt) * np.asarray(theta, dtype=float) + dt * (w @ x)
-    return np.clip(out, EPS, 1.0 - EPS)

@@ -37,10 +37,6 @@ _LOG2PI = math.log(2.0 * math.pi)
 
 # -- upper-triangle packing (row-major, documented serialization order) ------
 
-def utri_indices(d):
-    return np.triu_indices(d)
-
-
 def utri_pack(mat):
     d = mat.shape[0]
     return mat[np.triu_indices(d)]
@@ -89,6 +85,13 @@ def _chol(C):
         raise DomainError("covariance matrix is not positive-definite") from None
 
 
+def _log_density(L, dev):
+    """Normal log-density of deviation rows dev from the mean, C = L L^T."""
+    y = np.linalg.solve(L, dev.T)
+    logdet = 2.0 * np.log(np.diag(L)).sum()
+    return -0.5 * (L.shape[0] * _LOG2PI + logdet + (y * y).sum(axis=0))
+
+
 def to_second_moment(params):
     """(m, C) -> (m, C + m m^T), the family's expectation parameters."""
     return params.m.copy(), params.C + np.outer(params.m, params.m)
@@ -130,11 +133,7 @@ class FullGaussianFamily(Family):
 
     def log_density(self, theta, samples):
         p = self.unpack(theta)
-        L = _chol(p.C)
-        dev = np.asarray(samples, dtype=float) - p.m
-        y = np.linalg.solve(L, dev.T)
-        logdet = 2.0 * np.log(np.diag(L)).sum()
-        return -0.5 * (self.dim * _LOG2PI + logdet + (y * y).sum(axis=0))
+        return _log_density(_chol(p.C), np.asarray(samples, dtype=float) - p.m)
 
     def grad_log_density(self, theta, samples):
         p = self.unpack(theta)
@@ -196,9 +195,6 @@ class FullGaussianFamily(Family):
         p = from_second_moment(tbar[:d], utri_unpack(tbar[d:], d))
         return self.pack(p)
 
-    def expectation_family(self):
-        return GaussianExpectationFamily(self.dim)
-
     def exact_kl(self, theta_p, theta_q):
         return _gaussian_kl(self.unpack(np.asarray(theta_p, dtype=float)),
                             self.unpack(np.asarray(theta_q, dtype=float)))
@@ -221,21 +217,17 @@ class GaussianExpectationFamily(Family):
         return self._base.dim_theta
 
     def _to_base(self, theta):
-        d = self.dim
-        p = from_second_moment(theta[:d], utri_unpack(theta[d:], d))
-        return self._base.pack(p)
+        return self._base.pack(self.unpack(theta))
 
     def _jacobian(self, theta):
         # J[r, c] = d(base coord r) / d(expectation coord c)
         d = self.dim
-        p_dim = self.dim_theta
-        m = theta[:d]
-        J = np.eye(p_dim)
+        m = np.asarray(theta, dtype=float)[:d]
+        J = np.eye(self.dim_theta)
         iu, ju = np.triu_indices(d)
-        for r, (k, l) in enumerate(zip(iu, ju)):
-            row = d + r
-            J[row, k] -= m[l]
-            J[row, l] -= m[k]
+        rows = d + np.arange(iu.size)
+        np.subtract.at(J, (rows, iu), m[ju])
+        np.subtract.at(J, (rows, ju), m[iu])
         return J
 
     def sample(self, theta, n, rng):
@@ -262,8 +254,7 @@ class GaussianExpectationFamily(Family):
         return np.asarray(theta, dtype=float).copy()
 
     def from_expectation(self, tbar):
-        d = self.dim
-        from_second_moment(tbar[:d], utri_unpack(tbar[d:], d))  # domain check
+        self.unpack(tbar)  # domain check
         return np.asarray(tbar, dtype=float).copy()
 
     def pack(self, params):
@@ -344,10 +335,7 @@ class MeanGaussianFamily(Family):
         return theta + rng.standard_normal((n, self.dim)) @ self._L.T
 
     def log_density(self, theta, samples):
-        dev = np.asarray(samples, dtype=float) - theta
-        y = np.linalg.solve(self._L, dev.T)
-        logdet = 2.0 * np.log(np.diag(self._L)).sum()
-        return -0.5 * (self.dim * _LOG2PI + logdet + (y * y).sum(axis=0))
+        return _log_density(self._L, np.asarray(samples, dtype=float) - theta)
 
     def grad_log_density(self, theta, samples):
         return (np.asarray(samples, dtype=float) - theta) @ self._B

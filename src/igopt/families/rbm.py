@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import CapabilityError, Family
+from .base import CapabilityError, Family, enumerate_bits
 
 __all__ = [
     "RbmParams",
@@ -91,16 +91,14 @@ def _softplus(t):
     return np.logaddexp(0.0, t)
 
 
-def _enumerate_bits(n):
-    codes = np.arange(2**n, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
-
-
 class _RbmCommon(Family):
+    centred_score = True
+
     def __init__(self, n_x, n_h, *, burn_in=100):
         self.n_x = int(n_x)
         self.n_h = int(n_h)
         self.burn_in = int(burn_in)
+        self.dim = self.n_x  # the objective sees the visible bits
 
     @property
     def dim_theta(self):
@@ -117,10 +115,6 @@ class _RbmCommon(Family):
         p = self.unpack(theta)
         return _sigmoid(p.b + np.asarray(x, dtype=float) @ p.W)
 
-    def p_visible_given_hidden(self, theta, h):
-        p = self.unpack(theta)
-        return _sigmoid(p.a + np.asarray(h, dtype=float) @ p.W.T)
-
     def energy(self, theta, x, h):
         p = self.unpack(theta)
         x = np.asarray(x, dtype=float)
@@ -133,7 +127,7 @@ class _RbmCommon(Family):
         if 2**self.n_h <= n:
             # P(x | h) takes one row per hidden state: gather it by the
             # hidden code instead of a fresh n x n_x matmul and sigmoid
-            H = _enumerate_bits(self.n_h).astype(np.float64)
+            H = enumerate_bits(self.n_h).astype(np.float64)
             px_table = _sigmoid(p.a + H @ p.W.T)
             place = 2 ** np.arange(self.n_h)
             px, u = np.empty_like(x), np.empty_like(x)
@@ -159,7 +153,7 @@ class _RbmCommon(Family):
     def _visible_bits(self):
         """The 2^n_x visible configurations as float rows, built once."""
         self._check_enumerable()
-        X = _enumerate_bits(self.n_x).astype(float)
+        X = enumerate_bits(self.n_x).astype(float)
         X.flags.writeable = False
         return X
 
@@ -217,9 +211,12 @@ class JointRbmFamily(_RbmCommon):
 
     def grad_log_density(self, theta, samples, model_stats=None):
         """Score T(x, h) - E[T]; the model term is exact by default and can
-        be replaced by a Gibbs estimate via ``model_stats``."""
+        be replaced by a batch estimate via ``model_stats``."""
         stats = self.exact_stats(theta) if model_stats is None else model_stats
         return self.sufficient_stats(samples) - stats
+
+    def score_stats(self, theta, samples):
+        return self.sufficient_stats(samples)
 
     def to_expectation(self, theta):
         return self.exact_stats(theta)
@@ -258,8 +255,8 @@ class JointRbmFamily(_RbmCommon):
 
     def enumerate_points(self):
         self._check_enumerable()
-        X = _enumerate_bits(self.n_x)
-        H = _enumerate_bits(self.n_h)
+        X = enumerate_bits(self.n_x)
+        H = enumerate_bits(self.n_h)
         x_all = np.repeat(X, len(H), axis=0)
         h_all = np.tile(H, (len(X), 1))
         return x_all, h_all
@@ -282,7 +279,7 @@ class MarginalRbmFamily(_RbmCommon):
     def sample(self, theta, n, rng):
         return self._gibbs(theta, n, rng)[0]
 
-    def _u_stats(self, theta, x):
+    def score_stats(self, theta, x):
         """U(x) = E[T | x] = (x, p(h|x), x (x) p(h|x))."""
         x = np.asarray(x, dtype=float)
         ph = self.p_hidden_given_visible(theta, x)
@@ -297,18 +294,18 @@ class MarginalRbmFamily(_RbmCommon):
 
     def grad_log_density(self, theta, samples, model_stats=None):
         stats = self.exact_stats(theta) if model_stats is None else model_stats
-        return self._u_stats(theta, samples) - stats
+        return self.score_stats(theta, samples) - stats
 
     def fisher(self, theta):
         """Exact Cov(U, U) over the visible marginal."""
         X, probs, _, _ = self._visible_table(theta)
-        U = self._u_stats(theta, X)
+        U = self.score_stats(theta, X)
         mean = U.T @ probs
         return (U * probs[:, None]).T @ U - np.outer(mean, mean)
 
     def enumerate_points(self):
         self._check_enumerable()
-        return _enumerate_bits(self.n_x)
+        return enumerate_bits(self.n_x)
 
     def exact_kl(self, theta_p, theta_q):
         # The marginal law is not exponential in theta: sum directly.

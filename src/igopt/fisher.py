@@ -37,6 +37,7 @@ class FisherMatrix:
     reliability: str = "unchecked"     # "unchecked" | "pass" | "fail"
     mean_eigenvalue: float = None
     notes: dict = field(default_factory=dict)
+    model_stats: np.ndarray = None     # batch mean the score is centred on, if any
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -58,12 +59,13 @@ def exact_fisher(family, theta):
     return FisherMatrix(family.fisher(theta), provenance="exact")
 
 
-def mc_fisher(family, theta, m, rng, *, samples=None, model_stats=None):
-    """Average of rank-one score outer products over m fresh samples.
+def mc_fisher(family, theta, m, rng, *, samples=None):
+    """Monte-Carlo Fisher matrix from one batch of m samples (or ``samples``).
 
-    ``samples`` lets callers reuse an existing batch (then m is checked
-    against its size); ``model_stats`` is forwarded to families whose score
-    needs an estimated model expectation.
+    Returns the full-batch estimate annotated with the ``reliability_check``
+    verdict and mean eigenvalue of its two halves.  For a family with a
+    ``centred_score`` it is the covariance of the score statistics, whose
+    batch mean becomes ``model_stats``; otherwise the mean score outer product.
     """
     p = family.dim_theta
     if m < p:
@@ -72,12 +74,24 @@ def mc_fisher(family, theta, m, rng, *, samples=None, model_stats=None):
         samples = family.sample(theta, m, rng)
     elif family.sample_size(samples) != m:
         raise ValueError("sample container does not match requested count")
-    if model_stats is not None:
-        g = family.grad_log_density(theta, samples, model_stats=model_stats)
+    centred = family.centred_score
+    if centred:
+        rows = family.score_stats(theta, samples)
     else:
-        g = family.grad_log_density(theta, samples)
-    mat = (g.T @ g) / m
-    return FisherMatrix(mat, provenance="monte_carlo", sample_count=m)
+        rows = family.grad_log_density(theta, samples)
+    half = m // 2
+    full = _outer_mean(rows, centred)
+    f1 = _outer_mean(rows[:half], centred)
+    full.reliability = reliability_check(f1, _outer_mean(rows[half:], centred))
+    full.mean_eigenvalue = f1.mean_eigenvalue
+    full.model_stats = rows.mean(axis=0) if centred else None
+    return full
+
+
+def _outer_mean(rows, centred):
+    """Mean outer product of the rows, about their own mean when centred."""
+    dev = rows - rows.mean(axis=0) if centred else rows
+    return FisherMatrix(dev.T @ dev / rows.shape[0], "monte_carlo", rows.shape[0])
 
 
 def reliability_check(f1, f2, *, variant="mean", log_bound=None):
@@ -142,11 +156,7 @@ def invert(fm, ridge=None):
     number exceeds CONDITION_LIMIT.  With ``ridge`` set, inverts
     F + ridge * I instead and flags the provenance as regularized.
     """
-    cf = _factor(fm, ridge)
-    inv = scipy.linalg.cho_solve(cf, np.eye(fm.dim))
-    if ridge is not None:
-        fm.provenance = fm.provenance.split("+")[0] + "+ridge"
-        fm.notes["ridge"] = ridge
+    inv = solve(fm, np.eye(fm.dim), ridge)
     return 0.5 * (inv + inv.T)
 
 

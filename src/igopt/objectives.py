@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["Objective", "evaluate", "monotone_transform", "parse_objective",
-           "PHI_REGISTRY"]
+           "parse_spec", "PHI_REGISTRY"]
 
 
 @dataclass
@@ -137,6 +137,28 @@ def two_min_random(d, rng):
     return two_min((rng.random(d) < 0.5).astype(float))
 
 
+class _Options(dict):
+    """The options of a spec string; asking for a missing one is a config error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.spec!r} needs option {key!r}")
+
+
+def parse_spec(spec):
+    """Split a spec string ``kind[:key=value,...]`` (the grammar of every
+    family, objective, scheme and table spec) into its kind and options."""
+    kind, _, rest = spec.partition(":")
+    opts = _Options()
+    opts.spec = spec
+    if rest:
+        for item in rest.split(","):
+            k, sep, v = item.partition("=")
+            if not sep:
+                raise ValueError(f"bad option {item!r} in {spec!r}")
+            opts[k.strip()] = v.strip()
+    return kind.strip(), opts
+
+
 def parse_objective(spec, rng=None):
     """Parse a CLI objective string, e.g. ``two_min:d=16,seed=7``.
 
@@ -146,14 +168,7 @@ def parse_objective(spec, rng=None):
     that seed) or per_run=1 (y drawn from the provided run stream); noise
     and noise_scale wrap any kind; phi applies a monotone transform.
     """
-    kind, _, rest = spec.partition(":")
-    kv = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not _:
-                raise ValueError(f"bad objective option {item!r}")
-            kv[key.strip()] = val.strip()
+    kind, kv = parse_spec(spec)
     d = int(kv.pop("d", 0))
     noise = kv.pop("noise", None)
     noise_scale = float(kv.pop("noise_scale", 1.0))

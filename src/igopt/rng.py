@@ -14,11 +14,8 @@ import numpy as np
 
 # Role tags (third counter word).  Keeping them here avoids collisions.
 SAMPLING = 0      # search-space samples for the update
-NOISE = 1         # objective noise
-FISHER = 2        # Monte-Carlo Fisher estimation, first split
-FISHER_SPLIT = 3  # Monte-Carlo Fisher estimation, second split
+FISHER = 2        # Monte-Carlo Fisher estimation (one batch, split in halves)
 INIT = 4          # parameter initialization
-KL = 5            # fresh sample for KL diagnostics
 OBJECTIVE = 6     # per-run objective setup (e.g. random two_min target)
 
 _KEY_SALT = 0x9E3779B97F4A7C15  # golden-ratio constant, second key word

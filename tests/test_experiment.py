@@ -234,6 +234,40 @@ def test_cli_flow_sphere(tmp_path, monkeypatch):
     assert np.all(np.diff(rows["f_quantile"]) < 0)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("horizon = 2.0\n", "line 4: duplicate key 'horizon'"),
+    ("", "line 3: horizon must be a number, got 'abc'"),
+])
+def test_cli_flow_config_grammar(tmp_path, monkeypatch, capsys, line, message):
+    # the flow config shares the run config's grammar and its messages
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "flow.cfg"
+    horizon = "horizon = 1.0\n" if line else "horizon = abc\n"
+    cfgfile.write_text("family = bernoulli:d=3\nobjective = onemax:d=3\n" + horizon + line)
+    assert cli.main(["flow", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_marginal_rbm_runs_on_a_monte_carlo_fisher():
+    # the estimate centres the marginal family's own score statistics
+    # U(x) = (x, p(h|x), x p(h|x)^T) on the batch
+    for algorithm in ("igo", "vanilla_gradient"):
+        cfg = parse_config(
+            "family = rbm_marginal:n_x=6,n_h=1\nobjective = two_min:d=6,seed=3\n"
+            f"algorithm = {algorithm}\nfisher = mc:m=2000\nn = 100\ndt = 0.5\n"
+            "steps = 4\nseed = 12\ngibbs_burn_in = 10\n")
+        rec = run_experiment(cfg)[0]
+        assert rec.rows and rec.rows[0].reliability == "pass"
+        assert all(row.reliability in ("pass", "fail") for row in rec.rows)
+        if algorithm == "vanilla_gradient":
+            assert rec.status == "step_limit" and len(rec.rows) == 4
+        else:
+            # the marginal Fisher matrix degenerates within a few natural
+            # steps here (so does the exact one); the run records it
+            assert rec.status in ("step_limit", "failed_singular", "failed_unreliable")
+
+
 def test_cli_selftest():
     assert cli.main(["selftest"]) == 0
 
@@ -254,17 +288,43 @@ def test_paper_scale_defaults():
     assert cfg2.n == 50
 
 
+def _override(text, extra):
+    """``text`` with the lines of ``extra`` added, each replacing the line
+    that sets the same key."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + extra
+
+
+GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = truncation:q0=0.5\n"
+
+
 @pytest.mark.parametrize("extra, key", [
     ("lift_noisy = ture\n", "lift_noisy"),
     ("paper_scale = 2\n", "paper_scale"),
     ("gibbs_burn_in = -1\n", "gibbs_burn_in"),
+    ("family = bernoulli\n", "needs option 'd'"),
+    ("objective = zeromax:d=10\n", "unknown objective kind 'zeromax'"),
+    ("family = bernoulli:d=4\nobjective = onemax:d=3\n", "objective dimension 3"),
+    ("stop = target:abc\n", "stop target"),
+    ("algorithm = xnes\n", "algorithm xnes needs a family with mean_cov"),
+    ("algorithm = emna\n", "algorithm emna needs a family with mean_cov"),
+    (GAUSS_ISO + "algorithm = cma\n", "algorithm cma needs a family with mean_cov"),
+    ("scheme = signed_median\nalgorithm = cem\n", "cem needs a truncation scheme"),
+    (GAUSS_ISO + "algorithm = igo_ml\n", "igo_ml needs a family with expectation_params"),
+    ("family = gaussian_mean:d=10\nobjective = sphere:d=10\nscheme = truncation:q0=0.5\n"
+     "algorithm = cem\n", "cem needs a family with expectation_params"),
+    ("family = rbm:n_x=10,n_h=1\nobjective = two_min:d=10,per_run=1\n"
+     "scheme = truncation:q0=0.5\nalgorithm = smoothed_cem\n",
+     "smoothed_cem needs a family with expectation_params"),
+    ("workers = 0\n", "workers"),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, extra, key):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     with pytest.raises(ValueError, match=key):
-        parse_config(PBIL_CONFIG + extra)
+        parse_config(_override(PBIL_CONFIG, extra))
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(PBIL_CONFIG + extra)
+    cfg.write_text(_override(PBIL_CONFIG, extra))
     assert cli.main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err

@@ -4,7 +4,6 @@ from scipy.special import xlogy
 
 from igopt import igo_step, substream, truncation
 from igopt.families import BernoulliFamily, DomainError, LogitBernoulliFamily
-from igopt.families.bernoulli import bernoulli_igo_update
 
 
 def test_grad_and_fisher_hand_values():
@@ -49,11 +48,12 @@ def test_expectation_round_trip_and_projection():
 
 
 def test_igo_update_closed_form_hand_example():
+    fam = BernoulliFamily(2)
     theta = np.array([0.5, 0.5])
     best = np.array([[1, 0]])
-    out = bernoulli_igo_update(theta, best, np.array([1.0]), dt=0.1)
+    out = igo_step(fam, theta, best, np.array([1.0]), dt=0.1)
     np.testing.assert_allclose(out, [0.55, 0.45])
-    unchanged = bernoulli_igo_update(theta, best, np.array([0.0]), dt=0.1)
+    unchanged = igo_step(fam, theta, best, np.array([0.0]), dt=0.1)
     np.testing.assert_array_equal(unchanged, theta)
 
 
@@ -67,8 +67,8 @@ def test_generic_step_matches_closed_form_update():
     vals = (3 - samples.sum(axis=1)).astype(float)
     from igopt import compute_quantile_weights
     rw = compute_quantile_weights(vals, truncation(0.5))
-    via_engine = igo_step(fam, theta, samples, rw, dt=0.1)
-    via_formula = bernoulli_igo_update(theta, samples, rw.weights, dt=0.1)
+    via_engine = igo_step(fam, theta, samples, rw, dt=0.1, use_closed_form=False)
+    via_formula = fam.natural_step(theta, samples, rw.weights, 0.1)
     np.testing.assert_allclose(via_engine, via_formula, rtol=1e-13, atol=1e-15)
 
 

@@ -100,7 +100,7 @@ def test_marginal_fisher_against_brute_force():
     x_pts = marg.enumerate_points()
     probs_x = np.exp(marg.log_density(theta, x_pts))
     np.testing.assert_allclose(probs_x.sum(), 1.0, atol=1e-12)
-    U = marg._u_stats(theta, x_pts)
+    U = marg.score_stats(theta, x_pts)
     mean = U.T @ probs_x
     cov = (U * probs_x[:, None]).T @ U - np.outer(mean, mean)
     np.testing.assert_allclose(marg.fisher(theta), cov, atol=1e-12)
