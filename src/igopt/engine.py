@@ -266,10 +266,7 @@ class LiftedNoisyFamily(Family):
         self.base = base
         self.latent = base.latent
         self.centred_score = base.centred_score
-
-    @property
-    def dim_theta(self):
-        return self.base.dim_theta
+        self.dim_theta = base.dim_theta
 
     @property
     def capabilities(self):

@@ -102,7 +102,8 @@ class ExperimentConfig:
         m = _fisher_sample_count(self.fisher)
         if not (self.stop in ("steps", "both_optima") or _stop_target(self) is not None):
             raise ValueError(f"unknown stop rule {self.stop!r}")
-        fam = _setup(self, np.random.default_rng(0), np.random.default_rng(0))[0]
+        rng = np.random.default_rng(0)  # stands in for the run's streams
+        fam = _setup(self, rng, rng)[0]
         if 0 < m < fam.dim_theta:
             raise ValueError(f"fisher sample count {m} below dim_theta = {fam.dim_theta}; "
                              "a rank-1-sum estimate cannot be invertible")

@@ -222,12 +222,14 @@ class GaussianExpectationFamily(Family):
     def _jacobian(self, theta):
         # J[r, c] = d(base coord r) / d(expectation coord c)
         d = self.dim
-        m = np.asarray(theta, dtype=float)[:d]
-        J = np.eye(self.dim_theta)
+        p_dim = self.dim_theta
+        m = theta[:d]
+        J = np.eye(p_dim)
         iu, ju = np.triu_indices(d)
-        rows = d + np.arange(iu.size)
-        np.subtract.at(J, (rows, iu), m[ju])
-        np.subtract.at(J, (rows, ju), m[iu])
+        for r, (k, l) in enumerate(zip(iu, ju)):
+            row = d + r
+            J[row, k] -= m[l]
+            J[row, l] -= m[k]
         return J
 
     def sample(self, theta, n, rng):

@@ -317,6 +317,9 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("family = rbm:n_x=10,n_h=1\nobjective = two_min:d=10,per_run=1\n"
      "scheme = truncation:q0=0.5\nalgorithm = smoothed_cem\n",
      "smoothed_cem needs a family with expectation_params"),
+    ("family = gaussian:d=10\nobjective = sphere:d=10,noise=uniform\n"
+     "scheme = truncation:q0=0.5\nalgorithm = cma\nlift_noisy = true\n",
+     "algorithm cma needs a family with mean_cov"),
     ("workers = 0\n", "workers"),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, extra, key):
