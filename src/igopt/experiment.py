@@ -412,8 +412,16 @@ def _vanilla(family, theta, samples, values, weights, dt, fm):
                         model_stats=getattr(fm, "model_stats", None))
 
 
-def _igo_ml(family, theta, samples, values, weights, dt, fm):
-    return igo_ml_step(family, theta, samples, weights, dt, on_unnormalized="renormalize")
+def _blend_dt(cfg):
+    """Refuse a dt the blending steps cannot take: theirs is a convex weight."""
+    if cfg.dt > 1.0:
+        raise ValueError(f"{cfg.algorithm} needs dt in (0, 1], got {cfg.dt:g}")
+
+
+def _igo_ml(cfg, scheme):
+    _blend_dt(cfg)
+    return lambda family, theta, samples, values, weights, dt, fm: igo_ml_step(
+        family, theta, samples, weights, dt, on_unnormalized="renormalize")
 
 
 def _cem(cfg, scheme):
@@ -424,6 +432,10 @@ def _cem(cfg, scheme):
 
 
 def _smoothed_cem(cfg, scheme):
+    _blend_dt(cfg)
+    if cfg.smoothed_cem_coords not in ("natural", "mean_cov", "expectation"):
+        raise ValueError(f"smoothed_cem_coords must be natural, mean_cov or expectation, "
+                         f"got {cfg.smoothed_cem_coords!r}")
     return lambda family, theta, samples, values, weights, dt, fm: smoothed_cem_step(
         family, theta, samples, weights, dt, cfg.smoothed_cem_coords)
 
@@ -450,7 +462,7 @@ def _xnes(cfg, scheme):
 STEPS = {
     "igo": ({"grad_log_density"}, lambda cfg, scheme: _igo),
     "vanilla_gradient": ({"grad_log_density"}, lambda cfg, scheme: _vanilla),
-    "igo_ml": ({"expectation_params"}, lambda cfg, scheme: _igo_ml),
+    "igo_ml": ({"expectation_params"}, _igo_ml),
     "cem": ({"expectation_params"}, _cem),
     "smoothed_cem": ({"expectation_params"}, _smoothed_cem),
     "cma": ({"mean_cov"}, lambda cfg, scheme: _gaussian_rule("cma")),

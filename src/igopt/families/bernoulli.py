@@ -16,6 +16,9 @@ from .base import CapabilityError, DomainError, Family, enumerate_bits
 __all__ = ["BernoulliFamily", "LogitBernoulliFamily"]
 
 EPS = 1e-6  # boundary clamp: the Fisher matrix blows up at 0 and 1
+# Round-off a weighted average of bits may carry past 0 or 1 (renormalized
+# weights can average a column of ones to 1 + 2^-52).
+ROUND_OFF = 4 * np.finfo(float).eps
 
 
 def _check_interior(theta):
@@ -70,7 +73,7 @@ class BernoulliFamily(Family):
 
     def from_expectation(self, tbar):
         tbar = np.asarray(tbar, dtype=float)
-        if np.any(tbar < 0.0) or np.any(tbar > 1.0):
+        if np.any(tbar < -ROUND_OFF) or np.any(tbar > 1.0 + ROUND_OFF):
             raise DomainError("expectation parameters must lie in [0, 1]")
         return np.clip(tbar, EPS, 1.0 - EPS)
 

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as sp_integrate
-from scipy.special import gammainc
-from scipy.stats import ncx2
+from scipy.special import chndtrix, gammainc, gammaincinv
 
 from . import fisher as fisher_mod
 from . import objectives as objectives_mod
@@ -182,28 +180,41 @@ def f_quantile(values, probs, q):
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    order = np.argsort(values, kind="stable")
-    return _sorted_quantile(values[order], probs[order] / probs.sum(), q)
+    order = np.argsort(values)
+    v = values[order]
+    first = _group_starts(v)
+    # Group ids scattered back to index order: bincount then sums each
+    # group's probabilities in index order, so no stable sort is needed.
+    group = np.empty(v.size, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    p = probs / probs.sum()
+    keep = p > 0.0
+    uniq = v[first]
+    mass = np.bincount(group[keep], weights=p[keep], minlength=uniq.size)
+    held = mass > 0.0  # the groups with a kept point
+    return _group_quantile(uniq[held], mass[held], q)
 
 
 def batch_quantile(values, q):
     """Empirical q-quantile of a batch, same midpoint convention."""
-    # Equal probabilities need no stable order, so a plain sort gives
-    # f_quantile's bits; so does normalizing by their (pairwise) float sum.
+    # Equal probabilities sum to the same bits in any order, so a plain sort
+    # gives f_quantile's bits; so does normalizing by their (pairwise) float sum.
     values = np.sort(np.asarray(values, dtype=float))
     probs = np.full(values.size, 1.0 / values.size)
-    return _sorted_quantile(values, probs / probs.sum(), q)
+    p = probs / probs.sum()
+    first = _group_starts(values)
+    return _group_quantile(values[first], np.bincount(np.cumsum(first) - 1, weights=p), q)
 
 
-def _sorted_quantile(v, p, q):
-    """f_quantile of ascending values v with normalized probabilities p."""
-    keep = p > 0.0
-    v, p = v[keep], p[keep]
-    # merge duplicates: group masses summed in index order
+def _group_starts(v):
+    """Mask of the first entry of each run of equal values in sorted v."""
     first = np.ones(v.size, dtype=bool)
     first[1:] = v[1:] != v[:-1]
-    uniq = v[first]
-    mass = np.bincount(np.cumsum(first) - 1, weights=p)
+    return first
+
+
+def _group_quantile(uniq, mass, q):
+    """f_quantile of ascending distinct values uniq with masses mass."""
     cum = np.cumsum(mass)
     mid = cum - 0.5 * mass
     if q <= mid[0]:
@@ -262,6 +273,15 @@ def critical_dt(q, j):
 
 # -- exact flow for the sphere under isotropic Gaussians ----------------------
 
+def _ncx2_ppf(q, d, lam):
+    """q-quantile of the noncentral chi-square law with d degrees of freedom
+    and noncentrality lam: the two branches ``scipy.stats.ncx2.ppf`` takes,
+    without importing ``scipy.stats``."""
+    if lam != 0:
+        return chndtrix(q, d, lam)
+    return 2 * gammaincinv(d / 2, q)
+
+
 class SphereFlow:
     """Reduced exact flow of N(m, sigma^2 I) on f(x) = |x - center|^2.
 
@@ -289,10 +309,12 @@ class SphereFlow:
         r, s = state
         sigma = math.exp(s)
         lam = (r / sigma) ** 2
-        y_over_s2 = ncx2.ppf(self.q0, self.d, lam)
+        y_over_s2 = _ncx2_ppf(self.q0, self.d, lam)
         return r, sigma, y_over_s2
 
     def rhs(self, state):
+        from scipy import integrate as sp_integrate
+
         r, sigma, y = self._tau_parts(state)
         k = self.d - 1
         mu = r / sigma
@@ -320,7 +342,7 @@ class SphereFlow:
     def median_f(self, state):
         """Exact median of f under the current state (scaled ncx2 median)."""
         r, sigma, _ = self._tau_parts(state)
-        return sigma**2 * ncx2.ppf(0.5, self.d, (r / sigma) ** 2)
+        return sigma**2 * _ncx2_ppf(0.5, self.d, (r / sigma) ** 2)
 
     def speed(self, state):
         """Fisher norm of d(theta)/dt in (m, log sigma) coordinates."""

@@ -268,6 +268,17 @@ def test_marginal_rbm_runs_on_a_monte_carlo_fisher():
             assert rec.status in ("step_limit", "failed_singular", "failed_unreliable")
 
 
+@pytest.mark.parametrize("algorithm", ["smoothed_cem", "cem"])
+def test_bernoulli_blends_survive_round_off(tmp_path, monkeypatch, algorithm):
+    # renormalized weights average a column of ones to 1 + 2^-52 on this seed
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "blend.cfg"
+    cfgfile.write_text(
+        "family = bernoulli:d=8\nobjective = onemax:d=8\nscheme = truncation:q0=0.3\n"
+        f"algorithm = {algorithm}\nn = 30\ndt = 0.2\nsteps = 20\nseed = 32\n")
+    assert cli.main(["run", str(cfgfile)]) == 0
+
+
 def test_cli_selftest():
     assert cli.main(["selftest"]) == 0
 
@@ -321,6 +332,10 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
      "scheme = truncation:q0=0.5\nalgorithm = cma\nlift_noisy = true\n",
      "algorithm cma needs a family with mean_cov"),
     ("workers = 0\n", "workers"),
+    ("algorithm = igo_ml\ndt = 1.5\n", "igo_ml needs dt in"),
+    ("algorithm = smoothed_cem\ndt = 1.5\n", "smoothed_cem needs dt in"),
+    ("algorithm = smoothed_cem\nsmoothed_cem_coords = logit\n",
+     "smoothed_cem_coords must be natural, mean_cov or expectation, got 'logit'"),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, extra, key):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))

@@ -14,6 +14,16 @@ def test_grad_and_fisher_hand_values():
     assert fam.fisher(theta)[0, 0] == 4.0
 
 
+def test_from_expectation_forgives_round_off_only():
+    fam = BernoulliFamily(3)
+    # a renormalized weighted average of a column of ones can land on 1 + 2^-52
+    clipped = fam.from_expectation([1.0 + 2.0**-52, -(2.0**-53), 0.5])
+    np.testing.assert_array_equal(clipped, [1.0 - 1e-6, 1e-6, 0.5])
+    for bad in ([1.1, 0.5, 0.5], [0.5, -0.5, 0.5], [0.5, 0.5, 1.0 + 1e-12]):
+        with pytest.raises(DomainError):
+            fam.from_expectation(bad)
+
+
 def test_fisher_hand_values_d2():
     fam = BernoulliFamily(2)
     F = fam.fisher(np.array([0.5, 0.2]))

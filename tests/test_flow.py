@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy.special import ndtri
+from scipy.stats import ncx2
 
 from igopt import compute_quantile_weights, igo_step, substream, truncation
 from igopt.families import BernoulliFamily
 from igopt.flow import (
     SphereFlow,
+    _ncx2_ppf,
     batch_quantile,
     critical_dt,
     exact_weight,
@@ -387,3 +392,38 @@ def test_flow_rhs_matches_derivative_free_covariance_form():
     expected = np.linalg.solve(cov_tt, cov_tw)
     got = flow_rhs(fam, theta, obj, scheme, use_closed_form=False)
     np.testing.assert_allclose(got, expected, atol=1e-10)
+
+
+# -- what importing the package loads ------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh_scipy_modules(code):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    probe = (f"import sys; sys.path.insert(0, {SRC!r}); {code}; "
+             "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    return set(out.stdout.split())
+
+
+def test_import_loads_neither_scipy_stats_nor_integrate():
+    loaded = fresh_scipy_modules("import igopt, igopt.cli")
+    assert "scipy.stats" not in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_sphere_flow_rhs_loads_scipy_integrate():
+    loaded = fresh_scipy_modules(
+        "from igopt.flow import SphereFlow; SphereFlow(5, 0.3).rhs((3.0, 0.0))")
+    assert "scipy.integrate" in loaded
+    assert "scipy.stats" not in loaded
+
+
+@given(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(1, 200),
+       st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+def test_ncx2_ppf_matches_scipy_stats_bit_for_bit(q, d, lam):
+    got = np.float64(_ncx2_ppf(q, d, lam))
+    assert got.tobytes() == np.float64(ncx2.ppf(q, d, lam)).tobytes()
