@@ -114,8 +114,14 @@ def _run_flow(spec):
     elif obj.kind == "linear" and obj.space == "bits":
         alpha = obj.params["alpha"]
 
+    drifts = {}
+
     def rhs(theta):
-        return flow_mod.flow_rhs(family, theta, obj, scheme)
+        # RK4 evaluates each step's start state as its k1; a row reuses it
+        key = theta.tobytes()
+        if key not in drifts:
+            drifts[key] = flow_mod.flow_rhs(family, theta, obj, scheme)
+        return drifts[key]
 
     traj = flow_mod.integrate(rhs, theta0, horizon, step, method)
     rows = []

@@ -198,9 +198,8 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
     if exact_kl is None:
         exact_kl = "enumerable" in family.capabilities
     if exact_kl:
-        pts = family.enumerate_points()
-        lp_old = family.log_density(theta_before, pts)
-        lp_new = family.log_density(theta_after, pts)
+        lp_old = family.enumerated_log_density(theta_before)
+        lp_new = family.enumerated_log_density(theta_after)
         probs = np.exp(lp_old)
         kl = float(probs @ (lp_old - lp_new))
         stderr, m = 0.0, 0

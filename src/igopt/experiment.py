@@ -226,6 +226,8 @@ def _setup(cfg, objective_rng, init_rng):
     if obj.dim != family.dim:
         raise ValueError(f"objective dimension {obj.dim} does not match "
                          f"the family's {family.dim}")
+    if cfg.lift_noisy and obj.kind != "noisy":
+        raise ValueError("lift_noisy needs a noisy objective")
     scheme = _parse_scheme(cfg.scheme)
     needs, make = STEPS[cfg.algorithm]
     missing = needs - (lift_noisy(family) if cfg.lift_noisy else family).capabilities
@@ -302,8 +304,6 @@ def single_run(cfg, run_id):
     family, theta, obj, scheme_obj, part = _setup(
         cfg, substream(run_seed, 0, rng_mod.OBJECTIVE), substream(run_seed, 0, rng_mod.INIT))
     if cfg.lift_noisy:
-        if obj.kind != "noisy":
-            raise ValueError("lift_noisy needs a noisy objective")
         family = lift_noisy(family)
 
     record = RunRecord(run_id, run_seed)

@@ -80,6 +80,10 @@ class Family:
         """All points of the search space, as a sample container."""
         raise CapabilityError(f"{type(self).__name__} is not enumerable")
 
+    def enumerated_log_density(self, theta):
+        """log P_theta of every row of ``enumerate_points()``, in that order."""
+        return self.log_density(theta, self.enumerate_points())
+
     # -- housekeeping ----------------------------------------------------------
     def project(self, theta):
         """Clamp theta back into the valid domain (identity by default)."""

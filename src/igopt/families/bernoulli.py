@@ -8,6 +8,8 @@ probabilities its steps agree with the probability-coordinate steps to
 O(dt^2), which the invariance tests exercise.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy.special import xlogy
 
@@ -42,7 +44,7 @@ class BernoulliFamily(Family):
     def log_density(self, theta, samples):
         # One log per coordinate, picked per bit.  xlogy(1, .) gives -inf at an
         # exact 0 without a warning, and np.where drops it where the bit does
-        # not use it (the flow evaluates corners)
+        # not use it
         on = np.asarray(samples) != 0
         return (np.where(on, xlogy(1.0, theta), 0.0).sum(axis=1)
                 + np.where(on, 0.0, xlogy(1.0, 1.0 - theta)).sum(axis=1))
@@ -78,9 +80,29 @@ class BernoulliFamily(Family):
         return np.clip(tbar, EPS, 1.0 - EPS)
 
     def enumerate_points(self):
+        self._check_enumerable()
+        return self._points
+
+    def _check_enumerable(self):
         if self.dim > 22:
             raise CapabilityError("Bernoulli enumeration limited to d <= 22")
-        return enumerate_bits(self.dim)
+
+    @cached_property
+    def _points(self):
+        """The 2^d points as float rows, built once."""
+        X = enumerate_bits(self.dim).astype(float)
+        X.flags.writeable = False
+        return X
+
+    def enumerated_log_density(self, theta):
+        # Row k holds the bits of k, so the first 2^i rows extend to the
+        # first 2^(i+1) by one coordinate: bit i off, then bit i on.  Only
+        # xlogy's -inf at an exact 0 or 1 enters, never +inf, so no NaN.
+        self._check_enumerable()
+        out = np.zeros(1)
+        for on, off in zip(xlogy(1.0, theta), xlogy(1.0, 1.0 - theta)):
+            out = np.concatenate((out + off, out + on))
+        return out
 
     def exact_kl(self, theta_p, theta_q):
         """KL between two product-Bernoulli laws, closed form."""
@@ -102,6 +124,7 @@ class LogitBernoulliFamily(Family):
 
     def __init__(self, dim):
         self.dim = int(dim)
+        self._probabilities = BernoulliFamily(self.dim)  # shares its enumeration
 
     @property
     def dim_theta(self):
@@ -146,8 +169,8 @@ class LogitBernoulliFamily(Family):
         return self.from_probabilities(np.clip(tbar, EPS, 1.0 - EPS))
 
     def enumerate_points(self):
-        return BernoulliFamily(self.dim).enumerate_points()
+        return self._probabilities.enumerate_points()
 
     def exact_kl(self, theta_p, theta_q):
-        return BernoulliFamily(self.dim).exact_kl(self.mean(theta_p), self.mean(theta_q))
+        return self._probabilities.exact_kl(self.mean(theta_p), self.mean(theta_q))
 

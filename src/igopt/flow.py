@@ -83,7 +83,7 @@ def exact_weights_all(family, theta, objective, scheme):
     (q- == q+), gets w(q+), as in ``exact_weight``.
     """
     points = family.enumerate_points()
-    probs = np.exp(family.log_density(theta, points))
+    probs = np.exp(family.enumerated_log_density(theta))
     values = _values_for(family, objective, points)
     _, inverse = np.unique(values, return_inverse=True)
     q_plus = np.minimum(1.0, np.cumsum(np.bincount(inverse, weights=probs)))
@@ -97,7 +97,7 @@ def exact_weights_all(family, theta, objective, scheme):
 def exact_weight(family, theta, objective, scheme, x):
     """W(x): exact quantile-rewritten preference of a single point."""
     points = family.enumerate_points()
-    probs = np.exp(family.log_density(theta, points))
+    probs = np.exp(family.enumerated_log_density(theta))
     values = _values_for(family, objective, points)
     fx = float(_values_for(family, objective, _single(family, x))[0])
     q_minus = float(probs[values < fx].sum())

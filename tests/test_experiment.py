@@ -1,13 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from igopt import cli
+from igopt import flow as flow_mod
 from igopt.experiment import (
+    CSV_SCHEMA_VERSION,
     ExperimentConfig,
     parse_config,
     run_experiment,
     status_counts,
 )
+from igopt.families import BernoulliFamily
+from igopt.objectives import onemax
+from igopt.weights import truncation
 
 PBIL_CONFIG = """
 # incremental-learning run
@@ -234,6 +241,48 @@ def test_cli_flow_sphere(tmp_path, monkeypatch):
     assert np.all(np.diff(rows["f_quantile"]) < 0)
 
 
+def _unmemoized_flow_rows(theta0):
+    """The Bernoulli flow rows as ``igopt flow`` built them without its
+    drift memo: every row evaluates the drift of its state again."""
+    fam, obj, scheme = BernoulliFamily(theta0.size), onemax(theta0.size), truncation(0.5)
+
+    def rhs(theta):
+        return flow_mod.flow_rhs(fam, theta, obj, scheme)
+
+    rows = []
+    for state in flow_mod.integrate(rhs, theta0, 1.0, 0.1):
+        _, probs, values, _ = flow_mod.exact_weights_all(fam, state.theta, obj, scheme)
+        drift = rhs(state.theta)
+        speed = math.sqrt(max(0.0, float(drift @ fam.fisher(state.theta) @ drift)))
+        rows.append([state.t, *state.theta, flow_mod.f_quantile(values, probs, 0.5),
+                     speed, float(np.ones(theta0.size) @ drift)])
+    return rows
+
+
+def test_cli_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
+    # RK4 evaluates every state but the last as the next step's k1; its CSV
+    # row reuses that drift, and the bytes are those of the unmemoized rows
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    theta0 = np.linspace(0.2, 0.7, 10)
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text(
+        "family = bernoulli:d=10\nobjective = onemax:d=10\nhorizon = 1.0\n"
+        "flow_step = 0.1\ntheta0 = " + " ".join(repr(float(t)) for t in theta0) + "\n")
+    header = ["t"] + [f"theta_{i}" for i in range(10)] + ["f_quantile", "speed", "lyapunov"]
+    reference = cli._write_csv("unmemoized.csv", f"igopt flow schema v{CSV_SCHEMA_VERSION}", header,
+                               _unmemoized_flow_rows(theta0))
+    calls = dict.fromkeys(("flow_rhs", "exact_weights_all"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(flow_mod, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(flow_mod, name, counted)
+    assert cli.main(["flow", str(cfgfile)]) == 0
+    # 10 RK4 steps of 4 drifts plus the final state; 11 rows of quantiles
+    assert calls == {"flow_rhs": 41, "exact_weights_all": 52}
+    assert (tmp_path / "flow_trajectory.csv").read_bytes() == open(reference, "rb").read()
+
+
 @pytest.mark.parametrize("line, message", [
     ("horizon = 2.0\n", "line 4: duplicate key 'horizon'"),
     ("", "line 3: horizon must be a number, got 'abc'"),
@@ -332,6 +381,7 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
      "scheme = truncation:q0=0.5\nalgorithm = cma\nlift_noisy = true\n",
      "algorithm cma needs a family with mean_cov"),
     ("workers = 0\n", "workers"),
+    ("lift_noisy = true\n", "lift_noisy needs a noisy objective"),
     ("algorithm = igo_ml\ndt = 1.5\n", "igo_ml needs dt in"),
     ("algorithm = smoothed_cem\ndt = 1.5\n", "smoothed_cem needs dt in"),
     ("algorithm = smoothed_cem\nsmoothed_cem_coords = logit\n",
@@ -366,4 +416,5 @@ def test_bad_numbers_exit_2_with_one_line(tmp_path, monkeypatch, capsys, text, m
 def test_booleans_parse_strictly():
     for word, value in [("true", True), ("On", True), ("1", True),
                         ("false", False), ("NO", False), ("0", False)]:
-        assert parse_config(PBIL_CONFIG + f"lift_noisy = {word}\n").lift_noisy is value
+        text = _override(PBIL_CONFIG, f"objective = onemax:d=10,noise=uniform\nlift_noisy = {word}\n")
+        assert parse_config(text).lift_noisy is value

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from igopt import igo_step, substream, truncation
-from igopt.families import BernoulliFamily, DomainError, LogitBernoulliFamily
+from igopt.families import BernoulliFamily, CapabilityError, DomainError, LogitBernoulliFamily
 
 
 def test_grad_and_fisher_hand_values():
@@ -147,3 +151,42 @@ def test_log_density_matches_xlogy_form_bit_for_bit():
         np.testing.assert_array_equal(fam.log_density(theta, pts), ref)
     assert fam.log_density(thetas[3], pts)[0b000111] == 0.0
     assert fam.log_density(thetas[3], pts)[0] == -np.inf
+
+
+# a probability, with exact 0 and 1 drawn often
+_PROBABILITY = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@given(st.integers(1, 12).flatmap(lambda d: st.lists(_PROBABILITY, min_size=d, max_size=d)))
+def test_enumerated_log_density_matches_xlogy_row_sums(theta):
+    # frozen reference: two xlogy passes over independently built bit rows
+    theta = np.array(theta)
+    d = theta.size
+    x = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(float)
+    ref = xlogy(x, theta).sum(axis=1) + xlogy(1.0 - x, 1.0 - theta).sum(axis=1)
+    got = BernoulliFamily(d).enumerated_log_density(theta)
+    assert not np.isnan(got).any()
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(ref))
+    finite = np.isfinite(ref)
+    np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-13, atol=0.0)
+    if np.all((theta > 0.0) & (theta < 1.0)):
+        assert abs(math.fsum(np.exp(got)) - 1.0) <= 1e-14
+
+
+def test_enumeration_is_built_once_and_read_only():
+    fam = BernoulliFamily(5)
+    pts = fam.enumerate_points()
+    assert fam.enumerate_points() is pts
+    assert pts.dtype == float and not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    logit = LogitBernoulliFamily(5)
+    assert logit.enumerate_points() is logit.enumerate_points()
+    # the logit family keeps its own log-density through the base-class hook
+    theta = substream(91, 0).normal(size=5)
+    np.testing.assert_array_equal(logit.enumerated_log_density(theta),
+                                  logit.log_density(theta, logit.enumerate_points()))
+    big = BernoulliFamily(23)
+    for call in (big.enumerate_points, lambda: big.enumerated_log_density(np.full(23, 0.5))):
+        with pytest.raises(CapabilityError):
+            call()

@@ -40,7 +40,7 @@ def two_point_objective(dim=1):
 def reference_exact_weights(family, theta, objective, scheme):
     """The per-group loop the vectorized exact weights replace."""
     points = family.enumerate_points()
-    probs = np.exp(family.log_density(theta, points))
+    probs = np.exp(family.enumerated_log_density(theta))
     values = evaluate(objective, family.points_of(points))
     w = np.empty_like(values)
     order = np.argsort(values, kind="stable")
