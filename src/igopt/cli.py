@@ -94,12 +94,11 @@ def _run_flow(spec):
         sphere = flow_mod.SphereFlow(d, scheme.q0)
         r0 = float(fam_opts.get("r0", 3.0))
         s0 = math.log(float(fam_opts.get("sigma0", 1.0)))
-        traj = flow_mod.integrate(sphere.rhs, np.array([r0, s0]), horizon, step, method)
-        rows = []
-        for state in traj:
-            rows.append([state.t, state.theta[0], state.theta[1],
-                         sphere.median_f(state.theta), sphere.speed(state.theta),
-                         float("nan")])
+        rhs = _memoized(sphere.rhs)
+        traj = flow_mod.integrate(rhs, np.array([r0, s0]), horizon, step, method)
+        rows = [[state.t, *state.theta, sphere.median_f(state.theta),
+                 sphere.speed(state.theta, rhs(state.theta)), float("nan")]
+                for state in traj]
         return ["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"], rows
 
     cfg = exp_mod.ExperimentConfig(family=spec["family"], objective=spec["objective"])
@@ -114,15 +113,7 @@ def _run_flow(spec):
     elif obj.kind == "linear" and obj.space == "bits":
         alpha = obj.params["alpha"]
 
-    drifts = {}
-
-    def rhs(theta):
-        # RK4 evaluates each step's start state as its k1; a row reuses it
-        key = theta.tobytes()
-        if key not in drifts:
-            drifts[key] = flow_mod.flow_rhs(family, theta, obj, scheme)
-        return drifts[key]
-
+    rhs = _memoized(lambda theta: flow_mod.flow_rhs(family, theta, obj, scheme))
     traj = flow_mod.integrate(rhs, theta0, horizon, step, method)
     rows = []
     for state in traj:
@@ -136,6 +127,20 @@ def _run_flow(spec):
     header = (["t"] + [f"theta_{i}" for i in range(len(theta0))]
               + ["f_quantile", "speed", "lyapunov"])
     return header, rows
+
+
+def _memoized(rhs):
+    """``rhs`` remembered by the bytes of its state: RK4 evaluates each
+    step's start state as its k1, and the CSV row of that state reuses it."""
+    drifts = {}
+
+    def memo(theta):
+        key = theta.tobytes()
+        if key not in drifts:
+            drifts[key] = rhs(theta)
+        return drifts[key]
+
+    return memo
 
 
 def _write_csv(name, comment, header, rows):

@@ -52,9 +52,13 @@ class Family:
         """Closed-form Fisher-preconditioned score, when known."""
         raise CapabilityError(f"{type(self).__name__} has no closed-form natural gradient")
 
+    def natural_drift(self, theta, samples, mass):
+        """sum_i mass_i (closed-form natural score at x_i)."""
+        return mass @ self.natural_grad_log_density(theta, samples)
+
     def natural_step(self, theta, samples, w, dt):
         """theta + dt * sum_i w_i (closed-form natural score at x_i)."""
-        return theta + dt * (w @ self.natural_grad_log_density(theta, samples))
+        return theta + dt * self.natural_drift(theta, samples, w)
 
     # -- geometry ----------------------------------------------------------
     def fisher(self, theta):

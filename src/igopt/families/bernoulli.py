@@ -57,6 +57,10 @@ class BernoulliFamily(Family):
     def natural_grad_log_density(self, theta, samples):
         return np.asarray(samples, dtype=float) - theta
 
+    def natural_drift(self, theta, samples, mass):
+        # sum_i mass_i (x_i - theta), without the matrix of scores
+        return mass @ np.asarray(samples, dtype=float) - mass.sum() * theta
+
     def natural_step(self, theta, samples, w, dt):
         """The convex blend (1 - w_total dt) theta + dt sum_i w_i x_i.  With
         one unit weight on the best sample and dt = LR this is the classic

@@ -7,6 +7,12 @@ maps each point to a weight through the quantile its objective value
 occupies under the current distribution.  The sampled algorithm is the
 Euler discretization of this ODE with Monte-Carlo averages, which the
 consistency tests check directly.
+
+W depends on theta only through P_theta: the objective's values on the
+enumeration and the tie groups they form do not.  That half is computed
+once per (family, objective) and kept in a small cache keyed on the
+objective's content; per theta only the log-masses, the running quantiles
+of the groups and the scheme are left.
 """
 
 import math
@@ -73,19 +79,65 @@ def _values_for(family, objective, points):
     return objectives_mod.evaluate(objective, family.points_of(points))
 
 
+_GROUPS_CACHE_SIZE = 8
+# (family, objective content) -> (values, inverse) of _value_groups.  The
+# key holds the family itself, and families compare by identity, so an
+# entry can only be found by the family whose enumeration it was built on.
+_groups_cache = {}
+
+
+def _content_key(objective):
+    """An Objective's content as a hashable key: kind, space, dim, params
+    (non-strings by dtype, shape and bytes) and base, recursively.  Objectives
+    are mutable, so the key is taken again on every call."""
+    if objective is None:
+        return None
+    params = []
+    for name, value in sorted(objective.params.items()):
+        if not isinstance(value, str):
+            value = np.asarray(value)
+            value = (value.dtype.str, value.shape, value.tobytes())
+        params.append((name, value))
+    return (objective.kind, objective.space, objective.dim, tuple(params),
+            _content_key(objective.base))
+
+
+def _value_groups(family, objective, points):
+    """The theta-independent half of the exact weights: the objective's
+    values on ``points`` (the family's enumeration), read-only, and the
+    ``np.unique`` inverse that numbers their distinct values ascending.
+
+    Cached per (family, objective content); a plain callable objective is
+    evaluated on every call.
+    """
+    if callable(objective):
+        values = _values_for(family, objective, points)
+        return values, np.unique(values, return_inverse=True)[1]
+    key = (family, _content_key(objective))
+    groups = _groups_cache.get(key)
+    if groups is None:
+        values = _values_for(family, objective, points)
+        values.flags.writeable = False
+        groups = values, np.unique(values, return_inverse=True)[1]
+        _groups_cache[key] = groups
+        if len(_groups_cache) > _GROUPS_CACHE_SIZE:
+            del _groups_cache[next(iter(_groups_cache))]  # the oldest entry
+    return groups
+
+
 def exact_weights_all(family, theta, objective, scheme):
     """Preference weight of every enumerated point under P_theta.
 
-    Returns (points, probabilities, values, weights).  For a group of
+    Returns (points, probabilities, values, weights); the values are
+    read-only when the objective is an ``Objective``.  For a group of
     points sharing an objective value with lower/upper quantiles q- < q+,
     the weight is the average of w over [q-, q+].  A degenerate group, one
     whose mass is zero or too small to move the running quantile
     (q- == q+), gets w(q+), as in ``exact_weight``.
     """
     points = family.enumerate_points()
+    values, inverse = _value_groups(family, objective, points)
     probs = np.exp(family.enumerated_log_density(theta))
-    values = _values_for(family, objective, points)
-    _, inverse = np.unique(values, return_inverse=True)
     q_plus = np.minimum(1.0, np.cumsum(np.bincount(inverse, weights=probs)))
     q_minus = np.concatenate(([0.0], q_plus[:-1]))
     w = scheme(q_plus)
@@ -96,12 +148,12 @@ def exact_weights_all(family, theta, objective, scheme):
 
 def exact_weight(family, theta, objective, scheme, x):
     """W(x): exact quantile-rewritten preference of a single point."""
-    points = family.enumerate_points()
+    values, _ = _value_groups(family, objective, family.enumerate_points())
     probs = np.exp(family.enumerated_log_density(theta))
-    values = _values_for(family, objective, points)
     fx = float(_values_for(family, objective, _single(family, x))[0])
-    q_minus = float(probs[values < fx].sum())
-    q_plus = float(probs[values <= fx].sum())
+    # capped as in exact_weights_all: the masses can sum to 1 + 2^-52
+    q_minus = min(1.0, float(probs[values < fx].sum()))
+    q_plus = min(1.0, float(probs[values <= fx].sum()))
     if q_plus == q_minus:
         return float(scheme(q_plus))
     return scheme.integral(q_minus, q_plus) / (q_plus - q_minus)
@@ -119,7 +171,7 @@ def flow_rhs(family, theta, objective, scheme, *, use_closed_form=True):
     mass = probs * w
     if use_closed_form:
         try:
-            return mass @ family.natural_grad_log_density(theta, points)
+            return family.natural_drift(theta, points, mass)
         except CapabilityError:
             pass
     grad = mass @ family.grad_log_density(theta, points)
@@ -341,11 +393,12 @@ class SphereFlow:
 
     def median_f(self, state):
         """Exact median of f under the current state (scaled ncx2 median)."""
-        r, sigma, _ = self._tau_parts(state)
+        r, sigma = state[0], math.exp(state[1])
         return sigma**2 * _ncx2_ppf(0.5, self.d, (r / sigma) ** 2)
 
-    def speed(self, state):
-        """Fisher norm of d(theta)/dt in (m, log sigma) coordinates."""
-        rhs = self.rhs(state)
-        _, sigma, _ = self._tau_parts(state)
+    def speed(self, state, drift=None):
+        """Fisher norm of d(theta)/dt in (m, log sigma) coordinates; ``drift``
+        is ``rhs(state)``, computed when not given."""
+        rhs = self.rhs(state) if drift is None else drift
+        sigma = math.exp(state[1])
         return math.sqrt((rhs[0] / sigma) ** 2 + 2.0 * self.d * rhs[1] ** 2)

@@ -283,6 +283,32 @@ def test_cli_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
     assert (tmp_path / "flow_trajectory.csv").read_bytes() == open(reference, "rb").read()
 
 
+def test_cli_sphere_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
+    # as for enumerable families: a row's speed reuses RK4's k1 of its state,
+    # and the bytes are those of rows that evaluate every drift again
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "sphere.cfg"
+    cfgfile.write_text(
+        "family = gaussian_iso:d=5\nobjective = sphere:d=5\nscheme = truncation:q0=0.3\n"
+        "horizon = 1.0\nflow_step = 0.1\nout_prefix = sphere\n")
+    sphere = flow_mod.SphereFlow(5, 0.3)
+    rows = [[s.t, *s.theta, sphere.median_f(s.theta), sphere.speed(s.theta), float("nan")]
+            for s in flow_mod.integrate(sphere.rhs, np.array([3.0, 0.0]), 1.0, 0.1)]
+    reference = cli._write_csv("unmemoized.csv", f"igopt flow schema v{CSV_SCHEMA_VERSION}",
+                               ["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"], rows)
+    calls = dict.fromkeys(("rhs", "_tau_parts"), 0)
+    for name in calls:
+        def counted(self, state, _name=name, _inner=getattr(flow_mod.SphereFlow, name)):
+            calls[_name] += 1
+            return _inner(self, state)
+        monkeypatch.setattr(flow_mod.SphereFlow, name, counted)
+    assert cli.main(["flow", str(cfgfile)]) == 0
+    # 10 RK4 steps of 4 drifts plus the final state; only a drift needs
+    # the q0-quantile of _tau_parts
+    assert calls == {"rhs": 41, "_tau_parts": 41}
+    assert (tmp_path / "sphere_trajectory.csv").read_bytes() == open(reference, "rb").read()
+
+
 @pytest.mark.parametrize("line, message", [
     ("horizon = 2.0\n", "line 4: duplicate key 'horizon'"),
     ("", "line 3: horizon must be a number, got 'abc'"),

@@ -12,6 +12,7 @@ from scipy import integrate as sp_integrate
 from scipy.special import ndtri
 from scipy.stats import ncx2
 
+import igopt.flow as flow_module
 from igopt import compute_quantile_weights, igo_step, substream, truncation
 from igopt.families import BernoulliFamily
 from igopt.flow import (
@@ -28,7 +29,7 @@ from igopt.flow import (
     lyapunov_monitor,
 )
 from igopt.normal import Phi_inv, phi
-from igopt.objectives import evaluate, linear, onemax
+from igopt.objectives import PHI_REGISTRY, evaluate, linear, monotone_transform, onemax, two_min
 from igopt.weights import signed_median, table
 
 
@@ -134,6 +135,129 @@ def test_increasing_transform_leaves_exact_weight_unchanged():
     _, _, _, w_tr = exact_weights_all(
         fam, theta, lambda x: 2.0 * (3 - x.sum(axis=1)) + 7.0, scheme)
     np.testing.assert_array_equal(w_base, w_tr)
+
+
+# a probability, with entries at or within 1e-6 of 0 and 1 drawn often
+_PROBABILITY = st.one_of(st.floats(0.0, 1e-6), st.floats(1.0 - 1e-6, 1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _bits_objective(draw):
+    """(d, objective) among onemax, two_min and a bits-linear f; integer-valued,
+    so every PHI_REGISTRY transform keeps the values apart."""
+    d = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["onemax", "two_min", "linear"]))
+    if kind == "onemax":
+        return d, onemax(d)
+    if kind == "two_min":
+        return d, two_min(np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                                   min_size=d, max_size=d))))
+    alpha = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    return d, linear(np.array(alpha, dtype=float), draw(st.integers(-5, 5)), space="bits")
+
+
+@given(_bits_objective(), st.data(), st.floats(0.01, 0.99))
+def test_exact_weights_are_rank_invariant_bit_for_bit(case, data, q0):
+    d, obj = case
+    theta = np.array(data.draw(st.lists(_PROBABILITY, min_size=d, max_size=d)))
+    fam, scheme = BernoulliFamily(d), truncation(q0)
+    _, probs, values, w = exact_weights_all(fam, theta, obj, scheme)
+    for name, phi in PHI_REGISTRY.items():
+        _, probs_t, values_t, w_t = exact_weights_all(
+            fam, theta, monotone_transform(obj, name), scheme)
+        # the transformed objective has its own values, not its base's
+        np.testing.assert_array_equal(values_t, phi(values))
+        np.testing.assert_array_equal(probs_t, probs)
+        np.testing.assert_array_equal(w_t, w)
+
+
+@given(st.one_of(_bits_objective(),
+                 st.integers(1, 10).map(lambda d: (d, linear(2.0 ** -np.arange(d), space="bits")))),
+       st.data(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+def test_exact_weights_conserve_mass_over_ties(case, data, q0, shift):
+    # heavily tied (onemax, two_min) and tie-free (BinVal) objectives among others
+    d, obj = case
+    theta = np.array(data.draw(st.lists(_PROBABILITY, min_size=d, max_size=d)))
+    scheme = truncation(q0, shift=shift)
+    _, probs, _, w = exact_weights_all(BernoulliFamily(d), theta, obj, scheme)
+    assert abs(probs @ w - scheme.mean()) <= 1e-12
+
+
+def test_value_groups_follow_in_place_edits_of_params():
+    fam, theta, scheme = BernoulliFamily(4), np.full(4, 0.4), truncation(0.3)
+    obj = linear(np.array([1.0, 2.0, 3.0, 4.0]), space="bits")
+    exact_weights_all(fam, theta, obj, scheme)
+    obj.params["alpha"][0] = 9.0
+    points, _, values, w = exact_weights_all(fam, theta, obj, scheme)
+    np.testing.assert_array_equal(values, evaluate(obj, points))
+    np.testing.assert_array_equal(w, reference_exact_weights(fam, theta, obj, scheme))
+
+
+def test_equal_objectives_share_one_cache_entry():
+    flow_module._groups_cache.clear()
+    fam, theta, scheme = BernoulliFamily(5), np.full(5, 0.3), truncation(0.3)
+    alpha = 2.0 ** -np.arange(5)
+    _, _, first, _ = exact_weights_all(fam, theta, linear(alpha, space="bits"), scheme)
+    _, _, second, _ = exact_weights_all(fam, theta, linear(alpha.copy(), space="bits"), scheme)
+    assert second is first and len(flow_module._groups_cache) == 1
+    # another family with the same enumeration gets its own entry
+    exact_weights_all(BernoulliFamily(5), theta, linear(alpha, space="bits"), scheme)
+    assert len(flow_module._groups_cache) == 2
+
+
+def test_callable_objective_is_evaluated_on_every_call():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return 3.0 - x.sum(axis=1)
+
+    fam, theta, scheme = BernoulliFamily(3), np.full(3, 0.6), truncation(0.5)
+    for _ in range(3):
+        exact_weights_all(fam, theta, f, scheme)
+    assert calls == [8, 8, 8]
+
+
+def test_cached_values_are_read_only():
+    fam = BernoulliFamily(3)
+    _, _, values, _ = exact_weights_all(fam, np.full(3, 0.5), onemax(3), truncation(0.5))
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 1.0
+
+
+def test_value_groups_cache_is_bounded():
+    fam, theta, scheme = BernoulliFamily(3), np.full(3, 0.5), truncation(0.5)
+    bound = flow_module._GROUPS_CACHE_SIZE
+    for k in range(2 * bound + 1):
+        obj = linear(np.array([1.0, 2.0, float(k)]), space="bits")
+        exact_weights_all(fam, theta, obj, scheme)
+        assert len(flow_module._groups_cache) <= bound
+    assert (fam, flow_module._content_key(obj)) in flow_module._groups_cache
+
+
+def test_exact_weight_agrees_with_exact_weights_all_after_a_cache_hit():
+    d = 6
+    fam, obj, scheme = BernoulliFamily(d), two_min(np.array([1.0, 0, 1, 1, 0, 0])), truncation(0.3)
+    theta = substream(67, 0).uniform(0.05, 0.95, size=d)
+    exact_weights_all(fam, theta, obj, scheme)
+    points, _, _, w = exact_weights_all(fam, theta, obj, scheme)
+    per_point = [exact_weight(fam, theta, obj, scheme, x) for x in points]
+    np.testing.assert_allclose(w, per_point, rtol=1e-12, atol=1e-15)
+
+
+@given(st.integers(1, 10).flatmap(lambda d: st.tuples(
+    st.lists(_PROBABILITY, min_size=d, max_size=d),
+    st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=2**d, max_size=2**d))))
+def test_bernoulli_natural_drift_matches_the_score_matrix_form(case):
+    theta, mass = (np.array(v) for v in case)
+    fam = BernoulliFamily(theta.size)
+    points = fam.enumerate_points()
+    ref = mass @ fam.natural_grad_log_density(theta, points)
+    # atol: the scale at which the two summation orders cancel
+    np.testing.assert_allclose(fam.natural_drift(theta, points, mass), ref,
+                               rtol=1e-13, atol=1e-13 * np.abs(mass).sum())
 
 
 def test_flow_rhs_one_dim_closed_form():
