@@ -108,8 +108,10 @@ class ExperimentConfig:
             raise ValueError(f"fisher sample count {m} below dim_theta = {fam.dim_theta}; "
                              "a rank-1-sum estimate cannot be invertible")
         if not m and isinstance(fam, (JointRbmFamily, MarginalRbmFamily)):
-            if fam.n_x + fam.n_h > 20:
-                raise ValueError("exact Fisher needs n_x + n_h <= 20; use fisher = mc:m=...")
+            try:
+                fam.check_fisher()
+            except CapabilityError as err:
+                raise ValueError(f"fisher = exact: {err}; use fisher = mc:m=...") from None
         return self
 
 

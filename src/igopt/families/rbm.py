@@ -13,14 +13,29 @@ Fisher matrix dominated by the joint one.  The joint family is the default
 for optimization (numerically the more stable choice); the marginal family
 exists mainly for that comparison.
 
-Exact quantities (partition function, moments, Fisher) enumerate the 2^n_x
-visible configurations with the hidden layer marginalized analytically, and
-are refused above ENUMERATION_CUTOFF total units.  Gibbs estimates remain
-available at any size: chains are vectorized, one independent chain per
-sample, with a configurable number of burn-in sweeps.  While 2^n_h <= n,
-visible units are drawn from a per-hidden-state table of P(x | h), built
-once per call; wider hidden layers fall back to one matmul per sweep.  Both
-paths give the same bits.
+Exact joint quantities (ln Z, E[T], the joint KL and Fisher) enumerate the
+2^k states of the smaller layer, k = min(n_x, n_h), and sum the other layer
+out analytically: given h the x_i are independent Bernoulli(sigma(a + W h)),
+so with the free energy of h (Salakhutdinov & Murray, ICML 2008)
+
+    ln Z = logsumexp_h [b.h + sum_i softplus(a_i + (W h)_i)],
+    E[T] = sum_h P(h) (p(h), h, p(h) (x) h),        p(h) = sigma(a + W h),
+    Cov(T) = Cov_h(E[T | h]) + sum_h P(h) diag(p (1 - p)) (x) hh^T,
+
+with hh = (1, h).  When n_x < n_h the same sums run with the layers' roles
+swapped, (a, b, W) -> (b, a, W^T), and the statistics are permuted back.
+They are refused when 2^k * dim_theta^2 exceeds EXACT_WORK_CUTOFF.  The
+marginal family's Fisher and KL need P(h | x), which is not linear in x, so
+they (and ``enumerate_points``) keep a table over the 2^n_x visible states,
+refused above ENUMERATION_CUTOFF total units.
+
+Gibbs estimates remain available at any size: chains are vectorized, one
+independent chain per sample, with a configurable number of burn-in sweeps.
+Each Bernoulli draw compares a raw Philox word with an integer threshold
+(see ``_thresholds``), which gives the bits of ``rng.random() < p``.  While
+2^n_h <= n, visible units are drawn from a per-hidden-state table of those
+thresholds, built once per call; wider hidden layers fall back to one
+matmul per sweep.  Both paths give the same bits.
 """
 
 import math
@@ -42,7 +57,14 @@ __all__ = [
     "standard_to_centered",
 ]
 
-ENUMERATION_CUTOFF = 20  # max n_x + n_h for exact Z / moments / Fisher
+# max n_x + n_h for tables over the 2^n_x visible states: enumerate_points
+# and the marginal family's Fisher and KL
+ENUMERATION_CUTOFF = 20
+# max 2^min(n_x, n_h) * dim_theta^2, the multiply-adds of the exact joint
+# Fisher; it also bounds the 2^min(n_x, n_h) x dim_theta table behind it and
+# the Fisher itself.  ln Z, E[T] and the joint KL share the bound.  Every
+# shape with n_x + n_h <= 20 is within it (10 x 10: 1.47e7).
+EXACT_WORK_CUTOFF = 2**24
 
 
 @dataclass
@@ -91,6 +113,22 @@ def _softplus(t):
     return np.logaddexp(0.0, t)
 
 
+def _thresholds(p):
+    """Integer form of the Bernoulli draw ``u < p``.
+
+    For Philox and numpy's other 64-bit bit generators (not MT19937),
+    ``Generator.random()`` is ``(raw >> 11) * 2**-53`` of the next raw
+    word, so ``u < p`` holds exactly when ``raw <= (ceil(p 2^53)
+    << 11) - 1`` in uint64.  The wrap at p = 1 gives 2^64 - 1 (always), which
+    is right; p = 0 would wrap the same way and be wrong, so p must lie in
+    (0, 1], as ``_sigmoid`` keeps it for finite activations.
+    """
+    t = np.ceil(p * 2.0**53).astype(np.uint64)
+    t <<= np.uint64(11)
+    t -= np.uint64(1)
+    return t
+
+
 class _RbmCommon(Family):
     centred_score = True
 
@@ -122,68 +160,84 @@ class _RbmCommon(Family):
         return -(x @ p.a + h @ p.b + ((x @ p.W) * h).sum(axis=1))
 
     def _gibbs(self, theta, n, rng):
+        if isinstance(rng.bit_generator, np.random.MT19937):
+            # its random() combines two 32-bit words; _thresholds needs one 64-bit word
+            raise ValueError("RBM Gibbs sampling needs a 64-bit bit generator, not MT19937")
         p = self.unpack(theta)
-        x = (rng.random((n, self.n_x)) < 0.5).astype(np.float64)
+        raw = rng.bit_generator.random_raw
+        x = (raw((n, self.n_x)) < np.uint64(2**63)).astype(np.float64)  # u < 1/2
         if 2**self.n_h <= n:
-            # P(x | h) takes one row per hidden state: gather it by the
-            # hidden code instead of a fresh n x n_x matmul and sigmoid
+            # P(x | h) takes one row per hidden state: gather its thresholds
+            # by the hidden code instead of a fresh n x n_x matmul and sigmoid
             H = enumerate_bits(self.n_h).astype(np.float64)
-            px_table = _sigmoid(p.a + H @ p.W.T)
+            x_table = _thresholds(_sigmoid(p.a + H @ p.W.T))
             place = 2 ** np.arange(self.n_h)
-            px, u = np.empty_like(x), np.empty_like(x)
+            thr = np.empty(x.shape, dtype=np.uint64)
             for _ in range(self.burn_in):
-                h = rng.random((n, self.n_h)) < _sigmoid(p.b + x @ p.W)
-                np.take(px_table, h @ place, axis=0, out=px, mode="clip")
-                np.less(rng.random(out=u), px, out=x)
+                h = raw((n, self.n_h)) <= _thresholds(_sigmoid(p.b + x @ p.W))
+                np.take(x_table, h @ place, axis=0, out=thr, mode="clip")
+                np.less_equal(raw((n, self.n_x)), thr, out=x)
         else:
             for _ in range(self.burn_in):
-                h = (rng.random((n, self.n_h)) < _sigmoid(p.b + x @ p.W)).astype(np.float64)
-                x = (rng.random((n, self.n_x)) < _sigmoid(p.a + h @ p.W.T)).astype(np.float64)
-        h = rng.random((n, self.n_h)) < _sigmoid(p.b + x @ p.W)
+                h = (raw((n, self.n_h)) <= _thresholds(_sigmoid(p.b + x @ p.W))).astype(np.float64)
+                x = (raw((n, self.n_x)) <= _thresholds(_sigmoid(p.a + h @ p.W.T))).astype(np.float64)
+        h = raw((n, self.n_h)) <= _thresholds(_sigmoid(p.b + x @ p.W))
         return x.astype(np.uint8), h.astype(np.uint8)
 
-    # -- exact quantities by visible-side enumeration -----------------------
-    def _check_enumerable(self):
+    # -- exact quantities ----------------------------------------------------
+    def _check_visible_table(self):
         if self.n_x + self.n_h > ENUMERATION_CUTOFF:
             raise CapabilityError(
-                f"exact RBM quantities need n_x + n_h <= {ENUMERATION_CUTOFF}"
-            )
+                f"tables over the 2^n_x visible states need n_x + n_h <= {ENUMERATION_CUTOFF}")
+
+    def _check_enumerable(self):
+        k = min(self.n_x, self.n_h)
+        if 2**k * self.dim_theta**2 > EXACT_WORK_CUTOFF:
+            raise CapabilityError(
+                f"exact RBM quantities need 2^min(n_x, n_h) * dim_theta^2 <= 2^"
+                f"{EXACT_WORK_CUTOFF.bit_length() - 1}; n_x={self.n_x}, n_h={self.n_h} "
+                f"gives 2^{k} * {self.dim_theta}^2")
 
     @cached_property
-    def _visible_bits(self):
-        """The 2^n_x visible configurations as float rows, built once."""
+    def _enumerated(self):
+        """The smaller layer's 2^k states as float rows, and the permutation
+        that puts statistics computed with the layers' roles swapped back in
+        (x, h, x (x) h) order (the identity when n_x >= n_h)."""
         self._check_enumerable()
-        X = enumerate_bits(self.n_x).astype(float)
-        X.flags.writeable = False
-        return X
+        n_x, n_h = self.n_x, self.n_h
+        if n_x >= n_h:
+            perm = np.arange(self.dim_theta)
+        else:  # the swapped statistics are (h, x, h (x) x)
+            xh = n_x + n_h + np.arange(n_h) * n_x + np.arange(n_x)[:, None]
+            perm = np.concatenate([n_h + np.arange(n_x), np.arange(n_h), xh.ravel()])
+        H = enumerate_bits(min(n_x, n_h)).astype(float)
+        H.flags.writeable = False
+        return H, perm
 
-    def _log_mass(self, theta):
-        """Hidden activations and unnormalized log-mass of every visible config."""
+    def _hidden_table(self, theta):
+        """Sum over the smaller layer, called h here (the layers' roles swap
+        when n_x < n_h): its states H, P(h), p(h) = P(x = 1 | h) and ln Z."""
         p = self.unpack(theta)
-        X = self._visible_bits
-        act = p.b + X @ p.W
-        return act, X @ p.a + _softplus(act).sum(axis=1)
-
-    def _visible_table(self, theta):
-        """All visible configs with normalized mass, P(h | x) and ln Z."""
-        act, logmass = self._log_mass(theta)
+        a, b, W = (p.a, p.b, p.W) if self.n_x >= self.n_h else (p.b, p.a, p.W.T)
+        H = self._enumerated[0]
+        act = a + H @ W.T
+        logmass = H @ b + _softplus(act).sum(axis=1)
         log_z = _logsumexp(logmass)
-        probs = np.exp(logmass - log_z)
-        return self._visible_bits, probs, _sigmoid(act), log_z
+        return H, np.exp(logmass - log_z), _sigmoid(act), log_z
+
+    def _stats_and_log_z(self, theta):
+        H, probs, PX, log_z = self._hidden_table(theta)
+        exh = (PX * probs[:, None]).T @ H
+        stats = np.concatenate([PX.T @ probs, H.T @ probs, exh.ravel()])
+        return stats[self._enumerated[1]], log_z
 
     def log_partition(self, theta):
-        return _logsumexp(self._log_mass(theta)[1])
+        return self._hidden_table(theta)[3]
 
     def exact_stats(self, theta):
-        """Exact expectation of the sufficient statistics (x, h, x (x) h)."""
-        return _stats_of(*self._visible_table(theta)[:3])
-
-
-def _stats_of(X, probs, PH):
-    ex = X.T @ probs
-    eh = PH.T @ probs
-    exh = (X * probs[:, None]).T @ PH
-    return np.concatenate([ex, eh, exh.ravel()])
+        """Exact expectation of the sufficient statistics (x, h, x (x) h);
+        for the marginal family it is also E[U], since U(x) = E[T | x]."""
+        return self._stats_and_log_z(theta)[0]
 
 
 def _logsumexp(v):
@@ -193,6 +247,8 @@ def _logsumexp(v):
 
 class JointRbmFamily(_RbmCommon):
     """RBM over (x, h) pairs; samples are tuples (x_bits, h_bits)."""
+
+    check_fisher = _RbmCommon._check_enumerable  # CapabilityError when refused
 
     def sample(self, theta, n, rng):
         return self._gibbs(theta, n, rng)
@@ -222,39 +278,30 @@ class JointRbmFamily(_RbmCommon):
         return self.exact_stats(theta)
 
     def fisher(self, theta):
-        """Exact Cov(T, T): second moments via conditional hidden moments."""
-        X, probs, PH, _ = self._visible_table(theta)
-        nx, nh = self.n_x, self.n_h
-        var_h = PH * (1.0 - PH)
-
-        pX = X * probs[:, None]
-        m_xx = pX.T @ X
-        m_xh = pX.T @ PH
-        m_hh = (PH * probs[:, None]).T @ PH + np.diag(var_h.T @ probs)
-
-        m_x_xh = np.einsum("r,ri,rk,rl->ikl", probs, X, X, PH).reshape(nx, nx * nh)
-        m_h_xh = np.einsum("r,rj,rk,rl->jkl", probs, PH, X, PH)
-        corr = np.einsum("r,rk,rl->kl", probs, X, var_h)  # E x_k var(h_l|x)
-        for l in range(nh):
-            m_h_xh[l, :, l] += corr[:, l]
-        m_h_xh = m_h_xh.reshape(nh, nx * nh)
-
-        m_xh_xh = np.einsum("r,ri,rj,rk,rl->ijkl", probs, X, PH, X, PH)
-        corr2 = np.einsum("r,ri,rk,rj->ikj", probs, X, X, var_h)  # E x_i x_k var(h_j|x)
-        for j in range(nh):
-            m_xh_xh[:, j, :, j] += corr2[:, :, j]
-        m_xh_xh = m_xh_xh.reshape(nx * nh, nx * nh)
-
-        second = np.block([
-            [m_xx, m_xh, m_x_xh],
-            [m_xh.T, m_hh, m_h_xh],
-            [m_x_xh.T, m_h_xh.T, m_xh_xh],
-        ])
-        mean = _stats_of(X, probs, PH)
-        return second - np.outer(mean, mean)
+        """Exact Cov(T) by total covariance over the smaller layer h:
+        Cov_h(E[T | h]) + E_h[Cov(T | h)].  Given h the x_i are independent
+        and x_i enters T only as x_i (1, h), so Cov(T | h) is one
+        var(x_i | h) (1, h)(1, h)^T block per x_i."""
+        H, probs, PX, _ = self._hidden_table(theta)
+        rows, nx = PX.shape
+        nh = H.shape[1]
+        cond = np.concatenate([PX, H, (PX[:, :, None] * H[:, None, :]).reshape(rows, -1)],
+                              axis=1)
+        cond -= probs @ cond
+        cond *= np.sqrt(probs)[:, None]
+        cov = cond.T @ cond
+        hh = np.concatenate([np.ones((rows, 1)), H], axis=1)
+        within = ((PX * (1.0 - PX) * probs[:, None]).T
+                  @ (hh[:, :, None] * hh[:, None, :]).reshape(rows, -1))
+        # the coordinates x_i (1, h) of each x_i
+        at = np.concatenate([np.arange(nx)[:, None],
+                             nx + nh + np.arange(nx * nh).reshape(nx, nh)], axis=1)
+        cov[at[:, :, None], at[:, None, :]] += within.reshape(nx, nh + 1, nh + 1)
+        perm = self._enumerated[1]
+        return cov[np.ix_(perm, perm)]
 
     def enumerate_points(self):
-        self._check_enumerable()
+        self._check_visible_table()
         X = enumerate_bits(self.n_x)
         H = enumerate_bits(self.n_h)
         x_all = np.repeat(X, len(H), axis=0)
@@ -266,15 +313,15 @@ class JointRbmFamily(_RbmCommon):
         theta, so KL(P||Q) = (theta_p - theta_q) . E_P[T] - ln Z_p + ln Z_q."""
         tp = np.asarray(theta_p, dtype=float)
         tq = np.asarray(theta_q, dtype=float)
-        X, probs, PH, log_zp = self._visible_table(tp)
-        return float((tp - tq) @ _stats_of(X, probs, PH)
-                     - log_zp + self.log_partition(tq))
+        stats, log_zp = self._stats_and_log_z(tp)
+        return float((tp - tq) @ stats - log_zp + self.log_partition(tq))
 
 
 class MarginalRbmFamily(_RbmCommon):
     """RBM marginalized over the hidden layer; samples are visible bits."""
 
     latent = True
+    check_fisher = _RbmCommon._check_visible_table  # CapabilityError when refused
 
     def sample(self, theta, n, rng):
         return self._gibbs(theta, n, rng)[0]
@@ -296,23 +343,36 @@ class MarginalRbmFamily(_RbmCommon):
         stats = self.exact_stats(theta) if model_stats is None else model_stats
         return self.score_stats(theta, samples) - stats
 
+    @cached_property
+    def _visible_bits(self):
+        """The 2^n_x visible configurations as float rows, built once."""
+        self._check_visible_table()
+        X = enumerate_bits(self.n_x).astype(float)
+        X.flags.writeable = False
+        return X
+
+    def _visible_log_probs(self, theta):
+        """ln P(x) of every visible configuration, by the free energy of x."""
+        p = self.unpack(theta)
+        X = self._visible_bits
+        logmass = X @ p.a + _softplus(p.b + X @ p.W).sum(axis=1)
+        return logmass - _logsumexp(logmass)
+
     def fisher(self, theta):
         """Exact Cov(U, U) over the visible marginal."""
-        X, probs, _, _ = self._visible_table(theta)
-        U = self.score_stats(theta, X)
+        probs = np.exp(self._visible_log_probs(theta))
+        U = self.score_stats(theta, self._visible_bits)
         mean = U.T @ probs
         return (U * probs[:, None]).T @ U - np.outer(mean, mean)
 
     def enumerate_points(self):
-        self._check_enumerable()
+        self._check_visible_table()
         return enumerate_bits(self.n_x)
 
     def exact_kl(self, theta_p, theta_q):
         # The marginal law is not exponential in theta: sum directly.
-        lp = self._log_mass(theta_p)[1]
-        lp -= _logsumexp(lp)
-        lq = self._log_mass(theta_q)[1]
-        lq -= _logsumexp(lq)
+        lp = self._visible_log_probs(theta_p)
+        lq = self._visible_log_probs(theta_q)
         return float(np.exp(lp) @ (lp - lq))
 
 

@@ -125,6 +125,15 @@ def _value_groups(family, objective, points):
     return groups
 
 
+def _cached_inverse(values):
+    """The ``np.unique`` inverse of ``values`` when they are the read-only
+    values array of a ``_groups_cache`` entry, else None."""
+    for cached, inverse in _groups_cache.values():
+        if cached is values:
+            return inverse
+    return None
+
+
 def exact_weights_all(family, theta, objective, scheme):
     """Preference weight of every enumerated point under P_theta.
 
@@ -232,16 +241,22 @@ def f_quantile(values, probs, q):
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    order = np.argsort(values)
-    v = values[order]
-    first = _group_starts(v)
-    # Group ids scattered back to index order: bincount then sums each
-    # group's probabilities in index order, so no stable sort is needed.
-    group = np.empty(v.size, dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
+    group = _cached_inverse(values)
+    if group is None:
+        order = np.argsort(values)
+        v = values[order]
+        first = _group_starts(v)
+        # Group ids scattered back to index order: bincount then sums each
+        # group's probabilities in index order, so no stable sort is needed.
+        group = np.empty(v.size, dtype=np.intp)
+        group[order] = np.cumsum(first) - 1
+        uniq = v[first]
+    else:
+        # the same ascending group ids, from the np.unique the cache made
+        uniq = np.empty(int(group.max()) + 1)
+        uniq[group] = values
     p = probs / probs.sum()
     keep = p > 0.0
-    uniq = v[first]
     mass = np.bincount(group[keep], weights=p[keep], minlength=uniq.size)
     held = mass > 0.0  # the groups with a kept point
     return _group_quantile(uniq[held], mass[held], q)

@@ -44,7 +44,7 @@ def test_parse_config_round_trip():
     "family = bernoulli:d=5\nobjective = onemax:d=5\nfisher = bogus\n",
     "family = bernoulli:d=5\nobjective = onemax:d=5\nn = 10\nn = 20\n",
     "family = bernoulli:d=5\nobjective = onemax:d=5\njust a line\n",
-    "family = rbm:n_x=30,n_h=1\nobjective = two_min:d=30,seed=1\nfisher = exact\n",
+    "family = rbm:n_x=12,n_h=12\nobjective = two_min:d=12,seed=1\nfisher = exact\n",
     "family = gaussian_iso:d=5\nobjective = sphere:d=5\nfisher = mc:m=3\n",
 ])
 def test_bad_configs_rejected(bad):
@@ -374,6 +374,16 @@ def test_paper_scale_defaults():
     assert cfg2.n == 50
 
 
+def test_paper_scale_runs_on_the_exact_fisher():
+    # 40 x 1 sums over the 2 hidden states, so fisher = exact is accepted there
+    assert parse_config("paper_scale = true\nfisher = exact\n").family == "rbm:n_x=40,n_h=1"
+    cfg = parse_config("paper_scale = true\nfisher = exact\nn = 200\nrepeats = 1\n"
+                       "steps = 2\ngibbs_burn_in = 10\nseed = 3\n")
+    rec = run_experiment(cfg)[0]
+    assert rec.status == "step_limit" and len(rec.rows) == 2
+    assert all(row.reliability == "exact" and row.kl > 0.0 for row in rec.rows)
+
+
 def _override(text, extra):
     """``text`` with the lines of ``extra`` added, each replacing the line
     that sets the same key."""
@@ -406,6 +416,11 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("family = gaussian:d=10\nobjective = sphere:d=10,noise=uniform\n"
      "scheme = truncation:q0=0.5\nalgorithm = cma\nlift_noisy = true\n",
      "algorithm cma needs a family with mean_cov"),
+    ("family = rbm:n_x=12,n_h=12\nobjective = two_min:d=12,per_run=1\n"
+     "scheme = truncation:q0=0.5\nfisher = exact\n",
+     "fisher = exact: exact RBM quantities need 2"),
+    ("family = rbm_marginal:n_x=30,n_h=1\nobjective = two_min:d=30,per_run=1\n"
+     "scheme = truncation:q0=0.5\nfisher = exact\n", "visible states need n_x"),
     ("workers = 0\n", "workers"),
     ("lift_noisy = true\n", "lift_noisy needs a noisy objective"),
     ("algorithm = igo_ml\ndt = 1.5\n", "igo_ml needs dt in"),

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_acceptance import _kl_hessian
 
 from igopt import igo_step, substream, vanilla_step
 from igopt.families import (
@@ -253,9 +256,26 @@ def test_exact_kl_matches_direct_sum():
 
 
 def test_enumeration_cutoff_enforced():
+    # joint quantities enumerate the smaller layer: 18 x 4 sums 16 states,
+    # while the marginal family's Fisher and KL still need 2^18 visible ones
     fam = JointRbmFamily(18, 4)
-    with pytest.raises(CapabilityError):
+    theta = np.zeros(fam.dim_theta)
+    fam.fisher(theta)
+    marg = MarginalRbmFamily(18, 4)
+    for call in (lambda: marg.fisher(theta), lambda: marg.exact_kl(theta, theta),
+                 fam.enumerate_points):
+        with pytest.raises(CapabilityError, match="n_x \\+ n_h <= 20"):
+            call()
+    fam = JointRbmFamily(12, 12)  # 2^12 * 168^2 > 2^24
+    with pytest.raises(CapabilityError, match="2\\^24"):
         fam.log_partition(np.zeros(fam.dim_theta))
+
+
+def test_every_shape_accepted_before_is_still_enumerable():
+    for n_x in range(1, 20):
+        for n_h in range(1, 21 - n_x):
+            JointRbmFamily(n_x, n_h)._check_enumerable()
+    JointRbmFamily(40, 1)._check_enumerable()
 
 
 def test_centered_parametrization_round_trip():
@@ -276,8 +296,10 @@ def test_serialization_order():
 
 
 # -- frozen references: the sampler and exact quantities as first written ----
-# The family now gathers P(x | h) from a per-hidden-state table and builds one
-# visible table per theta; its outputs must equal these bit for bit.
+# The family now draws from raw Philox words with integer thresholds and
+# gathers P(x | h) from a per-hidden-state table; its samples must equal these
+# bit for bit.  Its exact joint quantities sum over the smaller layer, while
+# these sum over the visible states.
 
 def _ref_sigmoid(t):
     return 1.0 / (1.0 + np.exp(-np.clip(t, -40.0, 40.0)))
@@ -354,14 +376,84 @@ def test_gibbs_matches_reference_bit_for_bit(n_x, n_h, n, burn_in):
         np.testing.assert_array_equal(marg.sample(theta, n, substream(61, seed)), x_ref)
 
 
-@pytest.mark.parametrize("n_x, n_h", [(8, 1), (5, 2), (4, 3), (1, 1)])
+def test_gibbs_refuses_mt19937():
+    # MT19937's random() is built from two 32-bit words, so the raw-word
+    # thresholds would not reproduce it
+    fam = JointRbmFamily(3, 1)
+    with pytest.raises(ValueError, match="MT19937"):
+        fam.sample(np.zeros(fam.dim_theta), 4, np.random.Generator(np.random.MT19937(0)))
+    x, _ = fam.sample(np.zeros(fam.dim_theta), 4, np.random.default_rng(0))  # PCG64
+    x_ref, _ = ref_gibbs(fam, np.zeros(fam.dim_theta), 4, np.random.default_rng(0))
+    np.testing.assert_array_equal(x, x_ref)
+
+
+def ref_fisher(fam, theta):
+    """Cov(T) by total covariance over the visible states: Cov_x(E[T | x])
+    plus E_x[Cov(T | x)], where h_j enters T only as h_j (1, x)."""
+    X, probs, PH, _ = ref_table(fam, theta)
+    nx, nh = fam.n_x, fam.n_h
+    U = np.concatenate([X, PH, np.einsum("ri,rj->rij", X, PH).reshape(len(X), -1)], axis=1)
+    U -= probs @ U
+    cov = (U * probs[:, None]).T @ U
+    xx = np.concatenate([np.ones((len(X), 1)), X], axis=1)
+    for j in range(nh):
+        at = [nx + j] + [nx + nh + i * nh + j for i in range(nx)]
+        cov[np.ix_(at, at)] += (xx * (probs * PH[:, j] * (1.0 - PH[:, j]))[:, None]).T @ xx
+    return cov
+
+
+# The joint quantities now sum over the smaller layer, in another order than
+# the references: they agree to 1e-13 absolute.  The marginal KL still sums
+# over the visible states and stays bit for bit.
+@pytest.mark.parametrize("n_x, n_h", [(8, 1), (5, 2), (4, 3), (1, 1),
+                                      (12, 3), (16, 1), (10, 5), (8, 8), (3, 9)])
 def test_exact_quantities_match_reference_bit_for_bit(n_x, n_h):
     tp = tiny_params(n_x, n_h, seed=70).flat()
     tq = tiny_params(n_x, n_h, seed=71, scale=0.8).flat()
     joint, marg = JointRbmFamily(n_x, n_h), MarginalRbmFamily(n_x, n_h)
     for fam in (joint, marg):
         for theta in (tp, tq):
-            assert fam.log_partition(theta) == ref_table(fam, theta)[3]
-            np.testing.assert_array_equal(fam.exact_stats(theta), ref_stats(fam, theta))
-    assert joint.exact_kl(tp, tq) == ref_joint_kl(joint, tp, tq)
+            assert abs(fam.log_partition(theta) - ref_table(fam, theta)[3]) <= 1e-13
+            np.testing.assert_allclose(fam.exact_stats(theta), ref_stats(fam, theta),
+                                       rtol=0, atol=1e-13)
+    np.testing.assert_allclose(joint.fisher(tp), ref_fisher(joint, tp), rtol=0, atol=1e-13)
+    assert abs(joint.exact_kl(tp, tq) - ref_joint_kl(joint, tp, tq)) <= 1e-13
     assert marg.exact_kl(tp, tq) == ref_marginal_kl(marg, tp, tq)
+
+
+def test_paper_scale_fisher_is_the_kl_hessian():
+    # 40 x 1, refused before hidden-side enumeration; the criterion-13(b) oracle
+    fam = JointRbmFamily(40, 1)
+    theta = substream(72, 0).normal(scale=0.4, size=fam.dim_theta)
+    hess = _kl_hessian(lambda d: fam.exact_kl(theta + d, theta), theta.size)
+    F = fam.fisher(theta)
+    assert np.linalg.norm(hess - F) / np.linalg.norm(F) < 1e-4
+
+
+def _flip_matrix(fam, j):
+    """The hidden flip of unit j is linear in theta: its matrix A."""
+    eye = np.eye(fam.dim_theta)
+    return np.stack([flip_hidden_params(fam.unpack(e), j).flat() for e in eye], axis=1)
+
+
+@given(data=st.data(), n_x=st.integers(1, 6), n_h=st.integers(1, 6))
+def test_hidden_flip_equivariance_of_exact_quantities(data, n_x, n_h):
+    # theta' = A theta relabels h_j -> 1 - h_j: P_theta'(x, flip h) = P_theta(x, h)
+    fam = JointRbmFamily(n_x, n_h)
+    j = data.draw(st.integers(0, n_h - 1))
+    coords = st.floats(-3.0, 3.0, allow_nan=False)
+    tp, tq = (np.array(data.draw(st.lists(coords, min_size=fam.dim_theta,
+                                          max_size=fam.dim_theta)))
+              for _ in range(2))
+    A = _flip_matrix(fam, j)
+    np.testing.assert_array_equal(A @ A, np.eye(fam.dim_theta))  # an involution
+    fp, fq = A @ tp, A @ tq
+    b_j = fam.unpack(tp).b[j]
+    assert abs(fam.log_partition(fp) - (fam.log_partition(tp) - b_j)) <= 1e-12
+    assert abs(fam.exact_kl(fp, fq) - fam.exact_kl(tp, tq)) <= 1e-12
+    # T(x, flip h) = A^T T(x, h) + e_{h_j}, so E[T] and Cov(T) move with A^T
+    shift = np.zeros(fam.dim_theta)
+    shift[n_x + j] = 1.0
+    np.testing.assert_allclose(fam.exact_stats(fp), A.T @ fam.exact_stats(tp) + shift,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fam.fisher(fp), A.T @ fam.fisher(tp) @ A, rtol=0, atol=1e-12)

@@ -499,6 +499,23 @@ def test_batch_quantile_matches_unique_form_bit_for_bit(values, q):
                          values)
 
 
+@pytest.mark.parametrize("objective", [linear(2.0 ** -np.arange(14), space="bits"),
+                                       onemax(8), onemax(10)])
+def test_f_quantile_of_cached_values_matches_the_sort_path(objective):
+    # values held by the exact-weights cache reuse its np.unique inverse;
+    # a copy of them takes the argsort path, and the bits must agree
+    family = BernoulliFamily(objective.dim)
+    rng = substream(65, objective.dim)
+    for _ in range(10):
+        theta = rng.uniform(0.05, 0.95, objective.dim)
+        _, probs, values, _ = exact_weights_all(family, theta, objective, truncation(0.3))
+        assert flow_module._cached_inverse(values) is not None
+        assert flow_module._cached_inverse(values.copy()) is None
+        for q in (0.0, 0.1, 0.25, 0.3, 0.5, 0.77, 0.9, 1.0):
+            assert_same_quantile(f_quantile(values, probs, q),
+                                 f_quantile(values.copy(), probs, q), values)
+
+
 def test_flow_rhs_matches_derivative_free_covariance_form():
     # for a family in natural exponential coordinates the flow is
     # Cov(T, T)^{-1} Cov(T, W), no derivatives involved: check against the
