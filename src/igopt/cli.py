@@ -90,10 +90,10 @@ def _run_flow(spec):
     obj = objectives_mod.parse_objective(spec["objective"])
 
     if fam_kind == "gaussian_iso" and obj.kind == "sphere":
-        d = int(fam_opts["d"])
+        d = fam_opts.take("d", int)
         sphere = flow_mod.SphereFlow(d, scheme.q0)
-        r0 = float(fam_opts.get("r0", 3.0))
-        s0 = math.log(float(fam_opts.get("sigma0", 1.0)))
+        r0 = fam_opts.take("r0", float, 3.0)
+        s0 = math.log(fam_opts.take("sigma0", float, 1.0))
         rhs = _memoized(sphere.rhs)
         traj = flow_mod.integrate(rhs, np.array([r0, s0]), horizon, step, method)
         rows = [[state.t, *state.theta, sphere.median_f(state.theta),
@@ -169,9 +169,9 @@ def cmd_table(args):
 
 
 def _grid(opts, lo_key="q_min", hi_key="q_max", default_lo=0.01, default_hi=0.6):
-    lo = float(opts.get(lo_key, default_lo))
-    hi = float(opts.get(hi_key, default_hi))
-    points = int(opts.get("points", 60))
+    lo = opts.take(lo_key, float, default_lo)
+    hi = opts.take(hi_key, float, default_hi)
+    points = opts.take("points", int, 60)
     return np.linspace(lo, hi, points)
 
 def _critical_dt_table(opts):
@@ -183,7 +183,7 @@ def _critical_dt_table(opts):
 
 
 def _linear_constants_table(opts):
-    d = int(opts.get("d", 1))
+    d = opts.take("d", int, 1)
     rows = []
     for q0 in _grid(opts, default_lo=0.05, default_hi=0.95):
         lc = flow_mod.gaussian_linear_constants(float(q0), d)

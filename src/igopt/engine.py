@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fisher as fisher_mod
-from .families.base import CapabilityError, Family, as_weight_array
+from .families.base import (CapabilityError, DegenerateUpdate, DomainError, Family,
+                            as_weight_array)
 
 __all__ = [
     "igo_step",
@@ -140,8 +141,8 @@ def smoothed_cem_step(family, theta, samples, weights, alpha, parametrization):
 
     parametrization: "natural" blends the family's own parameter vectors
     ("mean_cov" is an alias for Gaussian-style families); "expectation"
-    blends expectation parameters, where the result coincides with
-    ``igo_ml_step`` at alpha = dt.
+    blends expectation parameters, which is ``igo_ml_step`` at dt = alpha
+    on renormalized weights.
 
     In expectation coordinates the argmax is the weighted statistic average
     itself, so it is blended directly: a boundary-touching elite (where the
@@ -151,15 +152,11 @@ def smoothed_cem_step(family, theta, samples, weights, alpha, parametrization):
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("smoothed_cem_step needs alpha in (0, 1]")
-    theta = np.asarray(theta, dtype=float)
     if parametrization in ("natural", "mean_cov"):
         theta_star = weighted_ml(family, samples, weights)
-        return (1.0 - alpha) * theta + alpha * theta_star
+        return (1.0 - alpha) * np.asarray(theta, dtype=float) + alpha * theta_star
     if parametrization == "expectation":
-        w = _normalized(as_weight_array(weights), "renormalize", "smoothed_cem_step")
-        t_star = w @ family.sufficient_stats(samples)
-        blended = (1.0 - alpha) * family.to_expectation(theta) + alpha * t_star
-        return family.from_expectation(blended)
+        return igo_ml_step(family, theta, samples, weights, alpha, on_unnormalized="renormalize")
     raise ValueError(f"unknown parametrization: {parametrization!r}")
 
 
@@ -177,48 +174,50 @@ class StepReport:
 
 
 def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
-                     fisher=None, samples=None, rng=None, kl_samples=2048,
-                     exact_kl=None):
+                     fisher=None, samples=None, rng=None, kl_samples=2048):
     """KL spent by the step, its Fisher norm, and the turn angle.
 
-    The KL estimate compares old and new log-likelihoods on a Monte-Carlo
-    sample: by default the update's own sample (drawn from the pre-step
-    distribution) is reused; pass ``rng`` to draw a fresh one instead.  For
-    enumerable families the exact value is used (stderr 0).  The cosine is
-    the Fisher scalar product at theta_before between the previous and
-    current increments.
+    The KL is the family's closed form ``exact_kl`` (stderr 0, sample size
+    0).  A family without one, or a step it cannot answer, falls back to the
+    mean old-minus-new log-likelihood on the update's own sample (drawn
+    from the pre-step distribution), or on ``kl_samples`` fresh draws from
+    ``rng`` when no sample is given; if that fails too the KL is NaN.  The
+    norm is sqrt(delta M delta) with M the ``fisher`` estimate's matrix, or
+    the family's exact Fisher matrix at theta_before (NaN when it has
+    none).  The cosine is the same M's scalar product between the previous
+    and current increments.
     """
     theta_before = np.asarray(theta_before, dtype=float)
     theta_after = np.asarray(theta_after, dtype=float)
     delta = theta_after - theta_before
-    fm = fisher_mod.exact_fisher(family, theta_before) if fisher is None else fisher
-    norm2 = float(delta @ fm.matrix @ delta)
-    fisher_step_norm = math.sqrt(max(0.0, norm2))
+    try:
+        mat = family.fisher(theta_before) if fisher is None else fisher.matrix
+        fisher_step_norm = math.sqrt(max(0.0, float(delta @ mat @ delta)))
+    except (CapabilityError, DomainError):
+        mat, fisher_step_norm = None, float("nan")
 
-    if exact_kl is None:
-        exact_kl = "enumerable" in family.capabilities
-    if exact_kl:
-        lp_old = family.enumerated_log_density(theta_before)
-        lp_new = family.enumerated_log_density(theta_after)
-        probs = np.exp(lp_old)
-        kl = float(probs @ (lp_old - lp_new))
-        stderr, m = 0.0, 0
-    else:
+    try:
+        kl, stderr, m = float(family.exact_kl(theta_before, theta_after)), 0.0, 0
+    except (CapabilityError, DomainError, DegenerateUpdate):
         if samples is None:
             if rng is None:
-                raise ValueError("need samples or an rng for the KL estimate")
+                raise ValueError("need samples or an rng for the KL estimate") from None
             samples = family.sample(theta_before, kl_samples, rng)
-        diff = family.log_density(theta_before, samples) \
-            - family.log_density(theta_after, samples)
-        m = diff.size
-        kl = float(diff.mean())
-        stderr = float(diff.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
+        try:
+            diff = family.log_density(theta_before, samples) \
+                - family.log_density(theta_after, samples)
+        except (CapabilityError, DomainError, DegenerateUpdate):
+            kl, stderr, m = float("nan"), float("nan"), 0
+        else:
+            m = diff.size
+            kl = float(diff.mean())
+            stderr = float(diff.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
 
     cosine = None
-    if previous_step is not None:
+    if previous_step is not None and mat is not None:
         prev = np.asarray(previous_step, dtype=float)
-        num = float(prev @ fm.matrix @ delta)
-        den = math.sqrt(max(0.0, float(prev @ fm.matrix @ prev))) * fisher_step_norm
+        num = float(prev @ mat @ delta)
+        den = math.sqrt(max(0.0, float(prev @ mat @ prev))) * fisher_step_norm
         if den > 0.0:
             cosine = max(-1.0, min(1.0, num / den))
 

@@ -29,6 +29,7 @@ from .engine import (
     igo_step,
     lift_noisy,
     smoothed_cem_step,
+    step_diagnostics,
     vanilla_step,
 )
 from .families import (
@@ -164,7 +165,7 @@ def _apply_paper_scale(cfg, given):
     if "family" not in given:
         cfg.family = "rbm:n_x=40,n_h=1"
     if "objective" not in given:
-        d = int(parse_spec(cfg.family)[1].get("n_x", 40))
+        d = parse_spec(cfg.family)[1].take("n_x", int, 40)
         cfg.objective = f"two_min:d={d},per_run=1"
     if "n" not in given:
         cfg.n = 10000
@@ -181,7 +182,7 @@ def _fisher_sample_count(spec):
     kind, opts = parse_spec(spec)
     if kind != "mc" or "m" not in opts:
         raise ValueError(f"bad fisher spec {spec!r}; expected exact or mc:m=<count>")
-    return int(opts["m"])
+    return opts.take("m", int)
 
 
 # -- spec-string builders ------------------------------------------------------
@@ -191,12 +192,12 @@ def _family_and_start(cfg, rng):
     kind, opts = parse_spec(cfg.family)
     if kind in ("rbm", "rbm_marginal"):
         rbm = JointRbmFamily if kind == "rbm" else MarginalRbmFamily
-        family = rbm(int(opts["n_x"]), int(opts.get("n_h", 1)), burn_in=cfg.gibbs_burn_in)
+        family = rbm(opts.take("n_x", int), opts.take("n_h", int, 1), burn_in=cfg.gibbs_burn_in)
         return family, family.init_params(rng)
-    d = int(opts["d"])
-    p0 = float(opts.get("p0", 0.5)) * np.ones(d)
-    m0 = float(opts.get("m0", 0.0)) * np.ones(d)
-    s0 = float(opts.get("sigma0", 1.0))
+    d = opts.take("d", int)
+    p0 = opts.take("p0", float, 0.5) * np.ones(d)
+    m0 = opts.take("m0", float, 0.0) * np.ones(d)
+    s0 = opts.take("sigma0", float, 1.0)
     if kind == "bernoulli":
         return BernoulliFamily(d), p0
     if kind == "bernoulli_logit":
@@ -242,18 +243,22 @@ def _setup(cfg, objective_rng, init_rng):
 def _parse_scheme(spec):
     kind, opts = parse_spec(spec)
     if kind == "truncation":
-        return truncation(float(opts.get("q0", 0.5)),
-                          shift=float(opts.get("shift", 0.0)))
+        return truncation(opts.take("q0", float, 0.5),
+                          shift=opts.take("shift", float, 0.0))
     if kind == "signed_median":
-        return signed_median(shift=float(opts.get("shift", 0.0)),
-                             scale=float(opts.get("scale", 1.0)))
+        return signed_median(shift=opts.take("shift", float, 0.0),
+                             scale=opts.take("scale", float, 1.0))
     if kind == "table":
         # nodes=q:v;q:v;...  e.g. table:nodes=0:2;0.25:1;0.5:0
-        nodes = [tuple(float(p) for p in pair.split(":"))
-                 for pair in opts["nodes"].split(";")]
-        return table(nodes, shift=float(opts.get("shift", 0.0)))
+        text = opts["nodes"]
+        try:
+            nodes = [tuple(float(p) for p in pair.split(":")) for pair in text.split(";")]
+        except ValueError:
+            raise ValueError(f"{spec!r}: option nodes must be q:v pairs separated by ';', "
+                             f"got {text!r}") from None
+        return table(nodes, shift=opts.take("shift", float, 0.0))
     if kind == "pbil":
-        return ("pbil", int(opts.get("mu", 1)), float(opts["lr"]))
+        return ("pbil", opts.take("mu", int, 1), opts.take("lr", float))
     raise ValueError(f"unknown scheme spec {spec!r}")
 
 
@@ -356,8 +361,7 @@ def single_run(cfg, run_id):
             break
 
         new_theta = family.project(new_theta)
-        kl, kl_stderr = _kl_for(family, theta, new_theta, samples)
-        speed = _speed_for(family, theta, new_theta, fm)
+        report = step_diagnostics(family, theta, new_theta, fisher=fm, samples=samples)
 
         record.rows.append(StepRow(
             step=step,
@@ -368,9 +372,9 @@ def single_run(cfg, run_id):
                          if two_min_y is not None else float("nan")),
             mean_hidden=(float(np.asarray(samples[1], dtype=float).mean())
                          if joint_rbm else float("nan")),
-            kl=kl,
-            kl_stderr=kl_stderr,
-            speed_norm=speed,
+            kl=report.kl_estimate,
+            kl_stderr=report.kl_stderr,
+            speed_norm=report.fisher_step_norm,
             reliability=reliability,
             dt=cfg.dt,
         ))
@@ -473,31 +477,6 @@ STEPS = {
 }
 
 
-def _kl_for(family, theta, new_theta, samples):
-    try:
-        return family.exact_kl(theta, new_theta), 0.0
-    except (CapabilityError, DomainError, DegenerateUpdate):
-        pass
-    try:
-        diff = family.log_density(theta, samples) - family.log_density(new_theta, samples)
-    except (CapabilityError, DomainError, DegenerateUpdate):
-        return float("nan"), float("nan")
-    m = diff.size
-    return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(m))
-
-
-def _speed_for(family, theta, new_theta, fm):
-    delta = np.asarray(new_theta, dtype=float) - np.asarray(theta, dtype=float)
-    if fm is not None:
-        mat = fm.matrix
-    else:
-        try:
-            mat = family.fisher(theta)
-        except (CapabilityError, DomainError):
-            return float("nan")
-    return math.sqrt(max(0.0, float(delta @ mat @ delta)))
-
-
 def _both_optima_seen(points, y, seen):
     hits_y = bool(np.any(np.all(points == y, axis=1)))
     hits_c = bool(np.any(np.all(points == 1 - y, axis=1)))
@@ -518,10 +497,12 @@ def _dist_second(points, y, values):
 # -- batch driver and CSV ------------------------------------------------------
 
 def run_experiment(cfg, out_dir=None):
-    """Run all repeats; write CSV files when out_dir is given."""
+    """Run all repeats; write CSV files when out_dir is given.  The pool has
+    no more workers than repeats or CPUs; the CSV bytes do not depend on it."""
     cfg.validate()
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, cfg.repeats, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(single_run, [cfg] * cfg.repeats, range(cfg.repeats)))
     else:
         records = [single_run(cfg, r) for r in range(cfg.repeats)]

@@ -160,24 +160,16 @@ class FullGaussianFamily(Family):
         B = np.linalg.inv(p.C)
         d = self.dim
         iu, ju = np.triu_indices(d)
-        k = iu.size
+        i, j, a, b = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
+        # entry (r, s) pairs covariance coordinates c_ij (row r) and c_ab;
+        # float_power is the scalar pow of B[i, a] ** 2, bit for bit
+        cc = np.where(i == j, np.where(a == b, 0.5 * np.float_power(B[i, a], 2.0),
+                                       B[i, a] * B[i, b]),
+                      np.where(a == b, B[a, i] * B[a, j],
+                               B[i, a] * B[j, b] + B[i, b] * B[j, a]))
         out = np.zeros((self.dim_theta, self.dim_theta))
         out[:d, :d] = B
-        cc = np.zeros((k, k))
-        for r in range(k):
-            i, j = iu[r], ju[r]
-            for s in range(r, k):
-                a, b = iu[s], ju[s]
-                if i == j and a == b:
-                    v = 0.5 * B[i, a] ** 2
-                elif i == j:
-                    v = B[i, a] * B[i, b]
-                elif a == b:
-                    v = B[a, i] * B[a, j]
-                else:
-                    v = B[i, a] * B[j, b] + B[i, b] * B[j, a]
-                cc[r, s] = cc[s, r] = v
-        out[d:, d:] = cc
+        out[d:, d:] = np.triu(cc) + np.triu(cc, 1).T  # the upper triangle, mirrored
         return out
 
     def sufficient_stats(self, samples):
@@ -371,10 +363,10 @@ def _elite_stats(samples, w):
     return m_star, c_star
 
 
-def gaussian_step(kind, params, samples, weights, *, dt=None, eta_m=None, eta_c=None, j=None):
+def gaussian_step(kind, params, samples, weights, *, dt=None, j=None):
     """One step of a named Gaussian update rule.
 
-    kind = "cma":  m += eta_m * sum w (x - m); C += eta_c * sum w ((x-m)(x-m)^T - C).
+    kind = "cma":  m += dt * sum w (x - m); C += dt * sum w ((x-m)(x-m)^T - C).
     kind = "emna": jump to the weighted mean / covariance of the elite.
     kind = "xnes": multiplicative update of the square root A (params must be
                    GaussianSqrtParams); C = A A^T is derived, never touched.
@@ -387,11 +379,9 @@ def gaussian_step(kind, params, samples, weights, *, dt=None, eta_m=None, eta_c=
     w = np.asarray(getattr(weights, "weights", weights), dtype=float)
 
     if kind == "cma":
-        eta_m = dt if eta_m is None else eta_m
-        eta_c = dt if eta_c is None else eta_c
         dev = x - params.m
-        m_new = params.m + eta_m * (w @ dev)
-        C_new = params.C + eta_c * ((dev * w[:, None]).T @ dev - w.sum() * params.C)
+        m_new = params.m + dt * (w @ dev)
+        C_new = params.C + dt * ((dev * w[:, None]).T @ dev - w.sum() * params.C)
         _require_pd(C_new)
         return GaussianParams(m_new, C_new)
 
@@ -403,14 +393,12 @@ def gaussian_step(kind, params, samples, weights, *, dt=None, eta_m=None, eta_c=
     if kind == "xnes":
         if not isinstance(params, GaussianSqrtParams):
             raise TypeError("xnes updates operate on GaussianSqrtParams")
-        eta_m = dt if eta_m is None else eta_m
-        eta_c = dt if eta_c is None else eta_c
         dev = x - params.m
         z = np.linalg.solve(params.A, dev.T).T
         d = params.A.shape[0]
         Y = (z * w[:, None]).T @ z - w.sum() * np.eye(d)
-        m_new = params.m + eta_m * (w @ dev)
-        A_new = params.A @ _expm_sym(0.5 * eta_c * Y)
+        m_new = params.m + dt * (w @ dev)
+        A_new = params.A @ _expm_sym(0.5 * dt * Y)
         return GaussianSqrtParams(m_new, A_new)
 
     if kind == "unified":

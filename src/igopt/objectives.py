@@ -143,6 +143,18 @@ class _Options(dict):
     def __missing__(self, key):
         raise ValueError(f"{self.spec!r} needs option {key!r}")
 
+    def take(self, key, kind, default=None):
+        """Remove option ``key`` and return it as ``kind`` (int or float), or
+        ``default`` when it is absent; without a default it is required."""
+        value = self[key] if default is None else self.get(key, default)
+        self.pop(key, None)
+        try:
+            return kind(value)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{self.spec!r}: option {key} must be {what}, "
+                             f"got {value!r}") from None
+
 
 def parse_spec(spec):
     """Split a spec string ``kind[:key=value,...]`` (the grammar of every
@@ -169,23 +181,23 @@ def parse_objective(spec, rng=None):
     and noise_scale wrap any kind; phi applies a monotone transform.
     """
     kind, kv = parse_spec(spec)
-    d = int(kv.pop("d", 0))
+    d = kv.take("d", int, 0)
     noise = kv.pop("noise", None)
-    noise_scale = float(kv.pop("noise_scale", 1.0))
+    noise_scale = kv.take("noise_scale", float, 1.0)
     phi = kv.pop("phi", None)
 
     if kind == "onemax":
         obj = onemax(d)
     elif kind == "linear":
-        alpha = float(kv.pop("alpha", 1.0)) * np.ones(d)
-        obj = linear(alpha, float(kv.pop("c", 0.0)), space=kv.pop("space", "reals"))
+        alpha = kv.take("alpha", float, 1.0) * np.ones(d)
+        obj = linear(alpha, kv.take("c", float, 0.0), space=kv.pop("space", "reals"))
     elif kind == "sphere":
-        center = float(kv.pop("center", 0.0)) * np.ones(d)
+        center = kv.take("center", float, 0.0) * np.ones(d)
         obj = sphere(d, center)
     elif kind == "two_min":
         if "seed" in kv:
             from .rng import substream
-            y_rng = substream(int(kv.pop("seed")), 0)
+            y_rng = substream(kv.take("seed", int), 0)
             obj = two_min_random(d, y_rng)
         elif kv.pop("per_run", None):
             if rng is None:

@@ -21,6 +21,7 @@ from igopt import (
 from igopt.engine import StepReport
 from igopt.families import (
     BernoulliFamily,
+    CapabilityError,
     DegenerateUpdate,
     FullGaussianFamily,
     GaussianParams,
@@ -188,14 +189,23 @@ def test_step_diagnostics_exact_kl_hand_value():
     assert rep.fisher_step_norm == pytest.approx(math.sqrt(0.05**2 * 4.0))
 
 
+class _NoClosedFormKl(FullGaussianFamily):
+    def exact_kl(self, theta_p, theta_q):
+        raise CapabilityError("no closed-form KL")
+
+
 def test_step_diagnostics_monte_carlo_kl():
-    fam = FullGaussianFamily(1)
+    fam = _NoClosedFormKl(1)
     t0 = fam.pack(GaussianParams(np.zeros(1), np.eye(1)))
     t1 = fam.pack(GaussianParams(np.array([0.1]), np.eye(1)))
     rep = step_diagnostics(fam, t0, t1, rng=substream(46, 0), kl_samples=40000)
     exact = 0.5 * 0.1**2  # KL between unit normals shifted by 0.1
     assert rep.kl_sample_size == 40000
     assert abs(rep.kl_estimate - exact) <= 3.5 * rep.kl_stderr + 1e-4
+    # the plain family answers in closed form
+    rep = step_diagnostics(FullGaussianFamily(1), t0, t1, rng=substream(46, 0))
+    assert rep.kl_estimate == pytest.approx(exact, rel=1e-12)
+    assert rep.kl_stderr == 0.0 and rep.kl_sample_size == 0
 
 
 def test_cosine_and_adapt_dt():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from igopt import cli
+from igopt import experiment
 from igopt import flow as flow_mod
 from igopt.experiment import (
     CSV_SCHEMA_VERSION,
@@ -72,6 +73,39 @@ def test_worker_pool_gives_identical_csv(tmp_path):
     run_experiment(cfg, out_dir=tmp_path / "serial")
     cfg2 = parse_config(PBIL_CONFIG + "workers = 2\n")
     run_experiment(cfg2, out_dir=tmp_path / "pool")
+    assert (tmp_path / "serial" / "experiment_runs.csv").read_bytes() == \
+        (tmp_path / "pool" / "experiment_runs.csv").read_bytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_worker_pool_is_bounded_by_repeats_and_cpus(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    _RecordingPool.sizes = []
+    run_experiment(parse_config(PBIL_CONFIG), out_dir=tmp_path / "serial")
+    run_experiment(parse_config(PBIL_CONFIG + "workers = 100000\n"), out_dir=tmp_path / "pool")
+    run_experiment(parse_config(_override(PBIL_CONFIG, "workers = 100000\nrepeats = 9\n")))
+    run_experiment(parse_config(_override(PBIL_CONFIG, "workers = 3\nrepeats = 1\n")))
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: None)
+    run_experiment(parse_config(PBIL_CONFIG + "workers = 100000\n"))
+    assert _RecordingPool.sizes == [2, 4]  # the last two runs open no pool
     assert (tmp_path / "serial" / "experiment_runs.csv").read_bytes() == \
         (tmp_path / "pool" / "experiment_runs.csv").read_bytes()
 
@@ -210,6 +244,15 @@ def test_cli_table_outputs(tmp_path, monkeypatch):
     # log-sigma growth rate positive iff q0 < 1/2; drift always negative
     assert np.all((lc["alpha"] > 0) == (lc["q0"] < 0.5))
     assert np.all(lc["beta"] < 0)
+
+
+def test_cli_table_bad_number_names_the_option(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    assert cli.main(["table", "critical_dt:points=many"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: 'critical_dt:points=many': option points must be an integer, "
+        "got 'many'\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_flow_bernoulli(tmp_path, monkeypatch):
@@ -427,6 +470,12 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("algorithm = smoothed_cem\ndt = 1.5\n", "smoothed_cem needs dt in"),
     ("algorithm = smoothed_cem\nsmoothed_cem_coords = logit\n",
      "smoothed_cem_coords must be natural, mean_cov or expectation, got 'logit'"),
+    ("fisher = mc:m=abc\n", "'mc:m=abc': option m must be an integer, got 'abc'"),
+    ("family = bernoulli:d=x\n", "'bernoulli:d=x': option d must be an integer, got 'x'"),
+    ("family = bernoulli:d=10,p0=half\n", "option p0 must be a number, got 'half'"),
+    ("objective = onemax:d=1e1\n", "'onemax:d=1e1': option d must be an integer, got '1e1'"),
+    ("scheme = pbil:mu=1,lr=fast\n", "option lr must be a number, got 'fast'"),
+    ("scheme = table:nodes=0:2;half:1\n", "option nodes must be q:v pairs"),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, extra, key):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))

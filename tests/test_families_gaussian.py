@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igopt import igo_ml_step, substream
 from igopt.families import (
@@ -212,6 +214,45 @@ def test_fisher_block_diagonal_between_mean_and_covariance():
     # and the exact matrix is exactly block-diagonal
     F = fam.fisher(theta)
     np.testing.assert_allclose(F[:d, d:], 0.0, atol=1e-12)
+
+
+def _reference_full_gaussian_fisher(fam, theta):
+    """The exact full-Gaussian Fisher as an entry-by-entry loop over pairs of
+    covariance coordinates, kept as the reference for the array form."""
+    p = fam.unpack(theta)
+    B = np.linalg.inv(p.C)
+    d = fam.dim
+    iu, ju = np.triu_indices(d)
+    k = iu.size
+    out = np.zeros((fam.dim_theta, fam.dim_theta))
+    out[:d, :d] = B
+    cc = np.zeros((k, k))
+    for r in range(k):
+        i, j = iu[r], ju[r]
+        for s in range(r, k):
+            a, b = iu[s], ju[s]
+            if i == j and a == b:
+                v = 0.5 * B[i, a] ** 2
+            elif i == j:
+                v = B[i, a] * B[i, b]
+            elif a == b:
+                v = B[a, i] * B[a, j]
+            else:
+                v = B[i, a] * B[j, b] + B[i, b] * B[j, a]
+            cc[r, s] = cc[s, r] = v
+    out[d:, d:] = cc
+    return out
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3),
+       st.floats(1e-3, 10.0))
+def test_full_gaussian_fisher_matches_the_entry_loop_bit_for_bit(d, seed, scale, ridge):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d))
+    fam = FullGaussianFamily(d)
+    theta = fam.pack(GaussianParams(rng.normal(size=d), scale * (A @ A.T + ridge * np.eye(d))))
+    assert np.array_equal(fam.fisher(theta), _reference_full_gaussian_fisher(fam, theta))
 
 
 def test_mc_fisher_matches_exact_fisher_full_gaussian():

@@ -7,6 +7,7 @@ requires the runner's parameter trace to match bit for bit.
 """
 
 import numpy as np
+import pytest
 
 from igopt import (
     cem_step,
@@ -14,11 +15,13 @@ from igopt import (
     igo_ml_step,
     igo_step,
     smoothed_cem_step,
+    step_diagnostics,
     truncation,
     vanilla_step,
 )
 from igopt.experiment import parse_config, run_experiment
 from igopt.families import (
+    BernoulliFamily,
     FullGaussianFamily,
     GaussianParams,
     GaussianSqrtParams,
@@ -149,3 +152,22 @@ def test_igo_with_monte_carlo_fisher_matches_hand_chained_reference():
         "dt = 0.2\nsteps = 15\nseed = 35\n",
         fam, np.array([1.0, 1.0, 0.0]), sphere(2), truncation(0.5), update)
     assert all(row.reliability == "pass" for row in rec.rows)
+
+
+@pytest.mark.parametrize("text, family", [
+    ("family = bernoulli:d=8\nobjective = onemax:d=8\nalgorithm = igo\nn = 30\n"
+     "dt = 0.2\nsteps = 12\nseed = 36\n", BernoulliFamily(8)),
+    (GAUSS + "algorithm = cma\n", FullGaussianFamily(2)),
+    ("family = gaussian_iso:d=2,m0=1\nobjective = sphere:d=2\nalgorithm = igo\nn = 30\n"
+     "dt = 0.2\nsteps = 12\nseed = 37\n", IsotropicGaussianFamily(2)),
+])
+def test_row_diagnostics_are_the_step_report(text, family):
+    """The runs CSV's kl, kl_stderr and speed_norm are ``step_diagnostics``
+    of each recorded step, bit for bit."""
+    rec = run_experiment(parse_config(text))[0]
+    assert rec.rows and len(rec.thetas) == len(rec.rows) + 1
+    for k, row in enumerate(rec.rows):
+        rep = step_diagnostics(family, rec.thetas[k], rec.thetas[k + 1])
+        assert rep.kl_stderr == 0.0 and rep.kl_estimate > 0.0
+        assert (row.kl, row.kl_stderr, row.speed_norm) == (
+            rep.kl_estimate, rep.kl_stderr, rep.fisher_step_norm)
