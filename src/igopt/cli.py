@@ -94,6 +94,7 @@ def _run_flow(spec):
         sphere = flow_mod.SphereFlow(d, scheme.q0)
         r0 = fam_opts.take("r0", float, 3.0)
         s0 = math.log(fam_opts.take("sigma0", float, 1.0))
+        fam_opts.finish()
         rhs = _memoized(sphere.rhs)
         traj = flow_mod.integrate(rhs, np.array([r0, s0]), horizon, step, method)
         rows = [[state.t, *state.theta, sphere.median_f(state.theta),
@@ -172,6 +173,7 @@ def _grid(opts, lo_key="q_min", hi_key="q_max", default_lo=0.01, default_hi=0.6)
     lo = opts.take(lo_key, float, default_lo)
     hi = opts.take(hi_key, float, default_hi)
     points = opts.take("points", int, 60)
+    opts.finish()  # the grid's options are each table's last
     return np.linspace(lo, hi, points)
 
 def _critical_dt_table(opts):

@@ -262,7 +262,6 @@ class LiftedNoisyFamily(Family):
 
     def __init__(self, base):
         self.base = base
-        self.latent = base.latent
         self.centred_score = base.centred_score
         self.dim_theta = base.dim_theta
 
@@ -304,6 +303,9 @@ class LiftedNoisyFamily(Family):
 
     def project(self, theta):
         return self.base.project(theta)
+
+    def points_of(self, samples):
+        return self.base.points_of(samples[0])
 
     def sample_size(self, samples):
         return len(samples[1])

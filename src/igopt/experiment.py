@@ -182,34 +182,40 @@ def _fisher_sample_count(spec):
     kind, opts = parse_spec(spec)
     if kind != "mc" or "m" not in opts:
         raise ValueError(f"bad fisher spec {spec!r}; expected exact or mc:m=<count>")
-    return opts.take("m", int)
+    m = opts.take("m", int)
+    opts.finish()
+    return m
 
 
 # -- spec-string builders ------------------------------------------------------
 
 def _family_and_start(cfg, rng):
-    """The family of ``cfg`` and its starting theta; ``rng`` draws an RBM's."""
+    """The family of ``cfg`` and its starting theta; ``rng`` draws an RBM's.
+    Each kind takes only its own options."""
     kind, opts = parse_spec(cfg.family)
     if kind in ("rbm", "rbm_marginal"):
         rbm = JointRbmFamily if kind == "rbm" else MarginalRbmFamily
         family = rbm(opts.take("n_x", int), opts.take("n_h", int, 1), burn_in=cfg.gibbs_burn_in)
+        opts.finish()
         return family, family.init_params(rng)
+    if kind not in ("bernoulli", "bernoulli_logit", "gaussian", "gaussian_iso", "gaussian_mean"):
+        raise ValueError(f"unknown family spec {cfg.family!r}")
     d = opts.take("d", int)
-    p0 = opts.take("p0", float, 0.5) * np.ones(d)
-    m0 = opts.take("m0", float, 0.0) * np.ones(d)
-    s0 = opts.take("sigma0", float, 1.0)
-    if kind == "bernoulli":
-        return BernoulliFamily(d), p0
-    if kind == "bernoulli_logit":
+    if kind in ("bernoulli", "bernoulli_logit"):
+        p0 = opts.take("p0", float, 0.5) * np.ones(d)
+        opts.finish()
+        if kind == "bernoulli":
+            return BernoulliFamily(d), p0
         return LogitBernoulliFamily(d), LogitBernoulliFamily.from_probabilities(p0)
+    m0 = opts.take("m0", float, 0.0) * np.ones(d)
+    s0 = None if kind == "gaussian_mean" else opts.take("sigma0", float, 1.0)
+    opts.finish()
     if kind == "gaussian":
         family = FullGaussianFamily(d)
         return family, family.pack(GaussianParams(m0, s0**2 * np.eye(d)))
     if kind == "gaussian_iso":
         return IsotropicGaussianFamily(d), np.concatenate([m0, [math.log(s0)]])
-    if kind == "gaussian_mean":
-        return MeanGaussianFamily(d), m0
-    raise ValueError(f"unknown family spec {cfg.family!r}")
+    return MeanGaussianFamily(d), m0
 
 
 def _stop_target(cfg):
@@ -243,23 +249,25 @@ def _setup(cfg, objective_rng, init_rng):
 def _parse_scheme(spec):
     kind, opts = parse_spec(spec)
     if kind == "truncation":
-        return truncation(opts.take("q0", float, 0.5),
-                          shift=opts.take("shift", float, 0.0))
-    if kind == "signed_median":
-        return signed_median(shift=opts.take("shift", float, 0.0),
-                             scale=opts.take("scale", float, 1.0))
-    if kind == "table":
+        scheme = truncation(opts.take("q0", float, 0.5), shift=opts.take("shift", float, 0.0))
+    elif kind == "signed_median":
+        scheme = signed_median(shift=opts.take("shift", float, 0.0),
+                               scale=opts.take("scale", float, 1.0))
+    elif kind == "table":
         # nodes=q:v;q:v;...  e.g. table:nodes=0:2;0.25:1;0.5:0
-        text = opts["nodes"]
+        text = opts.take("nodes", str)
         try:
             nodes = [tuple(float(p) for p in pair.split(":")) for pair in text.split(";")]
         except ValueError:
             raise ValueError(f"{spec!r}: option nodes must be q:v pairs separated by ';', "
                              f"got {text!r}") from None
-        return table(nodes, shift=opts.take("shift", float, 0.0))
-    if kind == "pbil":
-        return ("pbil", opts.take("mu", int, 1), opts.take("lr", float))
-    raise ValueError(f"unknown scheme spec {spec!r}")
+        scheme = table(nodes, shift=opts.take("shift", float, 0.0))
+    elif kind == "pbil":
+        scheme = ("pbil", opts.take("mu", int, 1), opts.take("lr", float))
+    else:
+        raise ValueError(f"unknown scheme spec {spec!r}")
+    opts.finish()
+    return scheme
 
 
 # -- run records ---------------------------------------------------------------
@@ -310,12 +318,12 @@ def single_run(cfg, run_id):
     run_seed = spawn_run_seed(cfg.seed, run_id)
     family, theta, obj, scheme_obj, part = _setup(
         cfg, substream(run_seed, 0, rng_mod.OBJECTIVE), substream(run_seed, 0, rng_mod.INIT))
+    joint_rbm = isinstance(family, JointRbmFamily)
     if cfg.lift_noisy:
         family = lift_noisy(family)
 
     record = RunRecord(run_id, run_seed)
     record.thetas.append(np.array(theta, dtype=float, copy=True))
-    joint_rbm = isinstance(family, JointRbmFamily)
     mc_count = _fisher_sample_count(cfg.fisher)
     two_min_y = obj.params["y"] if obj.kind == "two_min" else None
     target = _stop_target(cfg)
@@ -332,13 +340,13 @@ def single_run(cfg, run_id):
             # a previous unconstrained step left the parameter domain
             record.status = "failed_singular"
             break
+        points = family.points_of(samples)
         if cfg.lift_noisy:
-            values = objectives_mod.noisy_value(obj, family.points_of(samples)[0],
-                                                samples[1])
-            bit_points = samples[0]
+            values = objectives_mod.noisy_value(obj, points, samples[1])
+            base_samples = samples[0]
         else:
-            values = objectives_mod.evaluate(obj, family.points_of(samples), rng)
-            bit_points = family.points_of(samples)
+            values = objectives_mod.evaluate(obj, points, rng)
+            base_samples = samples
         weights, record.weight_variance = _weights_for(values, scheme_obj, cfg.n)
 
         fm = None
@@ -362,15 +370,19 @@ def single_run(cfg, run_id):
 
         new_theta = family.project(new_theta)
         report = step_diagnostics(family, theta, new_theta, fisher=fm, samples=samples)
+        if two_min_y is not None:
+            # each point's distances to the optimum y and to its complement
+            dists = (np.abs(points - two_min_y).sum(axis=1),
+                     np.abs(points - (1 - two_min_y)).sum(axis=1))
 
         record.rows.append(StepRow(
             step=step,
             time=(step + 1) * cfg.dt,
             best_f=float(values.min()),
             f_quantile=batch_quantile(values, q_report),
-            dist_second=(_dist_second(bit_points, two_min_y, values)
+            dist_second=(_dist_second(dists, values)
                          if two_min_y is not None else float("nan")),
-            mean_hidden=(float(np.asarray(samples[1], dtype=float).mean())
+            mean_hidden=(float(np.asarray(base_samples[1], dtype=float).mean())
                          if joint_rbm else float("nan")),
             kl=report.kl_estimate,
             kl_stderr=report.kl_stderr,
@@ -382,7 +394,7 @@ def single_run(cfg, run_id):
         record.thetas.append(np.array(theta, dtype=float, copy=True))
 
         if two_min_y is not None and cfg.stop == "both_optima":
-            seen_optima = _both_optima_seen(bit_points, two_min_y, seen_optima)
+            seen_optima = [seen or d.min() == 0 for seen, d in zip(seen_optima, dists)]
             if all(seen_optima):
                 record.status = "both_optima_reached"
                 break
@@ -477,18 +489,12 @@ STEPS = {
 }
 
 
-def _both_optima_seen(points, y, seen):
-    hits_y = bool(np.any(np.all(points == y, axis=1)))
-    hits_c = bool(np.any(np.all(points == 1 - y, axis=1)))
-    return seen[0] or hits_y, seen[1] or hits_c
-
-
-def _dist_second(points, y, values):
+def _dist_second(dists, values):
     """Closest approach of the batch to the optimum the search is NOT
     currently exploiting: the first optimum is the one nearest the best
-    sample, the second is its complement."""
-    d1 = np.abs(points - y).sum(axis=1)
-    d2 = np.abs(points - (1 - y)).sum(axis=1)
+    sample, the second is its complement.  ``dists`` holds each point's
+    distances to the two optima."""
+    d1, d2 = dists
     best = int(np.argmin(values))
     second = d2 if d1[best] <= d2[best] else d1
     return float(second.min())

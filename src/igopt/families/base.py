@@ -33,7 +33,6 @@ class SingularFisher(ValueError):
 
 class Family:
     dim_theta = None
-    latent = False  # True when the density marginalizes hidden variables
     # score U(x) - E[U], with U = score_stats(theta, x) and E[U] a batch mean
     centred_score = False
 
@@ -106,17 +105,13 @@ class Family:
     def capabilities(self):
         caps = set()
         for cap, names in [
-            ("sample", ["sample"]),
             ("grad_log_density", ["grad_log_density"]),
-            ("exact_fisher", ["fisher"]),
             ("expectation_params", ["to_expectation", "from_expectation"]),
             ("mean_cov", ["pack"]),
             ("enumerable", ["enumerate_points"]),
         ]:
             if all(getattr(type(self), name) is not getattr(Family, name) for name in names):
                 caps.add(cap)
-        if self.latent:
-            caps.add("latent")
         return frozenset(caps)
 
 

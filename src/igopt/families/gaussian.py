@@ -59,9 +59,6 @@ class GaussianParams:
     m: np.ndarray
     C: np.ndarray
 
-    def copy(self):
-        return GaussianParams(self.m.copy(), self.C.copy())
-
 
 @dataclass
 class GaussianSqrtParams:
@@ -73,9 +70,6 @@ class GaussianSqrtParams:
     @property
     def C(self):
         return self.A @ self.A.T
-
-    def copy(self):
-        return GaussianSqrtParams(self.m.copy(), self.A.copy())
 
 
 def _chol(C):
@@ -101,10 +95,7 @@ def from_second_moment(m, second_moment):
     """Inverse map; raises DegenerateUpdate when the implied C is not PD."""
     C = second_moment - np.outer(m, m)
     C = 0.5 * (C + C.T)
-    try:
-        np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        raise DegenerateUpdate("implied covariance is not positive-definite") from None
+    _require_pd(C)
     return GaussianParams(np.asarray(m, dtype=float).copy(), C)
 
 
@@ -192,64 +183,11 @@ class FullGaussianFamily(Family):
                             self.unpack(np.asarray(theta_q, dtype=float)))
 
 
-class GaussianExpectationFamily(Family):
-    """Gaussians in expectation coordinates theta = [m, utri(E xx^T)].
-
-    Scores and the Fisher matrix follow from the (m, C) forms by the chain
-    rule with the Jacobian of (m, C) with respect to (m, E xx^T); the
-    closed-form natural gradient is T(x) - theta.
-    """
-
-    def __init__(self, dim):
-        self.dim = int(dim)
-        self._base = FullGaussianFamily(dim)
-
-    @property
-    def dim_theta(self):
-        return self._base.dim_theta
-
-    def _to_base(self, theta):
-        return self._base.pack(self.unpack(theta))
-
-    def _jacobian(self, theta):
-        # J[r, c] = d(base coord r) / d(expectation coord c)
-        d = self.dim
-        p_dim = self.dim_theta
-        m = theta[:d]
-        J = np.eye(p_dim)
-        iu, ju = np.triu_indices(d)
-        for r, (k, l) in enumerate(zip(iu, ju)):
-            row = d + r
-            J[row, k] -= m[l]
-            J[row, l] -= m[k]
-        return J
-
-    def sample(self, theta, n, rng):
-        return self._base.sample(self._to_base(theta), n, rng)
-
-    def log_density(self, theta, samples):
-        return self._base.log_density(self._to_base(theta), samples)
-
-    def grad_log_density(self, theta, samples):
-        g = self._base.grad_log_density(self._to_base(theta), samples)
-        return g @ self._jacobian(theta)
-
-    def natural_grad_log_density(self, theta, samples):
-        return self.sufficient_stats(samples) - theta
-
-    def fisher(self, theta):
-        J = self._jacobian(theta)
-        return J.T @ self._base.fisher(self._to_base(theta)) @ J
-
-    def sufficient_stats(self, samples):
-        return self._base.sufficient_stats(samples)
-
-    def to_expectation(self, theta):
-        return np.asarray(theta, dtype=float).copy()
-
-    def from_expectation(self, tbar):
-        self.unpack(tbar)  # domain check
-        return np.asarray(tbar, dtype=float).copy()
+class GaussianExpectationFamily(FullGaussianFamily):
+    """Gaussians in expectation coordinates theta = [m, utri(E xx^T)]: the
+    full family under another ``pack``/``unpack``.  Scores and the Fisher
+    matrix follow by the chain rule with the Jacobian of (m, C) with respect
+    to (m, E xx^T); the closed-form natural gradient is T(x) - theta."""
 
     def pack(self, params):
         m, m2 = to_second_moment(params)
@@ -259,9 +197,32 @@ class GaussianExpectationFamily(Family):
         d = self.dim
         return from_second_moment(theta[:d], utri_unpack(theta[d:], d))
 
-    def exact_kl(self, theta_p, theta_q):
-        return _gaussian_kl(self.unpack(np.asarray(theta_p, dtype=float)),
-                            self.unpack(np.asarray(theta_q, dtype=float)))
+    def _jacobian(self, theta):
+        # J[r, c] = d(base coord r) / d(expectation coord c): c_kl = M_kl - m_k m_l
+        d = self.dim
+        iu, ju = np.triu_indices(d)
+        rows = d + np.arange(iu.size)
+        J = np.eye(self.dim_theta)
+        J[rows, iu] -= theta[ju]
+        J[rows, ju] -= theta[iu]
+        return J
+
+    def grad_log_density(self, theta, samples):
+        return super().grad_log_density(theta, samples) @ self._jacobian(theta)
+
+    def natural_grad_log_density(self, theta, samples):
+        return self.sufficient_stats(samples) - theta
+
+    def fisher(self, theta):
+        J = self._jacobian(theta)
+        return J.T @ super().fisher(theta) @ J
+
+    def to_expectation(self, theta):
+        return np.asarray(theta, dtype=float).copy()
+
+    def from_expectation(self, tbar):
+        self.unpack(tbar)  # domain check
+        return np.asarray(tbar, dtype=float).copy()
 
 
 class IsotropicGaussianFamily(Family):

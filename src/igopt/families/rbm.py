@@ -320,7 +320,6 @@ class JointRbmFamily(_RbmCommon):
 class MarginalRbmFamily(_RbmCommon):
     """RBM marginalized over the hidden layer; samples are visible bits."""
 
-    latent = True
     check_fisher = _RbmCommon._check_visible_table  # CapabilityError when refused
 
     def sample(self, theta, n, rng):
@@ -366,8 +365,7 @@ class MarginalRbmFamily(_RbmCommon):
         return (U * probs[:, None]).T @ U - np.outer(mean, mean)
 
     def enumerate_points(self):
-        self._check_visible_table()
-        return enumerate_bits(self.n_x)
+        return self._visible_bits
 
     def exact_kl(self, theta_p, theta_q):
         # The marginal law is not exponential in theta: sum directly.

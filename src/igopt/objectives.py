@@ -144,8 +144,8 @@ class _Options(dict):
         raise ValueError(f"{self.spec!r} needs option {key!r}")
 
     def take(self, key, kind, default=None):
-        """Remove option ``key`` and return it as ``kind`` (int or float), or
-        ``default`` when it is absent; without a default it is required."""
+        """Remove option ``key`` and return it as ``kind`` (int, float or str),
+        or ``default`` when it is absent; without a default it is required."""
         value = self[key] if default is None else self.get(key, default)
         self.pop(key, None)
         try:
@@ -154,6 +154,12 @@ class _Options(dict):
             what = "an integer" if kind is int else "a number"
             raise ValueError(f"{self.spec!r}: option {key} must be {what}, "
                              f"got {value!r}") from None
+
+    def finish(self):
+        """Refuse the options no ``take`` asked for: the kind has none such."""
+        if self:
+            raise ValueError(f"{self.spec!r}: unknown option{'s' if len(self) > 1 else ''} "
+                             + ", ".join(map(repr, sorted(self))))
 
 
 def parse_spec(spec):
@@ -207,8 +213,7 @@ def parse_objective(spec, rng=None):
             raise ValueError("two_min needs seed=... or per_run=1")
     else:
         raise ValueError(f"unknown objective kind {kind!r}")
-    if kv:
-        raise ValueError(f"unknown objective options: {sorted(kv)}")
+    kv.finish()
     if phi is not None:
         obj = monotone_transform(obj, phi)
     if noise is not None:

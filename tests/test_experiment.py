@@ -284,6 +284,19 @@ def test_cli_flow_sphere(tmp_path, monkeypatch):
     assert np.all(np.diff(rows["f_quantile"]) < 0)
 
 
+def test_cli_flow_and_table_refuse_unknown_spec_options(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "sphere.cfg"
+    cfgfile.write_text("family = gaussian_iso:d=2,r0=3,m0=1\nobjective = sphere:d=2\n")
+    assert cli.main(["flow", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: 'gaussian_iso:d=2,r0=3,m0=1': unknown option 'm0'\n")
+    assert cli.main(["table", "linear_constants:d=2,q0=0.3"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: 'linear_constants:d=2,q0=0.3': unknown option 'q0'\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def _unmemoized_flow_rows(theta0):
     """The Bernoulli flow rows as ``igopt flow`` built them without its
     drift memo: every row evaluates the drift of its state again."""
@@ -476,6 +489,20 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("objective = onemax:d=1e1\n", "'onemax:d=1e1': option d must be an integer, got '1e1'"),
     ("scheme = pbil:mu=1,lr=fast\n", "option lr must be a number, got 'fast'"),
     ("scheme = table:nodes=0:2;half:1\n", "option nodes must be q:v pairs"),
+    # each spec kind takes only its own options
+    ("scheme = truncation:q=0.2\n", "'truncation:q=0.2': unknown option 'q'"),
+    ("scheme = table:nodes=0:2;0.5:0,q0=0.3\n", "unknown option 'q0'"),
+    ("scheme = pbil:mu=1,lr=0.1,q0=0.3\n", "'pbil:mu=1,lr=0.1,q0=0.3': unknown option 'q0'"),
+    ("family = bernoulli:d=10,p=0.3\n", "'bernoulli:d=10,p=0.3': unknown option 'p'"),
+    ("family = bernoulli_logit:d=10,m0=1\n", "unknown option 'm0'"),
+    ("family = gaussian:d=10,p0=0.3\nobjective = sphere:d=10\n",
+     "'gaussian:d=10,p0=0.3': unknown option 'p0'"),
+    ("family = gaussian_mean:d=10,sigma0=2\nobjective = sphere:d=10\n",
+     "unknown option 'sigma0'"),
+    ("fisher = mc:m=500,k=3\n", "'mc:m=500,k=3': unknown option 'k'"),
+    ("family = rbm:n_x=10,n_h=1,burn=5\nobjective = two_min:d=10,per_run=1\n",
+     "'rbm:n_x=10,n_h=1,burn=5': unknown option 'burn'"),
+    ("objective = onemax:d=10,k=1,j=2\n", "'onemax:d=10,k=1,j=2': unknown options 'j', 'k'"),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, extra, key):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
@@ -508,3 +535,18 @@ def test_booleans_parse_strictly():
                         ("false", False), ("NO", False), ("0", False)]:
         text = _override(PBIL_CONFIG, f"objective = onemax:d=10,noise=uniform\nlift_noisy = {word}\n")
         assert parse_config(text).lift_noisy is value
+
+
+def test_lift_noisy_joint_rbm_runs_as_the_noisy_objective(tmp_path):
+    # the product family draws omega right after the base sample, as the
+    # noisy objective does, so the two runs share every bit
+    text = ("family = rbm:n_x=6,n_h=1\nobjective = two_min:d=6,seed=3,noise=uniform\n"
+            "algorithm = igo\nn = 50\ndt = 0.5\nsteps = 3\nseed = 4\n")
+    csv = {}
+    for lifted in ("false", "true"):
+        cfg = parse_config(text + f"lift_noisy = {lifted}\n")
+        rec = run_experiment(cfg, out_dir=tmp_path / lifted)[0]
+        assert rec.status == "step_limit"
+        assert all(0.0 <= row.mean_hidden <= 1.0 for row in rec.rows)
+        csv[lifted] = (tmp_path / lifted / "experiment_runs.csv").read_bytes()
+    assert csv["true"] == csv["false"]

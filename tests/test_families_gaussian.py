@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from igopt import igo_ml_step, substream
 from igopt.families import (
     DegenerateUpdate,
+    Family,
     FullGaussianFamily,
     GaussianExpectationFamily,
     GaussianParams,
@@ -18,6 +19,7 @@ from igopt.families import (
     gaussian_step,
     to_second_moment,
 )
+from igopt.families.gaussian import _gaussian_kl, utri_pack, utri_unpack
 from igopt.fisher import mc_fisher
 
 
@@ -253,6 +255,106 @@ def test_full_gaussian_fisher_matches_the_entry_loop_bit_for_bit(d, seed, scale,
     fam = FullGaussianFamily(d)
     theta = fam.pack(GaussianParams(rng.normal(size=d), scale * (A @ A.T + ridge * np.eye(d))))
     assert np.array_equal(fam.fisher(theta), _reference_full_gaussian_fisher(fam, theta))
+
+
+class _ReferenceExpectationFamily(Family):
+    """Expectation-coordinate Gaussians as a wrapper around a private
+    FullGaussianFamily that sends theta through unpack -> pack -> unpack,
+    with the Jacobian built entry by entry; kept as the reference for the
+    coordinate-map subclass."""
+
+    def __init__(self, dim):
+        self.dim = int(dim)
+        self._base = FullGaussianFamily(dim)
+
+    @property
+    def dim_theta(self):
+        return self._base.dim_theta
+
+    def _to_base(self, theta):
+        return self._base.pack(self.unpack(theta))
+
+    def _jacobian(self, theta):
+        d = self.dim
+        m = theta[:d]
+        J = np.eye(self.dim_theta)
+        iu, ju = np.triu_indices(d)
+        for r, (k, l) in enumerate(zip(iu, ju)):
+            J[d + r, k] -= m[l]
+            J[d + r, l] -= m[k]
+        return J
+
+    def sample(self, theta, n, rng):
+        return self._base.sample(self._to_base(theta), n, rng)
+
+    def log_density(self, theta, samples):
+        return self._base.log_density(self._to_base(theta), samples)
+
+    def grad_log_density(self, theta, samples):
+        return self._base.grad_log_density(self._to_base(theta), samples) @ self._jacobian(theta)
+
+    def natural_grad_log_density(self, theta, samples):
+        return self.sufficient_stats(samples) - theta
+
+    def fisher(self, theta):
+        J = self._jacobian(theta)
+        return J.T @ self._base.fisher(self._to_base(theta)) @ J
+
+    def sufficient_stats(self, samples):
+        return self._base.sufficient_stats(samples)
+
+    def to_expectation(self, theta):
+        return np.asarray(theta, dtype=float).copy()
+
+    def from_expectation(self, tbar):
+        self.unpack(tbar)  # domain check
+        return np.asarray(tbar, dtype=float).copy()
+
+    def pack(self, params):
+        m, m2 = to_second_moment(params)
+        return np.concatenate([m, utri_pack(m2)])
+
+    def unpack(self, theta):
+        d = self.dim
+        return from_second_moment(theta[:d], utri_unpack(theta[d:], d))
+
+    def exact_kl(self, theta_p, theta_q):
+        return _gaussian_kl(self.unpack(np.asarray(theta_p, dtype=float)),
+                            self.unpack(np.asarray(theta_q, dtype=float)))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.floats(1e-2, 1e2),
+       st.floats(1e-3, 10.0))
+def test_expectation_family_matches_the_wrapper_bit_for_bit(d, seed, scale, ridge):
+    rng = np.random.default_rng(seed)
+    fam, ref = GaussianExpectationFamily(d), _ReferenceExpectationFamily(d)
+    thetas = []
+    for _ in range(2):
+        A = rng.normal(size=(d, d))
+        params = GaussianParams(rng.normal(size=d), scale * (A @ A.T + ridge * np.eye(d)))
+        thetas.append(ref.pack(params))
+        assert np.array_equal(fam.pack(params), thetas[-1])
+    theta, other = thetas
+    assert fam.dim_theta == ref.dim_theta and fam.capabilities == ref.capabilities
+    for a, b in [(fam.unpack(theta).m, ref.unpack(theta).m),
+                 (fam.unpack(theta).C, ref.unpack(theta).C),
+                 (fam.sample(theta, 6, substream(seed, 1)), ref.sample(theta, 6, substream(seed, 1))),
+                 (fam.fisher(theta), ref.fisher(theta)),
+                 (fam.to_expectation(theta), ref.to_expectation(theta)),
+                 (fam.from_expectation(other), ref.from_expectation(other)),
+                 (fam.exact_kl(theta, other), ref.exact_kl(theta, other))]:
+        assert np.array_equal(a, b)
+    x = ref.sample(other, 7, substream(seed, 2))
+    for method in ("log_density", "grad_log_density", "natural_grad_log_density"):
+        assert np.array_equal(getattr(fam, method)(theta, x), getattr(ref, method)(theta, x))
+    assert np.array_equal(fam.sufficient_stats(x), ref.sufficient_stats(x))
+    # a second moment below m m^T leaves the domain in both
+    bad = theta.copy()
+    bad[d] = theta[0] ** 2 - 1.0
+    for family in (fam, ref):
+        with pytest.raises(DegenerateUpdate):
+            family.from_expectation(bad)
 
 
 def test_mc_fisher_matches_exact_fisher_full_gaussian():
