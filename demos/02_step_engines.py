@@ -46,7 +46,7 @@ gsamples = np.array([[0.8], [1.2]])   # elite mean 1, elite variance 0.04
 w = np.array([0.5, 0.5])
 
 ml = gfam.unpack(igo_ml_step(gfam, gtheta, gsamples, w, 0.5))
-sc = gfam.unpack(smoothed_cem_step(gfam, gtheta, gsamples, w, 0.5, "mean_cov"))
+sc = gfam.unpack(smoothed_cem_step(gfam, gtheta, gsamples, w, 0.5, "natural"))
 print("\nML blend in expectation coordinates: mean %.3f, variance %.3f" %
       (ml.m[0], ml.C[0, 0]))
 print("smoothed CEM in (mean, variance)   : mean %.3f, variance %.3f" %

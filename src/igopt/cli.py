@@ -10,8 +10,10 @@ Subcommands:
                   linear_constants:...
   selftest        fast internal consistency checks
 
-Exit codes: 0 success, 2 config error, 3 when any repeat failed on a
-singular or unreliable Fisher estimate (counts reported on stderr).
+Exit codes: 0 success, 2 config error (a file that cannot be read or
+parsed), 3 when any repeat of ``run`` failed on a singular or unreliable
+Fisher estimate (counts reported on stderr), or when ``flow`` meets a
+singular Fisher matrix or leaves the family's domain (one line on stderr).
 """
 
 import argparse
@@ -24,6 +26,7 @@ import numpy as np
 from . import experiment as exp_mod
 from . import flow as flow_mod
 from . import objectives as objectives_mod
+from .families import BernoulliFamily, DegenerateUpdate, DomainError, SingularFisher
 from .rng import INIT, substream
 
 OUTPUT_DIR_ENV = "IGOPT_OUTPUT_DIR"
@@ -56,6 +59,7 @@ _FLOW_KEYS = {"family", "objective", "scheme", "horizon", "flow_step", "method",
               "out_prefix", "theta0", "q_report", "seed"}
 _FLOW_TYPED = {**dict.fromkeys(("horizon", "flow_step", "q_report"), (float, "a number")),
                "seed": (int, "an integer"),
+               "method": ({"euler": "euler", "rk4": "rk4"}.__getitem__, "euler or rk4"),
                "theta0": (lambda v: np.array([float(t) for t in v.split()]),
                           "numbers separated by spaces")}
 
@@ -67,21 +71,28 @@ def cmd_flow(args):
         for required in ("family", "objective"):
             if required not in spec:
                 raise ValueError(f"flow config needs {required!r}")
-        header, rows = _run_flow(spec)
-        path = _write_csv(f"{spec.get('out_prefix', 'flow')}_trajectory.csv",
-                          f"igopt flow schema v{exp_mod.CSV_SCHEMA_VERSION}", header, rows)
+        header, theta0, rhs, cells = _flow_setup(spec)
     except (OSError, ValueError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    rhs = _memoized(rhs)
+    try:
+        traj = flow_mod.integrate(rhs, theta0, spec.get("horizon", 1.0),
+                                  spec.get("flow_step", 0.01), spec.get("method", "rk4"))
+        rows = [[state.t, *state.theta, *cells(state.theta, rhs(state.theta))]
+                for state in traj]
+    except (SingularFisher, DomainError, DegenerateUpdate) as err:
+        print(f"flow failed: {err}", file=sys.stderr)
+        return 3
+    path = _write_csv(f"{spec.get('out_prefix', 'flow')}_trajectory.csv",
+                      f"igopt flow schema v{exp_mod.CSV_SCHEMA_VERSION}", header, rows)
     print(path)
     return 0
 
 
-def _run_flow(spec):
-    """Integrate the flow of a flow config; returns the CSV header and rows."""
-    horizon = spec.get("horizon", 1.0)
-    step = spec.get("flow_step", 0.01)
-    method = spec.get("method", "rk4")
+def _flow_setup(spec):
+    """The CSV header, starting state and drift of a flow config, and
+    cells(theta, drift): a state's f-quantile, speed and Lyapunov cells."""
     q_report = spec.get("q_report", 0.5)
     scheme = exp_mod._parse_scheme(spec.get("scheme", "truncation:q0=0.5"))
     if isinstance(scheme, tuple):
@@ -90,17 +101,17 @@ def _run_flow(spec):
     obj = objectives_mod.parse_objective(spec["objective"])
 
     if fam_kind == "gaussian_iso" and obj.kind == "sphere":
-        d = fam_opts.take("d", int)
-        sphere = flow_mod.SphereFlow(d, scheme.q0)
+        if scheme.kind != "truncation":
+            raise ValueError(f"the sphere flow needs a truncation scheme, "
+                             f"got {spec['scheme']!r}")
+        sphere = flow_mod.SphereFlow(fam_opts.take("d", int), scheme.q0)
         r0 = fam_opts.take("r0", float, 3.0)
         s0 = math.log(fam_opts.take("sigma0", float, 1.0))
         fam_opts.finish()
-        rhs = _memoized(sphere.rhs)
-        traj = flow_mod.integrate(rhs, np.array([r0, s0]), horizon, step, method)
-        rows = [[state.t, *state.theta, sphere.median_f(state.theta),
-                 sphere.speed(state.theta, rhs(state.theta)), float("nan")]
-                for state in traj]
-        return ["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"], rows
+        return (["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"],
+                np.array([r0, s0]), sphere.rhs,
+                lambda theta, drift: [sphere.median_f(theta), sphere.speed(theta, drift),
+                                      float("nan")])
 
     cfg = exp_mod.ExperimentConfig(family=spec["family"], objective=spec["objective"])
     family, start = exp_mod._family_and_start(cfg, substream(spec.get("seed", 1), 0, INIT))
@@ -108,26 +119,25 @@ def _run_flow(spec):
         raise ValueError("flow integration needs an enumerable family "
                          "(or gaussian_iso with a sphere objective)")
     theta0 = spec.get("theta0", start)
-    alpha = None
-    if obj.kind == "onemax":
-        alpha = np.ones(obj.dim)
-    elif obj.kind == "linear" and obj.space == "bits":
-        alpha = obj.params["alpha"]
+    if len(theta0) != len(start):
+        raise ValueError(f"theta0 needs {len(start)} numbers, got {len(theta0)}")
+    alpha = None  # flow.lyapunov_monitor's alpha: Bernoulli flows on c - alpha . x
+    if isinstance(family, BernoulliFamily):
+        if obj.kind == "onemax":
+            alpha = np.ones(obj.dim)
+        elif obj.kind == "linear" and obj.space == "bits":
+            alpha = obj.params["alpha"]
 
-    rhs = _memoized(lambda theta: flow_mod.flow_rhs(family, theta, obj, scheme))
-    traj = flow_mod.integrate(rhs, theta0, horizon, step, method)
-    rows = []
-    for state in traj:
-        pts, probs, values, _ = flow_mod.exact_weights_all(family, state.theta, obj, scheme)
-        quant = flow_mod.f_quantile(values, probs, q_report)
-        drift = rhs(state.theta)
-        fmat = family.fisher(state.theta)
-        speed = math.sqrt(max(0.0, float(drift @ fmat @ drift)))
+    def cells(theta, drift):
+        _, probs, values, _ = flow_mod.exact_weights_all(family, theta, obj, scheme)
+        speed = math.sqrt(max(0.0, float(drift @ family.fisher(theta) @ drift)))
         lyap = float(alpha @ drift) if alpha is not None else float("nan")
-        rows.append([state.t, *state.theta, quant, speed, lyap])
+        return [flow_mod.f_quantile(values, probs, q_report), speed, lyap]
+
     header = (["t"] + [f"theta_{i}" for i in range(len(theta0))]
               + ["f_quantile", "speed", "lyapunov"])
-    return header, rows
+    return (header, theta0, lambda theta: flow_mod.flow_rhs(family, theta, obj, scheme),
+            cells)
 
 
 def _memoized(rhs):
@@ -169,16 +179,17 @@ def cmd_table(args):
     return 0
 
 
-def _grid(opts, lo_key="q_min", hi_key="q_max", default_lo=0.01, default_hi=0.6):
-    lo = opts.take(lo_key, float, default_lo)
-    hi = opts.take(hi_key, float, default_hi)
-    points = opts.take("points", int, 60)
-    opts.finish()  # the grid's options are each table's last
-    return np.linspace(lo, hi, points)
+def _grid(opts, lo, hi):
+    """The q grid of options q_min, q_max (defaults lo, hi) and points, each table's last."""
+    grid = np.linspace(opts.take("q_min", float, lo), opts.take("q_max", float, hi),
+                       opts.take("points", int, 60))
+    opts.finish()
+    return grid
+
 
 def _critical_dt_table(opts):
     rows = [[q] + [flow_mod.critical_dt(float(q), j) for j in (0, 1, 2, math.inf)]
-            for q in _grid(opts)]
+            for q in _grid(opts, 0.01, 0.6)]
     return _write_csv("critical_dt.csv",
                       "critical step size vs truncation quantile, per update family j",
                       ["q", "j0", "j1", "j2", "j_inf"], rows)
@@ -187,7 +198,7 @@ def _critical_dt_table(opts):
 def _linear_constants_table(opts):
     d = opts.take("d", int, 1)
     rows = []
-    for q0 in _grid(opts, default_lo=0.05, default_hi=0.95):
+    for q0 in _grid(opts, 0.05, 0.95):
         lc = flow_mod.gaussian_linear_constants(float(q0), d)
         rows.append([q0, lc.alpha, lc.beta])
     return _write_csv(f"linear_constants_d{d}.csv",
@@ -202,7 +213,6 @@ def cmd_selftest(args):
     import tempfile
 
     from . import compute_quantile_weights, truncation
-    from .families import BernoulliFamily
 
     checks = []
 

@@ -139,10 +139,9 @@ def cem_step(family, samples, values, elite_fraction):
 def smoothed_cem_step(family, theta, samples, weights, alpha, parametrization):
     """(1 - alpha) theta + alpha argmax, blended in the declared coordinates.
 
-    parametrization: "natural" blends the family's own parameter vectors
-    ("mean_cov" is an alias for Gaussian-style families); "expectation"
-    blends expectation parameters, which is ``igo_ml_step`` at dt = alpha
-    on renormalized weights.
+    parametrization: "natural" blends the family's own parameter vectors;
+    "expectation" blends expectation parameters, which is ``igo_ml_step`` at
+    dt = alpha on renormalized weights.
 
     In expectation coordinates the argmax is the weighted statistic average
     itself, so it is blended directly: a boundary-touching elite (where the
@@ -152,7 +151,7 @@ def smoothed_cem_step(family, theta, samples, weights, alpha, parametrization):
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("smoothed_cem_step needs alpha in (0, 1]")
-    if parametrization in ("natural", "mean_cov"):
+    if parametrization == "natural":
         theta_star = weighted_ml(family, samples, weights)
         return (1.0 - alpha) * np.asarray(theta, dtype=float) + alpha * theta_star
     if parametrization == "expectation":
@@ -174,18 +173,17 @@ class StepReport:
 
 
 def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
-                     fisher=None, samples=None, rng=None, kl_samples=2048):
+                     fisher=None, samples=None):
     """KL spent by the step, its Fisher norm, and the turn angle.
 
     The KL is the family's closed form ``exact_kl`` (stderr 0, sample size
     0).  A family without one, or a step it cannot answer, falls back to the
-    mean old-minus-new log-likelihood on the update's own sample (drawn
-    from the pre-step distribution), or on ``kl_samples`` fresh draws from
-    ``rng`` when no sample is given; if that fails too the KL is NaN.  The
-    norm is sqrt(delta M delta) with M the ``fisher`` estimate's matrix, or
-    the family's exact Fisher matrix at theta_before (NaN when it has
-    none).  The cosine is the same M's scalar product between the previous
-    and current increments.
+    mean old-minus-new log-likelihood on the update's own ``samples``
+    (drawn from the pre-step distribution); without samples, or if that
+    fails too, the KL is NaN.  The norm is sqrt(delta M delta) with M the
+    ``fisher`` estimate's matrix, or the family's exact Fisher matrix at
+    theta_before (NaN when it has none).  The cosine is the same M's scalar
+    product between the previous and current increments.
     """
     theta_before = np.asarray(theta_before, dtype=float)
     theta_after = np.asarray(theta_after, dtype=float)
@@ -199,11 +197,9 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
     try:
         kl, stderr, m = float(family.exact_kl(theta_before, theta_after)), 0.0, 0
     except (CapabilityError, DomainError, DegenerateUpdate):
-        if samples is None:
-            if rng is None:
-                raise ValueError("need samples or an rng for the KL estimate") from None
-            samples = family.sample(theta_before, kl_samples, rng)
         try:
+            if samples is None:
+                raise CapabilityError("no samples for the KL estimate")
             diff = family.log_density(theta_before, samples) \
                 - family.log_density(theta_after, samples)
         except (CapabilityError, DomainError, DegenerateUpdate):

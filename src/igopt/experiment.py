@@ -15,6 +15,7 @@ it.  These statuses are recorded in the run record, never raised.
 
 import math
 import os
+import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -84,7 +85,6 @@ class ExperimentConfig:
     repeats: int = 1
     stop: str = "steps"          # steps | both_optima | target:<value>
     gibbs_burn_in: int = 100
-    smoothed_cem_coords: str = "natural"
     lift_noisy: bool = False
     workers: int = 1
     out_prefix: str = "experiment"
@@ -450,12 +450,10 @@ def _cem(cfg, scheme):
 
 
 def _smoothed_cem(cfg, scheme):
+    """Blends in the family's own coordinates; in expectation ones it is igo_ml."""
     _blend_dt(cfg)
-    if cfg.smoothed_cem_coords not in ("natural", "mean_cov", "expectation"):
-        raise ValueError(f"smoothed_cem_coords must be natural, mean_cov or expectation, "
-                         f"got {cfg.smoothed_cem_coords!r}")
     return lambda family, theta, samples, values, weights, dt, fm: smoothed_cem_step(
-        family, theta, samples, weights, dt, cfg.smoothed_cem_coords)
+        family, theta, samples, weights, dt, "natural")
 
 
 def _gaussian_rule(kind):
@@ -554,17 +552,16 @@ def write_csv_outputs(cfg, records, out_dir):
         header = ["step"] + [f"{q}_p{p}" for q in quantities for p in (16, 50, 84)]
         fh.write(",".join(header) + "\n")
         max_steps = max((len(r.rows) for r in records), default=0)
+        # (quantity, repeat, step), NaN past a repeat's last step
+        grid = np.full((len(quantities), len(records), max_steps), np.nan)
+        for r, rec in enumerate(records):
+            for k, row in enumerate(rec.rows):
+                grid[:, r, k] = [getattr(row, q) for q in quantities]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN cells give NaN
+            pct = np.nanpercentile(grid, (16, 50, 84), axis=1)  # (percentile, quantity, step)
         for k in range(max_steps):
-            cells = [str(k)]
-            for q in quantities:
-                vals = np.array([getattr(r.rows[k], q) for r in records
-                                 if len(r.rows) > k], dtype=float)
-                vals = vals[~np.isnan(vals)]
-                if vals.size == 0:
-                    cells += ["nan", "nan", "nan"]
-                else:
-                    cells += [_fmt(np.percentile(vals, p)) for p in (16, 50, 84)]
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join([str(k)] + [_fmt(v) for v in pct[:, :, k].T.ravel()]) + "\n")
     return runs_path, summary_path
 
 

@@ -7,7 +7,7 @@ Parametrizations provided:
   coordinates [mean, upper triangle of E xx^T]; the natural-gradient step in
   these coordinates is the linear blend used by maximum-likelihood updates.
 * ``IsotropicGaussianFamily``   -- theta = [mean, log sigma].
-* ``MeanGaussianFamily``        -- mean only, fixed covariance.
+* ``MeanGaussianFamily``        -- mean only, identity covariance.
 
 ``gaussian_step`` implements the named update rules (cma / emna / xnes /
 unified-j) on structured (m, C) or (m, A) parameters.
@@ -79,13 +79,6 @@ def _chol(C):
         raise DomainError("covariance matrix is not positive-definite") from None
 
 
-def _log_density(L, dev):
-    """Normal log-density of deviation rows dev from the mean, C = L L^T."""
-    y = np.linalg.solve(L, dev.T)
-    logdet = 2.0 * np.log(np.diag(L)).sum()
-    return -0.5 * (L.shape[0] * _LOG2PI + logdet + (y * y).sum(axis=0))
-
-
 def to_second_moment(params):
     """(m, C) -> (m, C + m m^T), the family's expectation parameters."""
     return params.m.copy(), params.C + np.outer(params.m, params.m)
@@ -124,7 +117,10 @@ class FullGaussianFamily(Family):
 
     def log_density(self, theta, samples):
         p = self.unpack(theta)
-        return _log_density(_chol(p.C), np.asarray(samples, dtype=float) - p.m)
+        L = _chol(p.C)
+        y = np.linalg.solve(L, (np.asarray(samples, dtype=float) - p.m).T)
+        logdet = 2.0 * np.log(np.diag(L)).sum()
+        return -0.5 * (self.dim * _LOG2PI + logdet + (y * y).sum(axis=0))
 
     def grad_log_density(self, theta, samples):
         p = self.unpack(theta)
@@ -274,36 +270,35 @@ class IsotropicGaussianFamily(Family):
 
 
 class MeanGaussianFamily(Family):
-    """Gaussian with unknown mean and fixed covariance (identity default)."""
+    """N(theta, I): the Gaussian with unknown mean and identity covariance."""
 
-    def __init__(self, dim, cov=None):
+    def __init__(self, dim):
         self.dim = int(dim)
-        self.cov = np.eye(self.dim) if cov is None else np.asarray(cov, dtype=float)
-        self._L = _chol(self.cov)
-        self._B = np.linalg.inv(self.cov)
 
     @property
     def dim_theta(self):
         return self.dim
 
     def sample(self, theta, n, rng):
-        return theta + rng.standard_normal((n, self.dim)) @ self._L.T
+        x = rng.standard_normal((n, self.dim))
+        x += theta  # in place: one n x d array at a time
+        return x
 
     def log_density(self, theta, samples):
-        return _log_density(self._L, np.asarray(samples, dtype=float) - theta)
+        dev = (np.asarray(samples, dtype=float) - theta).T.copy()  # C order: sums in turn
+        return -0.5 * (self.dim * _LOG2PI + (dev * dev).sum(axis=0))
 
     def grad_log_density(self, theta, samples):
-        return (np.asarray(samples, dtype=float) - theta) @ self._B
-
-    def natural_grad_log_density(self, theta, samples):
         return np.asarray(samples, dtype=float) - theta
 
+    natural_grad_log_density = grad_log_density  # the Fisher matrix is I
+
     def fisher(self, theta):
-        return self._B.copy()
+        return np.eye(self.dim)
 
     def exact_kl(self, theta_p, theta_q):
         dev = np.asarray(theta_q, dtype=float) - np.asarray(theta_p, dtype=float)
-        return 0.5 * float(dev @ self._B @ dev)
+        return 0.5 * float(dev @ dev)
 
 
 # -- named update rules ------------------------------------------------------

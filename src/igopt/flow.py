@@ -149,9 +149,10 @@ def exact_weights_all(family, theta, objective, scheme):
     probs = np.exp(family.enumerated_log_density(theta))
     q_plus = np.minimum(1.0, np.cumsum(np.bincount(inverse, weights=probs)))
     q_minus = np.concatenate(([0.0], q_plus[:-1]))
-    w = scheme(q_plus)
     wide = q_plus > q_minus
+    w = np.empty_like(q_plus)
     w[wide] = scheme.integral(q_minus[wide], q_plus[wide]) / (q_plus - q_minus)[wide]
+    w[~wide] = scheme(q_plus[~wide])  # w pointwise only where it is used
     return points, probs, values, w[inverse]
 
 
@@ -212,8 +213,9 @@ def integrate(rhs, theta0, horizon, step, method="rk4"):
     return out
 
 
-def lyapunov_monitor(theta, alpha_coeffs, scheme=None, c=0.0):
-    """sum_i alpha_i d(theta_i)/dt for the Bernoulli flow on c - alpha . x.
+def lyapunov_monitor(theta, alpha_coeffs):
+    """sum_i alpha_i d(theta_i)/dt for the Bernoulli flow on c - alpha . x
+    under truncation(1/2), which does not depend on c.
 
     Non-negative along the flow, and zero exactly at the all-zeros /
     all-ones corners.
@@ -222,10 +224,9 @@ def lyapunov_monitor(theta, alpha_coeffs, scheme=None, c=0.0):
     from .weights import truncation
 
     alpha_coeffs = np.asarray(alpha_coeffs, dtype=float)
-    scheme = truncation(0.5) if scheme is None else scheme
     family = BernoulliFamily(alpha_coeffs.size)
-    obj = objectives_mod.linear(alpha_coeffs, c, space="bits")
-    rhs = flow_rhs(family, np.asarray(theta, dtype=float), obj, scheme)
+    obj = objectives_mod.linear(alpha_coeffs, 0.0, space="bits")
+    rhs = flow_rhs(family, np.asarray(theta, dtype=float), obj, truncation(0.5))
     return float(alpha_coeffs @ rhs)
 
 

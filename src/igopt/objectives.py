@@ -27,32 +27,12 @@ class Objective:
     params: dict = field(default_factory=dict)
     base: "Objective" = None
 
-    @property
-    def optimum_value(self):
-        """Known minimal value, or None."""
-        if self.kind in ("onemax", "two_min", "sphere"):
-            return 0.0
-        if self.kind == "linear":
-            if self.space == "bits":
-                return self.params["c"] - float(np.sum(self.params["alpha"]))
-            return None
-        if self.kind == "transformed":
-            base_opt = self.base.optimum_value
-            return None if base_opt is None else _apply_phi(self.params["phi"], base_opt)
-        if self.kind == "noisy":
-            return self.base.optimum_value
-        return None
-
 
 PHI_REGISTRY = {
     "cube": lambda v: v**3,
     "scaled_shift": lambda v: 2.0 * v + 7.0,
     "signed_power": lambda v: np.sign(v) * np.abs(v) ** (1.0 / 3.0),  # f |f|^(-2/3)
 }
-
-
-def _apply_phi(name, values):
-    return PHI_REGISTRY[name](values)
 
 
 def evaluate(obj, x, rng=None):
@@ -78,7 +58,7 @@ def evaluate(obj, x, rng=None):
         d2 = np.abs((1.0 - x) - y).sum(axis=1)
         return np.minimum(d1, d2)
     if obj.kind == "transformed":
-        return _apply_phi(obj.params["phi"], evaluate(obj.base, x, rng))
+        return PHI_REGISTRY[obj.params["phi"]](evaluate(obj.base, x, rng))
     if obj.kind == "noisy":
         if rng is None:
             raise ValueError("noisy objectives need an rng stream")

@@ -93,6 +93,21 @@ class WeightScheme:
         return float(out) if out.ndim == 0 else out
 
     # -- exact integrals -------------------------------------------------
+    @property
+    def steps(self):
+        """w before scale and shift as ((q, value), ...) table steps; they
+        differ from ``__call__`` only at a breakpoint, which no integral sees."""
+        if self.kind == "truncation":
+            return ((0.0, 1.0), (self.q0, 0.0)) if self.q0 < 1.0 else ((0.0, 1.0),)
+        if self.kind == "signed_median":
+            return ((0.0, 1.0), (0.5, -1.0))
+        return self.nodes
+
+    def _cells(self):
+        """(lo, hi, value) of each step, the last one ending at 1."""
+        qs = [q for q, _ in self.steps] + [1.0]
+        return [(lo, hi, v) for lo, hi, (_, v) in zip(qs[:-1], qs[1:], self.steps)]
+
     def integral(self, a, b):
         """Exact integral of w over [a, b] for 0 <= a <= b <= 1, elementwise
         on arrays of bounds; scalar bounds give a float."""
@@ -100,17 +115,9 @@ class WeightScheme:
         b = np.asarray(b, dtype=float)
         if not np.all((0.0 <= a) & (a <= b) & (b <= 1.0)):
             raise ValueError("integration bounds must satisfy 0 <= a <= b <= 1")
-        if self.kind == "truncation":
-            base = np.maximum(0.0, np.minimum(b, self.q0) - a)
-        elif self.kind == "signed_median":
-            below = np.maximum(0.0, np.minimum(b, 0.5) - a)
-            above = np.maximum(0.0, b - np.maximum(a, 0.5))
-            base = below - above
-        else:
-            base = 0.0
-            qs = [n[0] for n in self.nodes] + [1.0]
-            vs = [n[1] for n in self.nodes]
-            for lo, hi, v in zip(qs[:-1], qs[1:], vs):
+        base = 0.0
+        for lo, hi, v in self._cells():
+            if v:  # a zero step adds exact zeros; skipping it keeps truncation at one pass
                 base = base + v * np.maximum(0.0, np.minimum(b, hi) - np.maximum(a, lo))
         out = self.scale * base + self.shift * (b - a)
         return float(out) if out.ndim == 0 else out
@@ -120,17 +127,9 @@ class WeightScheme:
         return self.integral(0.0, 1.0)
 
     def second_moment(self):
-        if self.kind == "truncation":
-            sq = self.q0 * self.scale**2
-            cross = self.q0 * self.scale
-        elif self.kind == "signed_median":
-            sq = self.scale**2
-            cross = 0.0
-        else:
-            qs = [n[0] for n in self.nodes] + [1.0]
-            vs = [n[1] for n in self.nodes]
-            sq = self.scale**2 * sum(v * v * (hi - lo) for lo, hi, v in zip(qs[:-1], qs[1:], vs))
-            cross = self.scale * sum(v * (hi - lo) for lo, hi, v in zip(qs[:-1], qs[1:], vs))
+        cells = self._cells()
+        sq = self.scale**2 * sum(v * v * (hi - lo) for lo, hi, v in cells)
+        cross = self.scale * sum(v * (hi - lo) for lo, hi, v in cells)
         return sq + 2.0 * self.shift * cross + self.shift**2
 
     def variance(self):
@@ -141,13 +140,7 @@ class WeightScheme:
     @property
     def bound(self):
         """max |w| over [0, 1]."""
-        if self.kind == "truncation":
-            vals = (0.0, 1.0)
-        elif self.kind == "signed_median":
-            vals = (-1.0, 1.0)
-        else:
-            vals = tuple(v for _, v in self.nodes)
-        return max(abs(self.scale * v + self.shift) for v in vals)
+        return max(abs(self.scale * v + self.shift) for _, v in self.steps)
 
     def shifted(self, c):
         """Same scheme with w replaced by w + c."""

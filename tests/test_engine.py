@@ -125,12 +125,14 @@ def test_smoothed_cem_hand_example_and_alpha_one():
     theta = fam.pack(GaussianParams(np.zeros(1), np.eye(1)))
     samples = np.array([[0.8], [1.2]])
     w = np.array([0.5, 0.5])
-    out = fam.unpack(smoothed_cem_step(fam, theta, samples, w, 0.5, "mean_cov"))
+    out = fam.unpack(smoothed_cem_step(fam, theta, samples, w, 0.5, "natural"))
     assert out.m[0] == pytest.approx(0.5)
     assert out.C[0, 0] == pytest.approx(0.52)
-    for coords in ("natural", "expectation", "mean_cov"):
+    for coords in ("natural", "expectation"):
         full = smoothed_cem_step(fam, theta, samples, w, 1.0, coords)
         np.testing.assert_allclose(full, weighted_ml(fam, samples, w), rtol=1e-12)
+    with pytest.raises(ValueError, match="unknown parametrization"):
+        smoothed_cem_step(fam, theta, samples, w, 0.5, "mean_cov")
 
 
 def test_triple_equality_in_expectation_coordinates():
@@ -198,12 +200,16 @@ def test_step_diagnostics_monte_carlo_kl():
     fam = _NoClosedFormKl(1)
     t0 = fam.pack(GaussianParams(np.zeros(1), np.eye(1)))
     t1 = fam.pack(GaussianParams(np.array([0.1]), np.eye(1)))
-    rep = step_diagnostics(fam, t0, t1, rng=substream(46, 0), kl_samples=40000)
+    samples = fam.sample(t0, 40000, substream(46, 0))
+    rep = step_diagnostics(fam, t0, t1, samples=samples)
     exact = 0.5 * 0.1**2  # KL between unit normals shifted by 0.1
     assert rep.kl_sample_size == 40000
     assert abs(rep.kl_estimate - exact) <= 3.5 * rep.kl_stderr + 1e-4
+    # without samples the estimate is NaN
+    rep = step_diagnostics(fam, t0, t1)
+    assert math.isnan(rep.kl_estimate) and rep.kl_sample_size == 0
     # the plain family answers in closed form
-    rep = step_diagnostics(FullGaussianFamily(1), t0, t1, rng=substream(46, 0))
+    rep = step_diagnostics(FullGaussianFamily(1), t0, t1, samples=samples)
     assert rep.kl_estimate == pytest.approx(exact, rel=1e-12)
     assert rep.kl_stderr == 0.0 and rep.kl_sample_size == 0
 

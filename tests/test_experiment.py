@@ -13,7 +13,8 @@ from igopt.experiment import (
     run_experiment,
     status_counts,
 )
-from igopt.families import BernoulliFamily
+from igopt.engine import lift_noisy
+from igopt.families import BernoulliFamily, JointRbmFamily
 from igopt.objectives import onemax
 from igopt.weights import truncation
 
@@ -154,6 +155,37 @@ def test_csv_schema(tmp_path):
     assert len(summary) == 2 + max(len(r.rows) for r in records)
 
 
+def _summary_by_cell(records):
+    """The summary CSV rows as one ``np.percentile`` call per (step,
+    quantity, percentile) over the repeats alive at that step."""
+    quantities = ["best_f", "f_quantile", "dist_second", "mean_hidden", "kl", "speed_norm"]
+    lines = []
+    for k in range(max(len(r.rows) for r in records)):
+        cells = [str(k)]
+        for q in quantities:
+            vals = np.array([getattr(r.rows[k], q) for r in records if len(r.rows) > k])
+            vals = vals[~np.isnan(vals)]
+            cells += (["nan"] * 3 if vals.size == 0 else
+                      [experiment._fmt(np.percentile(vals, p)) for p in (16, 50, 84)])
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("text", [
+    "family = bernoulli:d=10\nobjective = onemax:d=10\nstop = target:0\nseed = 5\n",
+    "family = gaussian_iso:d=3,m0=2\nobjective = sphere:d=3\nstop = target:0.05\nseed = 6\n",
+    "family = rbm:n_x=6,n_h=1\nobjective = two_min:d=6,seed=2\nstop = both_optima\n"
+    "gibbs_burn_in = 10\nseed = 7\n",
+])
+def test_summary_percentiles_match_one_call_per_cell(tmp_path, text):
+    # repeats that end at different steps, and all-NaN quantities
+    records = run_experiment(parse_config(text + "n = 30\ndt = 0.3\nsteps = 60\nrepeats = 5\n"),
+                             out_dir=tmp_path)
+    assert len({len(r.rows) for r in records}) > 1
+    summary = (tmp_path / "experiment_summary.csv").read_bytes()
+    assert summary.split(b"\n", 2)[2] == _summary_by_cell(records).encode()
+
+
 def test_status_counts():
     cfg = parse_config(PBIL_CONFIG)
     records = run_experiment(cfg)
@@ -284,6 +316,50 @@ def test_cli_flow_sphere(tmp_path, monkeypatch):
     assert np.all(np.diff(rows["f_quantile"]) < 0)
 
 
+def test_cli_sphere_flow_refuses_other_schemes(tmp_path, monkeypatch, capsys):
+    # the reduced sphere flow is derived for truncation weights only
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "sphere.cfg"
+    cfgfile.write_text(
+        "family = gaussian_iso:d=5,r0=3\nobjective = sphere:d=5\nscheme = signed_median\n"
+        "horizon = 0.2\nflow_step = 0.1\n")
+    assert cli.main(["flow", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the sphere flow needs a truncation scheme, got 'signed_median'\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("family", ["rbm:n_x=4,n_h=1", "bernoulli_logit:d=4"])
+def test_cli_flow_fills_the_lyapunov_column_for_bernoulli_only(tmp_path, monkeypatch, family):
+    # the monitor is alpha . d(theta)/dt in Bernoulli mean coordinates
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text(f"family = {family}\nobjective = onemax:d=4\n"
+                       "horizon = 0.2\nflow_step = 0.1\n")
+    assert cli.main(["flow", str(cfgfile)]) == 0
+    rows = np.genfromtxt(tmp_path / "flow_trajectory.csv", delimiter=",",
+                         names=True, skip_header=1)
+    assert rows.size == 3 and np.all(np.isnan(rows["lyapunov"]))
+    assert np.all(np.isfinite(rows["speed"]))
+
+
+def test_cli_flow_singular_fisher_exits_3(tmp_path, monkeypatch, capsys):
+    # a singular Fisher matrix met while integrating is no config error
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text("family = rbm_marginal:n_x=5,n_h=2\nobjective = onemax:d=5\n"
+                       "scheme = truncation:q0=0.3\n")
+    assert cli.main(["flow", str(cfgfile)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("flow failed: Fisher matrix not safely")
+    # so is a state outside the family's domain
+    cfgfile.write_text("family = bernoulli:d=3\nobjective = onemax:d=3\ntheta0 = 0.5 0.5 1.5\n")
+    assert cli.main(["flow", str(cfgfile)]) == 3
+    assert capsys.readouterr().err == (
+        "flow failed: Bernoulli probabilities must lie strictly inside (0, 1)\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_flow_and_table_refuse_unknown_spec_options(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     cfgfile = tmp_path / "sphere.cfg"
@@ -368,6 +444,8 @@ def test_cli_sphere_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
 @pytest.mark.parametrize("line, message", [
     ("horizon = 2.0\n", "line 4: duplicate key 'horizon'"),
     ("", "line 3: horizon must be a number, got 'abc'"),
+    ("method = midpoint\n", "line 4: method must be euler or rk4, got 'midpoint'"),
+    ("theta0 = 0.5 0.5\n", "theta0 needs 3 numbers, got 2"),
 ])
 def test_cli_flow_config_grammar(tmp_path, monkeypatch, capsys, line, message):
     # the flow config shares the run config's grammar and its messages
@@ -482,7 +560,7 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("algorithm = igo_ml\ndt = 1.5\n", "igo_ml needs dt in"),
     ("algorithm = smoothed_cem\ndt = 1.5\n", "smoothed_cem needs dt in"),
     ("algorithm = smoothed_cem\nsmoothed_cem_coords = logit\n",
-     "smoothed_cem_coords must be natural, mean_cov or expectation, got 'logit'"),
+     "unknown config key 'smoothed_cem_coords'"),
     ("fisher = mc:m=abc\n", "'mc:m=abc': option m must be an integer, got 'abc'"),
     ("family = bernoulli:d=x\n", "'bernoulli:d=x': option d must be an integer, got 'x'"),
     ("family = bernoulli:d=10,p0=half\n", "option p0 must be a number, got 'half'"),
@@ -550,3 +628,42 @@ def test_lift_noisy_joint_rbm_runs_as_the_noisy_objective(tmp_path):
         assert all(0.0 <= row.mean_hidden <= 1.0 for row in rec.rows)
         csv[lifted] = (tmp_path / lifted / "experiment_runs.csv").read_bytes()
     assert csv["true"] == csv["false"]
+
+
+@pytest.mark.parametrize("algorithm", ["igo_ml", "smoothed_cem", "cem"])
+@pytest.mark.parametrize("problem", [
+    "family = bernoulli:d=6\nobjective = onemax:d=6,noise=uniform,noise_scale=0.7\n",
+    "family = gaussian:d=2\nobjective = sphere:d=2,noise=gaussian\n",
+])
+def test_lift_noisy_expectation_steps_run_as_the_noisy_objective(tmp_path, algorithm, problem):
+    # the expectation-coordinate steps reach the base family through the
+    # product family's forwarders, with the same bits
+    text = problem + f"algorithm = {algorithm}\nn = 40\ndt = 0.3\nsteps = 5\nseed = 8\n"
+    csv = {}
+    for lifted in ("false", "true"):
+        rec = run_experiment(parse_config(text + f"lift_noisy = {lifted}\n"),
+                             out_dir=tmp_path / lifted)[0]
+        assert rec.status == "step_limit"
+        csv[lifted] = (tmp_path / lifted / "experiment_runs.csv").read_bytes()
+    assert csv["true"] == csv["false"]
+
+
+def test_lift_noisy_forwards_the_sampled_kl_and_the_centred_score(tmp_path):
+    # n_x + n_h = 21 leaves the marginal RBM without a closed-form KL, so the
+    # KL is estimated through log_density; its Monte-Carlo Fisher is the
+    # covariance of score_stats
+    text = ("family = rbm_marginal:n_x=20,n_h=1\nobjective = onemax:d=20,noise=uniform\n"
+            "algorithm = vanilla_gradient\nfisher = mc:m=100\nn = 40\ndt = 0.3\nsteps = 3\n"
+            "seed = 8\ngibbs_burn_in = 5\n")
+    csv = {}
+    for lifted in ("false", "true"):
+        rec = run_experiment(parse_config(text + f"lift_noisy = {lifted}\n"),
+                             out_dir=tmp_path / lifted)[0]
+        assert all(row.kl_stderr > 0.0 for row in rec.rows) and len(rec.rows) == 3
+        csv[lifted] = (tmp_path / lifted / "experiment_runs.csv").read_bytes()
+    assert csv["true"] == csv["false"]
+    # a lifted joint RBM sample is ((x, h), omega): its size is the count of omegas
+    family = lift_noisy(JointRbmFamily(3, 2, burn_in=5))
+    rng = np.random.default_rng(0)
+    assert family.sample_size(family.sample(family.base.init_params(rng), 7, rng)) == 7
+
