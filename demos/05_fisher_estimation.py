@@ -11,7 +11,7 @@ import numpy as np
 
 from igopt import substream
 from igopt.families import BernoulliFamily, JointRbmFamily, SingularFisher, rbm_init
-from igopt.fisher import exact_fisher, invert, mc_fisher, reliability_check
+from igopt.fisher import FisherMatrix, exact_fisher, invert, mc_fisher, reliability_check
 
 fam = BernoulliFamily(3)
 theta = np.array([0.5, 0.2, 0.7])
@@ -41,8 +41,10 @@ print("scaled estimate vs exact:", reliability_check(f3, exact),
       f"(mean eigenvalue {f3.mean_eigenvalue:.3f})")
 
 # Rank-deficient estimates refuse to invert; ridge is an explicit opt-in.
+# Three copies of one sample give the mean score outer product g g^T, rank 1.
 dup = np.tile(fam.sample(theta, 1, substream(6, 4)), (3, 1))
-bad = mc_fisher(fam, theta, 3, substream(6, 5), samples=dup)
+g = fam.grad_log_density(theta, dup)
+bad = FisherMatrix(g.T @ g / 3, "monte_carlo", 3)
 try:
     invert(bad)
 except SingularFisher as err:

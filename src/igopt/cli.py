@@ -26,7 +26,8 @@ import numpy as np
 from . import experiment as exp_mod
 from . import flow as flow_mod
 from . import objectives as objectives_mod
-from .families import BernoulliFamily, DegenerateUpdate, DomainError, SingularFisher
+from .families import (BernoulliFamily, CapabilityError, DegenerateUpdate, DomainError,
+                       SingularFisher)
 from .rng import INIT, substream
 
 OUTPUT_DIR_ENV = "IGOPT_OUTPUT_DIR"
@@ -62,6 +63,9 @@ _FLOW_TYPED = {**dict.fromkeys(("horizon", "flow_step", "q_report"), (float, "a 
                "method": ({"euler": "euler", "rk4": "rk4"}.__getitem__, "euler or rk4"),
                "theta0": (lambda v: np.array([float(t) for t in v.split()]),
                           "numbers separated by spaces")}
+_FLOW_RANGES = {"horizon": (lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
+                "flow_step": (lambda x: 0.0 < x < math.inf, "finite and > 0"),
+                "q_report": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")}
 
 
 def cmd_flow(args):
@@ -71,6 +75,9 @@ def cmd_flow(args):
         for required in ("family", "objective"):
             if required not in spec:
                 raise ValueError(f"flow config needs {required!r}")
+        for key, (ok, what) in _FLOW_RANGES.items():
+            if key in spec and not ok(spec[key]):
+                raise ValueError(f"{key} must be {what}, got {spec[key]!r}")
         header, theta0, rhs, cells = _flow_setup(spec)
     except (OSError, ValueError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -115,9 +122,14 @@ def _flow_setup(spec):
 
     cfg = exp_mod.ExperimentConfig(family=spec["family"], objective=spec["objective"])
     family, start = exp_mod._family_and_start(cfg, substream(spec.get("seed", 1), 0, INIT))
-    if "enumerable" not in family.capabilities:
-        raise ValueError("flow integration needs an enumerable family "
-                         "(or gaussian_iso with a sphere objective)")
+    try:
+        family.enumerate_points()  # refuses a family, or a size, it cannot enumerate
+    except CapabilityError as err:
+        raise ValueError(f"flow integration needs an enumerable family "
+                         f"(or gaussian_iso with a sphere objective): {err}") from None
+    if obj.dim != family.dim:
+        raise ValueError(f"objective dimension {obj.dim} does not match "
+                         f"the family's {family.dim}")
     theta0 = spec.get("theta0", start)
     if len(theta0) != len(start):
         raise ValueError(f"theta0 needs {len(start)} numbers, got {len(theta0)}")

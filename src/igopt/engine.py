@@ -77,32 +77,30 @@ def vanilla_step(family, theta, samples, weights, dt, *, model_stats=None):
     return theta + dt * (w @ _score(family, theta, samples, model_stats))
 
 
-def _normalized(w, on_unnormalized, what):
+def _normalized(w, what):
+    """w rescaled to sum to one (logged when it did not already)."""
     total = w.sum()
     if math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-12):
         return w
-    if on_unnormalized == "renormalize":
-        if total == 0.0:
-            raise ValueError(f"{what}: weights sum to zero, cannot renormalize")
-        log.info("%s: renormalizing weights (sum was %.6g)", what, total)
-        return w / total
-    raise ValueError(f"{what} requires weights summing to 1 (got {total:.6g}); "
-                     "pass on_unnormalized='renormalize' to rescale")
+    if total == 0.0:
+        raise ValueError(f"{what}: weights sum to zero, cannot renormalize")
+    log.info("%s: renormalizing weights (sum was %.6g)", what, total)
+    return w / total
 
 
-def igo_ml_step(family, theta, samples, weights, dt, *, on_unnormalized="raise"):
+def igo_ml_step(family, theta, samples, weights, dt):
     """Smoothed maximum-likelihood step through expectation coordinates.
 
     Tbar' = (1 - dt) Tbar + dt T* with T* the weighted sufficient statistics
     of the sample; the result is mapped back to the family's own
-    parametrization.  Requires weights summing to one (strict mode raises,
-    ``on_unnormalized='renormalize'`` rescales and logs).  dt = 1 is the
-    weighted ML jump; DegenerateUpdate propagates from the family when the
-    blended statistics leave the valid domain.
+    parametrization.  Weights that do not sum to one are rescaled (and the
+    rescaling logged).  dt = 1 is the weighted ML jump; DegenerateUpdate
+    propagates from the family when the blended statistics leave the valid
+    domain.
     """
     if not 0.0 < dt <= 1.0:
         raise ValueError("igo_ml_step needs dt in (0, 1]")
-    w = _normalized(as_weight_array(weights), on_unnormalized, "igo_ml_step")
+    w = _normalized(as_weight_array(weights), "igo_ml_step")
     tbar = family.to_expectation(np.asarray(theta, dtype=float))
     t_star = w @ family.sufficient_stats(samples)
     return family.from_expectation((1.0 - dt) * tbar + dt * t_star)
@@ -114,7 +112,7 @@ def weighted_ml(family, samples, weights):
     For exponential families this is the expectation-parameter average of
     the sufficient statistics.
     """
-    w = _normalized(as_weight_array(weights), "renormalize", "weighted_ml")
+    w = _normalized(as_weight_array(weights), "weighted_ml")
     return family.from_expectation(w @ family.sufficient_stats(samples))
 
 
@@ -155,7 +153,7 @@ def smoothed_cem_step(family, theta, samples, weights, alpha, parametrization):
         theta_star = weighted_ml(family, samples, weights)
         return (1.0 - alpha) * np.asarray(theta, dtype=float) + alpha * theta_star
     if parametrization == "expectation":
-        return igo_ml_step(family, theta, samples, weights, alpha, on_unnormalized="renormalize")
+        return igo_ml_step(family, theta, samples, weights, alpha)
     raise ValueError(f"unknown parametrization: {parametrization!r}")
 
 
@@ -163,8 +161,6 @@ def smoothed_cem_step(family, theta, samples, weights, alpha, parametrization):
 
 @dataclass
 class StepReport:
-    theta_before: np.ndarray
-    theta_after: np.ndarray
     kl_estimate: float
     kl_stderr: float
     kl_sample_size: int
@@ -217,30 +213,24 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
         if den > 0.0:
             cosine = max(-1.0, min(1.0, num / den))
 
-    return StepReport(theta_before, theta_after, kl, stderr, m,
-                      fisher_step_norm, cosine)
+    return StepReport(kl, stderr, m, fisher_step_norm, cosine)
 
 
 def default_beta(n_samples, dim_theta):
     return min(n_samples / dim_theta, 0.5)
 
 
-def adapt_dt(report, dt, beta, *, variant="continuous"):
+def adapt_dt(report, dt, beta):
     """Step-size adaptation from the angle between consecutive steps.
 
-    Multiplies dt by exp(beta cos(alpha) / 2) ("continuous", default) or by
-    exp(beta sign(cos alpha) / 2) ("sign").  A missing cosine (first or
+    Multiplies dt by exp(beta cos(alpha) / 2).  A missing cosine (first or
     zero-length step) leaves dt unchanged.  Offered as optional: a positive
     cosine does not certify healthy progress.
     """
     c = report.cosine_with_previous
     if c is None:
         return dt
-    if variant == "continuous":
-        return dt * math.exp(beta * c / 2.0)
-    if variant == "sign":
-        return dt * math.exp(beta * math.copysign(1.0, c) / 2.0) if c != 0.0 else dt
-    raise ValueError(f"unknown adapt_dt variant: {variant!r}")
+    return dt * math.exp(beta * c / 2.0)
 
 
 # -- noisy objectives as a product family -------------------------------------
@@ -302,9 +292,6 @@ class LiftedNoisyFamily(Family):
 
     def points_of(self, samples):
         return self.base.points_of(samples[0])
-
-    def sample_size(self, samples):
-        return len(samples[1])
 
 
 def lift_noisy(family):

@@ -251,8 +251,7 @@ def _parse_scheme(spec):
     if kind == "truncation":
         scheme = truncation(opts.take("q0", float, 0.5), shift=opts.take("shift", float, 0.0))
     elif kind == "signed_median":
-        scheme = signed_median(shift=opts.take("shift", float, 0.0),
-                               scale=opts.take("scale", float, 1.0))
+        scheme = signed_median(shift=opts.take("shift", float, 0.0))
     elif kind == "table":
         # nodes=q:v;q:v;...  e.g. table:nodes=0:2;0.25:1;0.5:0
         text = opts.take("nodes", str)
@@ -274,6 +273,9 @@ def _parse_scheme(spec):
 
 @dataclass
 class StepRow:
+    """One step of a repeat; its fields, in order, are the runs-CSV columns
+    between run_id and status."""
+
     step: int
     time: float
     best_f: float
@@ -439,7 +441,7 @@ def _blend_dt(cfg):
 def _igo_ml(cfg, scheme):
     _blend_dt(cfg)
     return lambda family, theta, samples, values, weights, dt, fm: igo_ml_step(
-        family, theta, samples, weights, dt, on_unnormalized="renormalize")
+        family, theta, samples, weights, dt)
 
 
 def _cem(cfg, scheme):
@@ -516,9 +518,7 @@ def run_experiment(cfg, out_dir=None):
     return records
 
 
-_RUN_COLUMNS = ["run_id", "step", "time", "best_f", "f_quantile", "dist_second",
-                "mean_hidden", "kl", "kl_stderr", "speed_norm", "reliability", "dt",
-                "status"]
+_STEP_COLUMNS = [f.name for f in fields(StepRow)]
 
 
 def _fmt(x):
@@ -535,12 +535,10 @@ def write_csv_outputs(cfg, records, out_dir):
     with open(runs_path, "w") as fh:
         fh.write(f"# igopt runs schema v{CSV_SCHEMA_VERSION}; seed={cfg.seed}; "
                  f"algorithm={cfg.algorithm}\n")
-        fh.write(",".join(_RUN_COLUMNS) + "\n")
+        fh.write(",".join(["run_id", *_STEP_COLUMNS, "status"]) + "\n")
         for rec in records:
             for row in rec.rows:
-                out = [rec.run_id, row.step, row.time, row.best_f, row.f_quantile,
-                       row.dist_second, row.mean_hidden, row.kl, row.kl_stderr,
-                       row.speed_norm, row.reliability, row.dt, rec.status]
+                out = [rec.run_id, *(getattr(row, c) for c in _STEP_COLUMNS), rec.status]
                 fh.write(",".join(_fmt(v) for v in out) + "\n")
 
     summary_path = os.path.join(out_dir, f"{cfg.out_prefix}_summary.csv")

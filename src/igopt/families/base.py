@@ -96,11 +96,6 @@ class Family:
         """Search-space points to hand to an objective function."""
         return samples
 
-    def sample_size(self, samples):
-        if isinstance(samples, tuple):
-            return len(samples[0])
-        return len(samples)
-
     @property
     def capabilities(self):
         caps = set()

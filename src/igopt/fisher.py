@@ -55,8 +55,8 @@ def exact_fisher(family, theta):
     return FisherMatrix(family.fisher(theta), provenance="exact")
 
 
-def mc_fisher(family, theta, m, rng, *, samples=None):
-    """Monte-Carlo Fisher matrix from one batch of m samples (or ``samples``).
+def mc_fisher(family, theta, m, rng):
+    """Monte-Carlo Fisher matrix from one batch of m samples.
 
     Returns the full-batch estimate annotated with the ``reliability_check``
     verdict and mean eigenvalue of its two halves.  For a family with a
@@ -66,10 +66,7 @@ def mc_fisher(family, theta, m, rng, *, samples=None):
     p = family.dim_theta
     if m < p:
         raise ValueError(f"need at least dim_theta = {p} samples, got {m}")
-    if samples is None:
-        samples = family.sample(theta, m, rng)
-    elif family.sample_size(samples) != m:
-        raise ValueError("sample container does not match requested count")
+    samples = family.sample(theta, m, rng)
     centred = family.centred_score
     if centred:
         rows = family.score_stats(theta, samples)

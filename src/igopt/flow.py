@@ -73,12 +73,6 @@ class LinearFlowConstants:
         return m0 + sigma0 * self.beta / self.alpha * math.expm1(self.alpha * t)
 
 
-def _values_for(family, objective, points):
-    if callable(objective):
-        return np.asarray(objective(family.points_of(points)), dtype=float)
-    return objectives_mod.evaluate(objective, family.points_of(points))
-
-
 _GROUPS_CACHE_SIZE = 8
 # (family, objective content) -> (values, inverse) of _value_groups.  The
 # key holds the family itself, and families compare by identity, so an
@@ -107,16 +101,12 @@ def _value_groups(family, objective, points):
     values on ``points`` (the family's enumeration), read-only, and the
     ``np.unique`` inverse that numbers their distinct values ascending.
 
-    Cached per (family, objective content); a plain callable objective is
-    evaluated on every call.
+    Cached per (family, objective content).
     """
-    if callable(objective):
-        values = _values_for(family, objective, points)
-        return values, np.unique(values, return_inverse=True)[1]
     key = (family, _content_key(objective))
     groups = _groups_cache.get(key)
     if groups is None:
-        values = _values_for(family, objective, points)
+        values = objectives_mod.evaluate(objective, family.points_of(points))
         values.flags.writeable = False
         groups = values, np.unique(values, return_inverse=True)[1]
         _groups_cache[key] = groups
@@ -137,12 +127,11 @@ def _cached_inverse(values):
 def exact_weights_all(family, theta, objective, scheme):
     """Preference weight of every enumerated point under P_theta.
 
-    Returns (points, probabilities, values, weights); the values are
-    read-only when the objective is an ``Objective``.  For a group of
-    points sharing an objective value with lower/upper quantiles q- < q+,
-    the weight is the average of w over [q-, q+].  A degenerate group, one
-    whose mass is zero or too small to move the running quantile
-    (q- == q+), gets w(q+), as in ``exact_weight``.
+    Returns (points, probabilities, values, weights), the values read-only.
+    For a group of points sharing an objective value with lower/upper
+    quantiles q- < q+, the weight is the average of w over [q-, q+].  A
+    degenerate group, one whose mass is zero or too small to move the
+    running quantile (q- == q+), gets w(q+), as in ``exact_weight``.
     """
     points = family.enumerate_points()
     values, inverse = _value_groups(family, objective, points)
@@ -160,7 +149,7 @@ def exact_weight(family, theta, objective, scheme, x):
     """W(x): exact quantile-rewritten preference of a single point."""
     values, _ = _value_groups(family, objective, family.enumerate_points())
     probs = np.exp(family.enumerated_log_density(theta))
-    fx = float(_values_for(family, objective, _single(family, x))[0])
+    fx = float(objectives_mod.evaluate(objective, family.points_of(_single(family, x)))[0])
     # capped as in exact_weights_all: the masses can sum to 1 + 2^-52
     q_minus = min(1.0, float(probs[values < fx].sum()))
     q_plus = min(1.0, float(probs[values <= fx].sum()))

@@ -47,14 +47,12 @@ class WeightScheme:
     shift:  additive constant on w.  Shifting w leaves the flow unchanged
             and only alters the sampling noise of finite-N updates, so it is
             exposed as a free parameter and never optimized here.
-    scale:  multiplicative amplitude (max |w| before shift).
     """
 
     kind: str
     q0: float = 0.5
     nodes: tuple = ()
     shift: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind == "truncation":
@@ -89,14 +87,14 @@ class WeightScheme:
             vs = np.array([n[1] for n in self.nodes])
             idx = np.searchsorted(qs, q, side="right") - 1
             base = vs[idx]
-        out = self.scale * base + self.shift
+        out = base + self.shift
         return float(out) if out.ndim == 0 else out
 
     # -- exact integrals -------------------------------------------------
     @property
     def steps(self):
-        """w before scale and shift as ((q, value), ...) table steps; they
-        differ from ``__call__`` only at a breakpoint, which no integral sees."""
+        """w before shift as ((q, value), ...) table steps; they differ
+        from ``__call__`` only at a breakpoint, which no integral sees."""
         if self.kind == "truncation":
             return ((0.0, 1.0), (self.q0, 0.0)) if self.q0 < 1.0 else ((0.0, 1.0),)
         if self.kind == "signed_median":
@@ -119,7 +117,7 @@ class WeightScheme:
         for lo, hi, v in self._cells():
             if v:  # a zero step adds exact zeros; skipping it keeps truncation at one pass
                 base = base + v * np.maximum(0.0, np.minimum(b, hi) - np.maximum(a, lo))
-        out = self.scale * base + self.shift * (b - a)
+        out = base + self.shift * (b - a)
         return float(out) if out.ndim == 0 else out
 
     def mean(self):
@@ -128,8 +126,8 @@ class WeightScheme:
 
     def second_moment(self):
         cells = self._cells()
-        sq = self.scale**2 * sum(v * v * (hi - lo) for lo, hi, v in cells)
-        cross = self.scale * sum(v * (hi - lo) for lo, hi, v in cells)
+        sq = sum(v * v * (hi - lo) for lo, hi, v in cells)
+        cross = sum(v * (hi - lo) for lo, hi, v in cells)
         return sq + 2.0 * self.shift * cross + self.shift**2
 
     def variance(self):
@@ -137,22 +135,17 @@ class WeightScheme:
         m = self.mean()
         return max(0.0, self.second_moment() - m * m)
 
-    @property
-    def bound(self):
-        """max |w| over [0, 1]."""
-        return max(abs(self.scale * v + self.shift) for _, v in self.steps)
-
     def shifted(self, c):
         """Same scheme with w replaced by w + c."""
-        return WeightScheme(self.kind, self.q0, self.nodes, self.shift + c, self.scale)
+        return WeightScheme(self.kind, self.q0, self.nodes, self.shift + c)
 
 
 def truncation(q0, shift=0.0):
     return WeightScheme("truncation", q0=q0, shift=shift)
 
 
-def signed_median(shift=0.0, scale=1.0):
-    return WeightScheme("signed_median", shift=shift, scale=scale)
+def signed_median(shift=0.0):
+    return WeightScheme("signed_median", shift=shift)
 
 
 def table(nodes, shift=0.0):

@@ -73,15 +73,16 @@ def test_igo_ml_hand_example_one_dim_gaussian():
     assert out.C[0, 0] == pytest.approx(0.75)
 
 
-def test_igo_ml_requires_normalized_weights():
+def test_igo_ml_renormalizes_weights():
     fam = BernoulliFamily(2)
     theta = np.array([0.5, 0.5])
-    samples = np.array([[1, 1], [0, 0]])
-    with pytest.raises(ValueError):
-        igo_ml_step(fam, theta, samples, np.array([0.25, 0.25]), 0.5)
-    out = igo_ml_step(fam, theta, samples, np.array([0.25, 0.25]), 0.5,
-                      on_unnormalized="renormalize")
-    np.testing.assert_allclose(out, [0.5, 0.5])
+    samples = np.array([[1, 1], [0, 0], [1, 0]])
+    w = np.array([0.25, 0.25, 0.0])
+    np.testing.assert_array_equal(igo_ml_step(fam, theta, samples, w, 0.5),
+                                  igo_ml_step(fam, theta, samples, 2.0 * w, 0.5))
+    np.testing.assert_allclose(igo_ml_step(fam, theta, samples, w, 1.0), [0.5, 0.5])
+    with pytest.raises(ValueError, match="sum to zero"):
+        igo_ml_step(fam, theta, samples, np.zeros(3), 0.5)
 
 
 def test_igo_ml_at_dt_one_is_cem():
@@ -227,9 +228,7 @@ def test_cosine_and_adapt_dt():
     assert beta == 0.5
     assert adapt_dt(rep, 0.2, beta) == pytest.approx(0.2 * math.exp(beta / 2))
     assert adapt_dt(rep_back, 0.2, beta) == pytest.approx(0.2 * math.exp(-beta / 2))
-    assert adapt_dt(rep_back, 0.2, beta, variant="sign") == pytest.approx(
-        0.2 * math.exp(-beta / 2))
-    none_rep = StepReport(t0, t1, 0.0, 0.0, 0, 0.0, None)
+    none_rep = StepReport(0.0, 0.0, 0, 0.0, None)
     assert adapt_dt(none_rep, 0.2, beta) == 0.2
 
 

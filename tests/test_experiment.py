@@ -13,8 +13,7 @@ from igopt.experiment import (
     run_experiment,
     status_counts,
 )
-from igopt.engine import lift_noisy
-from igopt.families import BernoulliFamily, JointRbmFamily
+from igopt.families import BernoulliFamily
 from igopt.objectives import onemax
 from igopt.weights import truncation
 
@@ -458,6 +457,42 @@ def test_cli_flow_config_grammar(tmp_path, monkeypatch, capsys, line, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("flow_step = 0", "flow_step must be finite and > 0, got 0.0"),
+    ("flow_step = -0.1", "flow_step must be finite and > 0, got -0.1"),
+    ("flow_step = inf", "flow_step must be finite and > 0, got inf"),
+    ("horizon = -1", "horizon must be finite and >= 0, got -1.0"),
+    ("horizon = nan", "horizon must be finite and >= 0, got nan"),
+    ("horizon = inf", "horizon must be finite and >= 0, got inf"),
+    ("q_report = 2", "q_report must be in [0, 1], got 2.0"),
+    ("q_report = -1", "q_report must be in [0, 1], got -1.0"),
+])
+def test_cli_flow_refuses_numbers_out_of_range(tmp_path, monkeypatch, capsys, line, message):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text(f"family = bernoulli:d=3\nobjective = onemax:d=3\n{line}\n")
+    assert cli.main(["flow", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("family, objective, refusal", [
+    ("bernoulli:d=40", "onemax:d=40", "Bernoulli enumeration limited to d <= 22"),
+    ("rbm:n_x=16,n_h=8", "onemax:d=16",
+     "tables over the 2^n_x visible states need n_x + n_h <= 20"),
+    ("bernoulli:d=3", "onemax:d=4", "objective dimension 4 does not match the family's 3"),
+])
+def test_cli_flow_refuses_a_family_it_cannot_enumerate_at_parse_time(
+        tmp_path, monkeypatch, capsys, family, objective, refusal):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text(f"family = {family}\nobjective = {objective}\n")
+    assert cli.main(["flow", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and refusal in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_marginal_rbm_runs_on_a_monte_carlo_fisher():
     # the estimate centres the marginal family's own score statistics
     # U(x) = (x, p(h|x), x p(h|x)^T) on the batch
@@ -662,8 +697,4 @@ def test_lift_noisy_forwards_the_sampled_kl_and_the_centred_score(tmp_path):
         assert all(row.kl_stderr > 0.0 for row in rec.rows) and len(rec.rows) == 3
         csv[lifted] = (tmp_path / lifted / "experiment_runs.csv").read_bytes()
     assert csv["true"] == csv["false"]
-    # a lifted joint RBM sample is ((x, h), omega): its size is the count of omegas
-    family = lift_noisy(JointRbmFamily(3, 2, burn_in=5))
-    rng = np.random.default_rng(0)
-    assert family.sample_size(family.sample(family.base.init_params(rng), 7, rng)) == 7
 

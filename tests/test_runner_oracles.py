@@ -135,8 +135,7 @@ def test_igo_ml_matches_hand_chained_reference():
         "steps = 20\nseed = 34\n",
         fam, LogitBernoulliFamily.from_probabilities(np.full(6, 0.5)), onemax(6),
         truncation(0.5),
-        lambda th, x, f, w, seed, step: igo_ml_step(fam, th, x, w, 0.3,
-                                                    on_unnormalized="renormalize"))
+        lambda th, x, f, w, seed, step: igo_ml_step(fam, th, x, w, 0.3))
 
 
 def test_igo_with_monte_carlo_fisher_matches_hand_chained_reference():

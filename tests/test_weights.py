@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from igopt.objectives import PHI_REGISTRY
 from igopt.weights import (
     compute_quantile_weights,
     pbil_schedule,
@@ -26,7 +27,7 @@ def reference_integral(scheme, a, b):
         qs = [q for q, _ in scheme.nodes] + [1.0]
         for lo, hi, (_, v) in zip(qs[:-1], qs[1:], scheme.nodes):
             base += v * max(0.0, min(b, hi) - max(a, lo))
-    return scheme.scale * base + scheme.shift * (b - a)
+    return base + scheme.shift * (b - a)
 
 
 def reference_quantile_weights(values, scheme):
@@ -47,7 +48,7 @@ def reference_quantile_weights(values, scheme):
 SCHEMES = st.one_of(
     st.floats(0.01, 1.0).map(truncation),
     st.tuples(st.floats(0.01, 1.0), st.floats(-2.0, 2.0)).map(lambda p: truncation(*p)),
-    st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 3.0)).map(lambda p: signed_median(*p)),
+    st.floats(-2.0, 2.0).map(signed_median),
     st.tuples(
         st.lists(st.floats(0.01, 0.99), min_size=0, max_size=4, unique=True),
         st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
@@ -70,10 +71,52 @@ def test_vectorized_weights_match_per_group_loop_bit_for_bit(values, scheme):
         np.testing.assert_array_equal(got, want)
 
 
+@st.composite
+def _increasing_maps(draw):
+    """A strictly increasing map: a PHI_REGISTRY entry, or c + a0 v +
+    sum_j a_j max(0, v - b_j), piecewise linear with slopes a0 > 0 and a_j >= 0."""
+    name = draw(st.sampled_from([*PHI_REGISTRY, "piecewise_linear"]))
+    if name != "piecewise_linear":
+        return PHI_REGISTRY[name]
+    c, a0 = draw(st.floats(-1e3, 1e3)), draw(st.floats(0.01, 100.0))
+    kinks = draw(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 100.0)), max_size=4))
+
+    def phi(v):
+        return c + a0 * v + sum(a * np.maximum(0.0, v - b) for b, a in kinks)
+    return phi
+
+
+@given(VALUES, SCHEMES, _increasing_maps())
+def test_weights_and_tie_groups_are_invariant_under_increasing_maps(values, scheme, phi):
+    values = np.asarray(values)
+    mapped = phi(values)
+    # the map must keep the order and the ties in floating point too
+    assume(np.all(np.isfinite(mapped)))
+    assume(np.array_equal(np.unique(values, return_inverse=True)[1],
+                          np.unique(mapped, return_inverse=True)[1]))
+    rw = compute_quantile_weights(values, scheme)
+    got = compute_quantile_weights(mapped, scheme)
+    np.testing.assert_array_equal(got.weights, rw.weights)
+    assert len(got.tie_groups) == len(rw.tie_groups)
+    for a, b in zip(got.tie_groups, rw.tie_groups):
+        np.testing.assert_array_equal(a, b)
+
+
+@given(VALUES, SCHEMES)
+def test_tie_group_members_carry_equal_weights(values, scheme):
+    values = np.asarray(values)
+    rw = compute_quantile_weights(values, scheme)
+    for group in rw.tie_groups:
+        assert group.size > 1 and np.all(values[group] == values[group[0]])
+        assert np.all(rw.weights[group] == rw.weights[group[0]])
+    # one group per value that occurs more than once
+    assert len(rw.tie_groups) == np.sum(np.unique(values, return_counts=True)[1] > 1)
+
+
 def test_integral_is_elementwise_and_scalar_gives_float():
     a = np.array([0.0, 0.1, 0.45, 0.5, 0.9])
     b = np.array([1.0, 0.3, 0.55, 0.5, 1.0])
-    for scheme in (truncation(0.3, shift=0.2), signed_median(0.1, 2.0),
+    for scheme in (truncation(0.3, shift=0.2), signed_median(0.1),
                    table([(0.0, 2.0), (0.4, 1.0), (0.6, -1.0)], shift=-0.5)):
         got = scheme.integral(a, b)
         assert got.shape == a.shape
@@ -189,7 +232,6 @@ def test_table_validation():
         table([(0.0, 1.0), (0.4, 2.0)])  # increasing values
     tab = table([(0.0, 1.0), (0.5, 0.0)])
     assert tab(0.2) == 1.0 and tab(0.7) == 0.0
-    assert tab.bound == 1.0
 
 
 def test_pbil_schedule_and_variance():
