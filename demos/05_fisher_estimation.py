@@ -28,7 +28,7 @@ print("\ninverse of the exact matrix (diagonal):", np.diag(invert(exact)))
 # Reliability cross-validation on a freshly initialized RBM: every estimate
 # compares the two halves of its batch.  The RBM score is centred on the
 # batch mean of its statistics, which the estimate keeps for the step.
-rbm = JointRbmFamily(8, 1, burn_in=50)
+rbm = JointRbmFamily(8, 1)
 rtheta = rbm_init(8, 1, substream(6, 0)).flat()
 est = mc_fisher(rbm, rtheta, 8000, substream(6, 1))
 print(f"\nRBM reliability check: {est.reliability} "

@@ -18,7 +18,7 @@ COMMON = (
     "scheme = truncation:q0=0.5\n"
     "fisher = mc:m=4000\n"
     "n = 500\nsteps = 60\nseed = 4242\nrepeats = 4\n"
-    "stop = both_optima\ngibbs_burn_in = 60\n"
+    "stop = both_optima\n"
 )
 
 

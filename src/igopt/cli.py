@@ -63,6 +63,7 @@ _FLOW_TYPED = {**dict.fromkeys(("horizon", "flow_step", "q_report"), (float, "a 
                "method": ({"euler": "euler", "rk4": "rk4"}.__getitem__, "euler or rk4"),
                "theta0": (lambda v: np.array([float(t) for t in v.split()]),
                           "numbers separated by spaces")}
+MAX_FLOW_STEPS = 100_000  # fixed steps of one flow integration
 _FLOW_RANGES = {"horizon": (lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
                 "flow_step": (lambda x: 0.0 < x < math.inf, "finite and > 0"),
                 "q_report": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")}
@@ -78,6 +79,7 @@ def cmd_flow(args):
         for key, (ok, what) in _FLOW_RANGES.items():
             if key in spec and not ok(spec[key]):
                 raise ValueError(f"{key} must be {what}, got {spec[key]!r}")
+        _check_flow_steps(spec.get("horizon", 1.0), spec.get("flow_step", 0.01))
         header, theta0, rhs, cells = _flow_setup(spec)
     except (OSError, ValueError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -95,6 +97,18 @@ def cmd_flow(args):
                       f"igopt flow schema v{exp_mod.CSV_SCHEMA_VERSION}", header, rows)
     print(path)
     return 0
+
+
+def _check_flow_steps(horizon, step):
+    """``flow.integrate`` takes round(horizon / step) fixed steps: refuse a
+    count above MAX_FLOW_STEPS, or one that does not end at the horizon."""
+    steps = horizon / step
+    if not steps <= MAX_FLOW_STEPS:
+        raise ValueError(f"horizon / flow_step = {steps:.6g} steps, above "
+                         f"MAX_FLOW_STEPS = {MAX_FLOW_STEPS}")
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):  # allows 3 / 0.1
+        raise ValueError(f"horizon {horizon!r} is not a whole number of "
+                         f"flow_step {step!r} (horizon / flow_step = {steps:.6g})")
 
 
 def _flow_setup(spec):

@@ -69,6 +69,10 @@ __all__ = ["ExperimentConfig", "RunRecord", "StepRow", "parse_config",
            "CSV_SCHEMA_VERSION"]
 
 CSV_SCHEMA_VERSION = 1
+# the most float entries a config may ask for: a sample batch (n * dim), the
+# Monte-Carlo Fisher batch (m * dim_theta) or the kept theta trajectories
+# (repeats * (steps + 1) * dim_theta); 128 MiB as float64
+MAX_ENTRIES = 2**24
 
 
 @dataclass
@@ -105,6 +109,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown stop rule {self.stop!r}")
         rng = np.random.default_rng(0)  # stands in for the run's streams
         fam = _setup(self, rng, rng)[0]
+        for what, entries in (("n * dim", self.n * fam.dim),
+                              ("fisher m * dim_theta", m * fam.dim_theta),
+                              ("repeats * (steps + 1) * dim_theta",
+                               self.repeats * (self.steps + 1) * fam.dim_theta)):
+            if entries > MAX_ENTRIES:
+                raise ValueError(f"{what} = {entries} is above the cap of "
+                                 f"MAX_ENTRIES = 2^24 = {MAX_ENTRIES}")
         if 0 < m < fam.dim_theta:
             raise ValueError(f"fisher sample count {m} below dim_theta = {fam.dim_theta}; "
                              "a rank-1-sum estimate cannot be invertible")

@@ -29,13 +29,16 @@ marginal family's Fisher and KL need P(h | x), which is not linear in x, so
 they (and ``enumerate_points``) keep a table over the 2^n_x visible states,
 refused above ENUMERATION_CUTOFF total units.
 
-Gibbs estimates remain available at any size: chains are vectorized, one
-independent chain per sample, with a configurable number of burn-in sweeps.
-Each Bernoulli draw compares a raw Philox word with an integer threshold
-(see ``_thresholds``), which gives the bits of ``rng.random() < p``.  While
-2^n_h <= n, visible units are drawn from a per-hidden-state table of those
-thresholds, built once per call; wider hidden layers fall back to one
-matmul per sweep.  Both paths give the same bits.
+Samples are exact wherever that table is: the smaller layer's state is
+drawn from P(h) by inverse CDF (one uniform per sample), then the other
+layer from P(x | h), so there is no chain and no burn-in.  Shapes over
+EXACT_WORK_CUTOFF fall back to Gibbs chains, vectorized, one independent
+chain per sample, with ``burn_in`` sweeps.  Each Bernoulli draw compares a
+raw Philox word with an integer threshold (see ``_thresholds``), which gives
+the bits of ``rng.random() < p``.  While 2^n_h <= n, Gibbs draws the visible
+units from a per-hidden-state table of those thresholds, built once per
+call; wider hidden layers fall back to one matmul per sweep.  Both paths
+give the same bits.
 """
 
 import math
@@ -129,6 +132,14 @@ def _thresholds(p):
     return t
 
 
+def _raw_words(rng):
+    """The raw 64-bit words of ``rng`` that ``_thresholds`` compares with."""
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        # its random() combines two 32-bit words; _thresholds needs one 64-bit word
+        raise ValueError("RBM sampling needs a 64-bit bit generator, not MT19937")
+    return rng.bit_generator.random_raw
+
+
 class _RbmCommon(Family):
     centred_score = True
 
@@ -159,12 +170,24 @@ class _RbmCommon(Family):
         h = np.asarray(h, dtype=float)
         return -(x @ p.a + h @ p.b + ((x @ p.W) * h).sum(axis=1))
 
+    def _sample(self, theta, n, rng):
+        """n exact draws (x, h): the smaller layer's state k by inverse CDF
+        of P(h), then the other layer given it; Gibbs where
+        ``_check_enumerable`` refuses the table."""
+        try:
+            H, probs, PX, _ = self._hidden_table(theta)
+        except CapabilityError:
+            return self._gibbs(theta, n, rng)
+        raw = _raw_words(rng)
+        k = np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
+        np.minimum(k, len(H) - 1, out=k)  # the cumulative sum may end below 1
+        other = (raw((n, PX.shape[1])) <= _thresholds(PX)[k]).astype(np.uint8)
+        small = H[k].astype(np.uint8)
+        return (other, small) if self.n_x >= self.n_h else (small, other)
+
     def _gibbs(self, theta, n, rng):
-        if isinstance(rng.bit_generator, np.random.MT19937):
-            # its random() combines two 32-bit words; _thresholds needs one 64-bit word
-            raise ValueError("RBM Gibbs sampling needs a 64-bit bit generator, not MT19937")
+        raw = _raw_words(rng)
         p = self.unpack(theta)
-        raw = rng.bit_generator.random_raw
         x = (raw((n, self.n_x)) < np.uint64(2**63)).astype(np.float64)  # u < 1/2
         if 2**self.n_h <= n:
             # P(x | h) takes one row per hidden state: gather its thresholds
@@ -251,7 +274,7 @@ class JointRbmFamily(_RbmCommon):
     check_fisher = _RbmCommon._check_enumerable  # CapabilityError when refused
 
     def sample(self, theta, n, rng):
-        return self._gibbs(theta, n, rng)
+        return self._sample(theta, n, rng)
 
     def points_of(self, samples):
         return samples[0]
@@ -300,13 +323,19 @@ class JointRbmFamily(_RbmCommon):
         perm = self._enumerated[1]
         return cov[np.ix_(perm, perm)]
 
-    def enumerate_points(self):
+    @cached_property
+    def _points(self):
+        """Every (x, h) pair, x-major, built once and read-only."""
         self._check_visible_table()
         X = enumerate_bits(self.n_x)
         H = enumerate_bits(self.n_h)
         x_all = np.repeat(X, len(H), axis=0)
         h_all = np.tile(H, (len(X), 1))
+        x_all.flags.writeable = h_all.flags.writeable = False
         return x_all, h_all
+
+    def enumerate_points(self):
+        return self._points
 
     def exact_kl(self, theta_p, theta_q):
         """KL between two joint RBM laws: the joint family is exponential in
@@ -323,7 +352,7 @@ class MarginalRbmFamily(_RbmCommon):
     check_fisher = _RbmCommon._check_visible_table  # CapabilityError when refused
 
     def sample(self, theta, n, rng):
-        return self._gibbs(theta, n, rng)[0]
+        return self._sample(theta, n, rng)[0]
 
     def score_stats(self, theta, x):
         """U(x) = E[T | x] = (x, p(h|x), x (x) p(h|x))."""

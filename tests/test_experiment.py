@@ -342,6 +342,28 @@ def test_cli_flow_fills_the_lyapunov_column_for_bernoulli_only(tmp_path, monkeyp
     assert np.all(np.isfinite(rows["speed"]))
 
 
+def test_cli_joint_rbm_flow_is_unchanged_by_the_cached_point_table(tmp_path, monkeypatch):
+    # the same CSV bytes as with a fresh (x, h) table on every call
+    from igopt.families import JointRbmFamily
+    from igopt.families.base import enumerate_bits
+
+    def fresh_points(fam):
+        x, h = enumerate_bits(fam.n_x), enumerate_bits(fam.n_h)
+        return np.repeat(x, len(h), axis=0), np.tile(h, (len(x), 1))
+
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text("family = rbm:n_x=6,n_h=2\nobjective = two_min:d=6,seed=3\n"
+                       "scheme = truncation:q0=0.3\nhorizon = 0.5\nflow_step = 0.05\nseed = 5\n")
+    csv = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(JointRbmFamily, "enumerate_points", fresh_points)
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / str(patch)))
+        assert cli.main(["flow", str(cfgfile)]) == 0
+        csv.append((tmp_path / str(patch) / "flow_trajectory.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
 def test_cli_flow_singular_fisher_exits_3(tmp_path, monkeypatch, capsys):
     # a singular Fisher matrix met while integrating is no config error
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
@@ -474,6 +496,29 @@ def test_cli_flow_refuses_numbers_out_of_range(tmp_path, monkeypatch, capsys, li
     assert cli.main(["flow", str(cfgfile)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("horizon = 1\nflow_step = 0.3",
+     "horizon 1.0 is not a whole number of flow_step 0.3 (horizon / flow_step = 3.33333)"),
+    ("horizon = 2\nflow_step = 5",
+     "horizon 2.0 is not a whole number of flow_step 5.0 (horizon / flow_step = 0.4)"),
+    ("horizon = 1\nflow_step = 1e-9",
+     "horizon / flow_step = 1e+09 steps, above MAX_FLOW_STEPS = 100000"),
+    ("horizon = 1e300\nflow_step = 1e-300",
+     "horizon / flow_step = inf steps, above MAX_FLOW_STEPS = 100000"),
+])
+def test_cli_flow_steps_must_fit_the_horizon(tmp_path, monkeypatch, capsys, line, message):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text(f"family = bernoulli:d=3\nobjective = onemax:d=3\n{line}\n")
+    assert cli.main(["flow", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+    # a step count within rounding of a whole number, and the cap itself, pass
+    cli._check_flow_steps(3.0, 0.1)  # 30.000000000000004 steps
+    cli._check_flow_steps(1.0, 1.0 / cli.MAX_FLOW_STEPS)
+    cli._check_flow_steps(0.0, 0.1)
 
 
 @pytest.mark.parametrize("family, objective, refusal", [
@@ -640,6 +685,35 @@ def test_bad_numbers_exit_2_with_one_line(tmp_path, monkeypatch, capsys, text, m
     cfg.write_text(text)
     assert cli.main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+CAPPED = "family = bernoulli:d=16\nobjective = onemax:d=16\nscheme = truncation:q0=0.5\n"
+
+
+@pytest.mark.parametrize("at_cap, over_cap, message", [
+    ("n = 1048576\n", "n = 1048577\n", "n * dim = 16777232"),
+    ("fisher = mc:m=1048576\n", "fisher = mc:m=1048577\n", "fisher m * dim_theta = 16777232"),
+    ("steps = 4095\nrepeats = 256\n", "steps = 4095\nrepeats = 257\n",
+     "repeats * (steps + 1) * dim_theta = 16842752"),
+    ("steps = 1048575\n", "steps = 1048576\n", "repeats * (steps + 1) * dim_theta = 16777232"),
+])
+def test_resource_caps_exit_2_with_one_line(tmp_path, monkeypatch, capsys, at_cap, over_cap,
+                                            message):
+    # parsing only: no batch of this size is ever drawn
+    assert experiment.MAX_ENTRIES == 2**24
+    parse_config(CAPPED + at_cap)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfg = tmp_path / "big.cfg"
+    for text in (over_cap, "n = 100000000000\n", "repeats = 1000000000\n"):
+        cfg.write_text(CAPPED + text)
+        assert cli.main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "above the cap of MAX_ENTRIES = 2^24" in err
+    cfg.write_text(CAPPED + over_cap)
+    cli.main(["run", str(cfg)])
+    assert capsys.readouterr().err == (f"config error: {message} is above the cap of "
+                                       "MAX_ENTRIES = 2^24 = 16777216\n")
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -197,7 +197,7 @@ def test_init_zero_weights_give_uniform():
 def test_gibbs_moments_approach_exact():
     fam = JointRbmFamily(3, 1, burn_in=60)
     theta = tiny_params(3, 1, seed=7, scale=0.4).flat()
-    x, h = fam.sample(theta, 40000, substream(53, 0))
+    x, h = fam._gibbs(theta, 40000, substream(53, 0))
     est = fam.sufficient_stats((x, h)).mean(axis=0)
     exact = fam.exact_stats(theta)
     assert np.abs(est - exact).max() < 0.02
@@ -271,6 +271,17 @@ def test_enumeration_cutoff_enforced():
         fam.log_partition(np.zeros(fam.dim_theta))
 
 
+def test_joint_points_are_built_once_and_read_only():
+    fam = JointRbmFamily(3, 2)
+    first, second = fam.enumerate_points(), fam.enumerate_points()
+    for a, b in zip(first, second):
+        assert a is b
+        assert not a.flags.writeable
+    x, h = first
+    np.testing.assert_array_equal(x, np.repeat(_ref_bits(3), 4, axis=0))
+    np.testing.assert_array_equal(h, np.tile(_ref_bits(2), (8, 1)))
+
+
 def test_every_shape_accepted_before_is_still_enumerable():
     for n_x in range(1, 20):
         for n_h in range(1, 21 - n_x):
@@ -296,9 +307,9 @@ def test_serialization_order():
 
 
 # -- frozen references: the sampler and exact quantities as first written ----
-# The family now draws from raw Philox words with integer thresholds and
-# gathers P(x | h) from a per-hidden-state table; its samples must equal these
-# bit for bit.  Its exact joint quantities sum over the smaller layer, while
+# The family's Gibbs chains now draw from raw Philox words with integer
+# thresholds and gather P(x | h) from a per-hidden-state table; they must
+# equal these bit for bit, as its exact draws must equal ``ref_ancestral``.  Its exact joint quantities sum over the smaller layer, while
 # these sum over the visible states.
 
 def _ref_sigmoid(t):
@@ -367,13 +378,13 @@ def test_gibbs_matches_reference_bit_for_bit(n_x, n_h, n, burn_in):
     for seed, scale in [(0, 0.5), (1, 3.0)]:
         theta = tiny_params(n_x, n_h, seed=60 + seed, scale=scale).flat()
         joint = JointRbmFamily(n_x, n_h, burn_in=burn_in)
-        x, h = joint.sample(theta, n, substream(61, seed))
+        x, h = joint._gibbs(theta, n, substream(61, seed))
         x_ref, h_ref = ref_gibbs(joint, theta, n, substream(61, seed))
         assert x.dtype == h.dtype == np.uint8
         np.testing.assert_array_equal(x, x_ref)
         np.testing.assert_array_equal(h, h_ref)
         marg = MarginalRbmFamily(n_x, n_h, burn_in=burn_in)
-        np.testing.assert_array_equal(marg.sample(theta, n, substream(61, seed)), x_ref)
+        np.testing.assert_array_equal(marg._gibbs(theta, n, substream(61, seed))[0], x_ref)
 
 
 def test_gibbs_refuses_mt19937():
@@ -381,10 +392,72 @@ def test_gibbs_refuses_mt19937():
     # thresholds would not reproduce it
     fam = JointRbmFamily(3, 1)
     with pytest.raises(ValueError, match="MT19937"):
-        fam.sample(np.zeros(fam.dim_theta), 4, np.random.Generator(np.random.MT19937(0)))
-    x, _ = fam.sample(np.zeros(fam.dim_theta), 4, np.random.default_rng(0))  # PCG64
+        fam._gibbs(np.zeros(fam.dim_theta), 4, np.random.Generator(np.random.MT19937(0)))
+    x, _ = fam._gibbs(np.zeros(fam.dim_theta), 4, np.random.default_rng(0))  # PCG64
     x_ref, _ = ref_gibbs(fam, np.zeros(fam.dim_theta), 4, np.random.default_rng(0))
     np.testing.assert_array_equal(x, x_ref)
+
+
+def ref_ancestral(fam, theta, n, rng):
+    """Exact draws as first written: the smaller layer (the hidden one
+    unless n_x < n_h) by inverse CDF of its marginal, then the other layer
+    given it, with ``random() < p``."""
+    p = fam.unpack(theta)
+    swap = fam.n_x < fam.n_h
+    a, b, W = (p.b, p.a, p.W.T) if swap else (p.a, p.b, p.W)
+    S = _ref_bits(W.shape[1]).astype(float)  # the smaller layer's states
+    act = a + S @ W.T
+    logmass = S @ b + np.logaddexp(0.0, act).sum(axis=1)
+    m = logmass.max()
+    probs = np.exp(logmass - float(m + np.log(np.exp(logmass - m).sum())))
+    cdf = np.cumsum(probs)
+    u = rng.random(n)
+    k = np.array([min(int((cdf <= ui).sum()), len(S) - 1) for ui in u])
+    other = (rng.random((n, W.shape[0])) < _ref_sigmoid(act)[k]).astype(np.uint8)
+    small = S[k].astype(np.uint8)
+    return (small, other) if swap else (other, small)
+
+
+@pytest.mark.parametrize("n_x, n_h, n", [(16, 1, 500), (12, 3, 300), (2, 2, 64), (3, 5, 200)])
+def test_sample_matches_ancestral_reference_bit_for_bit(n_x, n_h, n):
+    for seed, scale in [(0, 0.5), (1, 3.0)]:
+        theta = tiny_params(n_x, n_h, seed=80 + seed, scale=scale).flat()
+        x, h = JointRbmFamily(n_x, n_h).sample(theta, n, substream(81, seed))
+        x_ref, h_ref = ref_ancestral(JointRbmFamily(n_x, n_h), theta, n, substream(81, seed))
+        assert x.dtype == h.dtype == np.uint8
+        assert x.shape == (n, n_x) and h.shape == (n, n_h)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(h, h_ref)
+        marg = MarginalRbmFamily(n_x, n_h)
+        np.testing.assert_array_equal(marg.sample(theta, n, substream(81, seed)), x_ref)
+
+
+def test_sample_refuses_mt19937():
+    fam = JointRbmFamily(3, 1)
+    with pytest.raises(ValueError, match="MT19937"):
+        fam.sample(np.zeros(fam.dim_theta), 4, np.random.Generator(np.random.MT19937(0)))
+
+
+@pytest.mark.parametrize("n_x, n_h", [(3, 1), (3, 5)])  # (3, 5) draws x first
+def test_sample_moments_match_exact(n_x, n_h):
+    fam = JointRbmFamily(n_x, n_h)
+    theta = tiny_params(n_x, n_h, seed=7, scale=0.4).flat()
+    est = fam.sufficient_stats(fam.sample(theta, 40000, substream(53, 1))).mean(axis=0)
+    assert np.abs(est - fam.exact_stats(theta)).max() < 0.02
+
+
+def test_shapes_over_the_cutoff_sample_by_gibbs():
+    # 2^12 * 272^2 > EXACT_WORK_CUTOFF: no table, so the chain runs
+    theta = tiny_params(20, 12, seed=82, scale=0.3).flat()
+    joint = JointRbmFamily(20, 12, burn_in=2)
+    with pytest.raises(CapabilityError):
+        joint._check_enumerable()
+    x, h = joint.sample(theta, 16, substream(83, 0))
+    x_ref, h_ref = ref_gibbs(joint, theta, 16, substream(83, 0))
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(h, h_ref)
+    marg = MarginalRbmFamily(20, 12, burn_in=2)
+    np.testing.assert_array_equal(marg.sample(theta, 16, substream(83, 0)), x_ref)
 
 
 def ref_fisher(fam, theta):

@@ -180,7 +180,7 @@ def test_rbm_reliability_calibration_baseline():
     # two split M=10000 estimates on freshly initialized 16+1 machines pass
     # the cross-validation on (at least) 95% of seeds; regression baseline
     from igopt.families import JointRbmFamily, rbm_init
-    fam = JointRbmFamily(16, 1, burn_in=60)
+    fam = JointRbmFamily(16, 1)
     passes = 0
     seeds = 40
     for seed in range(seeds):
