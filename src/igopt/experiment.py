@@ -73,6 +73,9 @@ CSV_SCHEMA_VERSION = 1
 # Monte-Carlo Fisher batch (m * dim_theta) or the kept theta trajectories
 # (repeats * (steps + 1) * dim_theta); 128 MiB as float64
 MAX_ENTRIES = 2**24
+# the most Gibbs sweeps before an RBM draw (1,000 times the default); it
+# applies only to shapes that sample by Gibbs, yet is checked for every config
+MAX_GIBBS_BURN_IN = 100_000
 
 
 @dataclass
@@ -102,8 +105,9 @@ class ExperimentConfig:
             raise ValueError("n, repeats and workers must be positive, steps non-negative")
         if not 0.0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        if self.gibbs_burn_in < 0:
-            raise ValueError("gibbs_burn_in must be non-negative")
+        if not 0 <= self.gibbs_burn_in <= MAX_GIBBS_BURN_IN:
+            raise ValueError(f"gibbs_burn_in must lie in [0, MAX_GIBBS_BURN_IN = "
+                             f"{MAX_GIBBS_BURN_IN}], got {self.gibbs_burn_in}")
         m = _fisher_sample_count(self.fisher)
         if not (self.stop in ("steps", "both_optima") or _stop_target(self) is not None):
             raise ValueError(f"unknown stop rule {self.stop!r}")
@@ -116,9 +120,10 @@ class ExperimentConfig:
             if entries > MAX_ENTRIES:
                 raise ValueError(f"{what} = {entries} is above the cap of "
                                  f"MAX_ENTRIES = 2^24 = {MAX_ENTRIES}")
-        if 0 < m < fam.dim_theta:
-            raise ValueError(f"fisher sample count {m} below dim_theta = {fam.dim_theta}; "
-                             "a rank-1-sum estimate cannot be invertible")
+        if self.fisher != "exact" and m < max(2, fam.dim_theta):
+            raise ValueError(f"fisher sample count {m} below {max(2, fam.dim_theta)}: each "
+                             "half of the batch needs a row, and the estimate needs "
+                             f"dim_theta = {fam.dim_theta} rows to be invertible")
         if not m and isinstance(fam, (JointRbmFamily, MarginalRbmFamily)):
             try:
                 fam.check_fisher()

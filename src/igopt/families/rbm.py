@@ -263,6 +263,18 @@ class _RbmCommon(Family):
         return self._stats_and_log_z(theta)[0]
 
 
+def _stats_rows(x, h):
+    """The rows (x, h, x (x) h) of two float arrays, written into one array."""
+    n, nx = x.shape
+    nh = h.shape[1]
+    out = np.empty((n, nx + nh + nx * nh))
+    out[:, :nx] = x
+    out[:, nx:nx + nh] = h
+    np.multiply(x[:, :, None], h[:, None, :],
+                out=out[:, nx + nh:].reshape(n, nx, nh, copy=False))
+    return out
+
+
 def _logsumexp(v):
     m = v.max()
     return float(m + np.log(np.exp(v - m).sum()))
@@ -280,10 +292,8 @@ class JointRbmFamily(_RbmCommon):
         return samples[0]
 
     def sufficient_stats(self, samples):
-        x = np.asarray(samples[0], dtype=float)
-        h = np.asarray(samples[1], dtype=float)
-        xh = np.einsum("ri,rj->rij", x, h).reshape(x.shape[0], -1)
-        return np.concatenate([x, h, xh], axis=1)
+        return _stats_rows(np.asarray(samples[0], dtype=float),
+                           np.asarray(samples[1], dtype=float))
 
     def log_density(self, theta, samples):
         return -self.energy(theta, *samples) - self.log_partition(theta)
@@ -308,8 +318,7 @@ class JointRbmFamily(_RbmCommon):
         H, probs, PX, _ = self._hidden_table(theta)
         rows, nx = PX.shape
         nh = H.shape[1]
-        cond = np.concatenate([PX, H, (PX[:, :, None] * H[:, None, :]).reshape(rows, -1)],
-                              axis=1)
+        cond = _stats_rows(PX, H)
         cond -= probs @ cond
         cond *= np.sqrt(probs)[:, None]
         cov = cond.T @ cond
@@ -357,9 +366,7 @@ class MarginalRbmFamily(_RbmCommon):
     def score_stats(self, theta, x):
         """U(x) = E[T | x] = (x, p(h|x), x (x) p(h|x))."""
         x = np.asarray(x, dtype=float)
-        ph = self.p_hidden_given_visible(theta, x)
-        xh = np.einsum("ri,rj->rij", x, ph).reshape(x.shape[0], -1)
-        return np.concatenate([x, ph, xh], axis=1)
+        return _stats_rows(x, self.p_hidden_given_visible(theta, x))
 
     def log_density(self, theta, samples):
         p = self.unpack(theta)

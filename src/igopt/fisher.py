@@ -3,10 +3,13 @@ reliability cross-validation, and guarded inversion.
 
 A Monte-Carlo estimate averages rank-one terms g g^T of per-sample scores,
 so it needs at least dim(theta) distinct samples to stand a chance of being
-invertible; reliability is judged by comparing two independent estimates
-F1, F2 through the mean eigenvalue of F1 F2^{-1}, accepted inside [1/2, 2].
-Singular or ill-conditioned matrices raise ``SingularFisher``; ridge
-regularization is strictly opt-in and recorded in the provenance.
+invertible; reliability is judged by comparing the estimates F1, F2 of the
+batch's two halves through the mean eigenvalue of F1 F2^{-1}, accepted
+inside [1/2, 2].  The full-batch estimate is not reduced again: it is
+merged from the halves' Gram products by the pairwise update of Chan,
+Golub & LeVeque (Am. Stat. 1983), so one pass over the rows gives all
+three.  Singular or ill-conditioned matrices raise ``SingularFisher``;
+ridge regularization is strictly opt-in and recorded in the provenance.
 """
 
 from dataclasses import dataclass, field
@@ -56,35 +59,55 @@ def exact_fisher(family, theta):
 
 
 def mc_fisher(family, theta, m, rng):
-    """Monte-Carlo Fisher matrix from one batch of m samples.
+    """Monte-Carlo Fisher matrix from one batch of m samples, in one pass.
 
-    Returns the full-batch estimate annotated with the ``reliability_check``
-    verdict and mean eigenvalue of its two halves.  For a family with a
-    ``centred_score`` it is the covariance of the score statistics, whose
-    batch mean becomes ``model_stats``; otherwise the mean score outer product.
+    The batch is split into halves of n1 = m // 2 and n2 = m - n1 rows, and
+    each half's Gram product S_k is formed once: about the half's own mean
+    for a family with a ``centred_score`` (its rows are score statistics),
+    about zero otherwise (its rows are scores).  The halves' estimates
+    S_k / n_k go to ``reliability_check``.  The full-batch estimate is their
+    pairwise merge (Chan, Golub & LeVeque, Am. Stat. 1983),
+
+        F = (S1 + S2 + n1 n2 / m * delta delta^T) / m,   delta = mean1 - mean2,
+
+    without the delta term when uncentred; for a centred family the merged
+    batch mean becomes ``model_stats``.  The result carries the verdict and
+    mean eigenvalue of the halves.
     """
     p = family.dim_theta
-    if m < p:
-        raise ValueError(f"need at least dim_theta = {p} samples, got {m}")
+    if m < max(2, p):
+        raise ValueError(f"need at least max(2, dim_theta = {p}) samples, got {m}")
     samples = family.sample(theta, m, rng)
     centred = family.centred_score
     if centred:
         rows = family.score_stats(theta, samples)
     else:
         rows = family.grad_log_density(theta, samples)
-    half = m // 2
-    full = _outer_mean(rows, centred)
-    f1 = _outer_mean(rows[:half], centred)
-    full.reliability = reliability_check(f1, _outer_mean(rows[half:], centred))
-    full.mean_eigenvalue = f1.mean_eigenvalue
-    full.model_stats = rows.mean(axis=0) if centred else None
-    return full
+    n1 = m // 2
+    n2 = m - n1
+    s1, mean1 = _gram(rows[:n1], centred)
+    s2, mean2 = _gram(rows[n1:], centred)
+    total = s1 + s2
+    model_stats = None
+    if centred:
+        delta = mean1 - mean2
+        total += (n1 * n2 / m) * np.outer(delta, delta)
+        model_stats = (n1 * mean1 + n2 * mean2) / m
+    f1 = FisherMatrix(s1 / n1, "monte_carlo", n1)
+    verdict = reliability_check(f1, FisherMatrix(s2 / n2, "monte_carlo", n2))
+    return FisherMatrix(total / m, "monte_carlo", m, reliability=verdict,
+                        mean_eigenvalue=f1.mean_eigenvalue, model_stats=model_stats)
 
 
-def _outer_mean(rows, centred):
-    """Mean outer product of the rows, about their own mean when centred."""
-    dev = rows - rows.mean(axis=0) if centred else rows
-    return FisherMatrix(dev.T @ dev / rows.shape[0], "monte_carlo", rows.shape[0])
+def _gram(rows, centred):
+    """Gram product of the rows about their own mean when centred (about
+    zero otherwise), and that mean.  Centring overwrites the rows: a fresh
+    batch is centred where it lies, which spares a copy per half."""
+    if not centred:
+        return rows.T @ rows, None
+    mean = rows.mean(axis=0)
+    rows -= mean
+    return rows.T @ rows, mean
 
 
 def reliability_check(f1, f2):

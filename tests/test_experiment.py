@@ -613,6 +613,15 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("lift_noisy = ture\n", "lift_noisy"),
     ("paper_scale = 2\n", "paper_scale"),
     ("gibbs_burn_in = -1\n", "gibbs_burn_in"),
+    ("family = rbm:n_x=20,n_h=12\nobjective = two_min:d=20,per_run=1\n"
+     "scheme = truncation:q0=0.5\ngibbs_burn_in = 1000000000\n",
+     "MAX_GIBBS_BURN_IN = 100000"),
+    # each half of a Monte-Carlo Fisher batch needs a row, even when dim_theta = 1
+    ("family = bernoulli:d=1\nobjective = onemax:d=1\nfisher = mc:m=1\n",
+     "fisher sample count 1 below 2: each half of the batch needs a row"),
+    ("fisher = mc:m=0\n", "fisher sample count 0 below 10"),
+    ("fisher = mc:m=-3\n", "fisher sample count -3 below 10"),
+    ("fisher = mc:m=9\n", "fisher sample count 9 below 10"),
     ("family = bernoulli\n", "needs option 'd'"),
     ("objective = zeromax:d=10\n", "unknown objective kind 'zeromax'"),
     ("family = bernoulli:d=4\nobjective = onemax:d=3\n", "objective dimension 3"),
@@ -715,6 +724,14 @@ def test_resource_caps_exit_2_with_one_line(tmp_path, monkeypatch, capsys, at_ca
     assert capsys.readouterr().err == (f"config error: {message} is above the cap of "
                                        "MAX_ENTRIES = 2^24 = 16777216\n")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_gibbs_burn_in_cap_is_inclusive():
+    # parsing only: no chain runs
+    assert experiment.MAX_GIBBS_BURN_IN == 100_000
+    assert parse_config(CAPPED + "gibbs_burn_in = 100000\n").gibbs_burn_in == 100_000
+    with pytest.raises(ValueError, match="MAX_GIBBS_BURN_IN = 100000], got 100001"):
+        parse_config(CAPPED + "gibbs_burn_in = 100001\n")
 
 
 def test_booleans_parse_strictly():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_acceptance import _kl_hessian
 
-from igopt import igo_step, substream, vanilla_step
+from igopt import igo_step, lift_noisy, substream, vanilla_step
 from igopt.families import (
     CapabilityError,
     JointRbmFamily,
@@ -530,3 +530,35 @@ def test_hidden_flip_equivariance_of_exact_quantities(data, n_x, n_h):
     np.testing.assert_allclose(fam.exact_stats(fp), A.T @ fam.exact_stats(tp) + shift,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(fam.fisher(fp), A.T @ fam.fisher(tp) @ A, rtol=0, atol=1e-12)
+
+
+def ref_stats_rows(x, h):
+    """(x, h, x (x) h) row by row, as an einsum and a concatenation."""
+    x = np.asarray(x, dtype=float)
+    h = np.asarray(h, dtype=float)
+    xh = np.einsum("ri,rj->rij", x, h).reshape(x.shape[0], -1)
+    return np.concatenate([x, h, xh], axis=1)
+
+
+@pytest.mark.parametrize("n_x, n_h", [(16, 1), (5, 3), (3, 6), (12, 3)])
+@pytest.mark.parametrize("kind", ["uint8", "float", "list", "real"])
+def test_stats_rows_match_the_einsum_form_bit_for_bit(n_x, n_h, kind):
+    theta = tiny_params(n_x, n_h, seed=90).flat()
+    joint, marg = JointRbmFamily(n_x, n_h), MarginalRbmFamily(n_x, n_h)
+    x, h = joint.sample(theta, 40, substream(90, 1))
+    if kind == "real":  # not bits: the products must still be the same roundings
+        rng = substream(90, 2)
+        x, h = rng.normal(size=x.shape), rng.random(h.shape)
+    x, h = {"uint8": (x, h), "float": (x.astype(float), h.astype(float)),
+            "list": (x.tolist(), h.tolist()), "real": (x, h)}[kind]
+    omega = substream(90, 3).random(40)
+    joint_ref = ref_stats_rows(x, h)
+    marg_ref = ref_stats_rows(x, marg.p_hidden_given_visible(theta, x))
+    for got, want in [(joint.sufficient_stats((x, h)), joint_ref),
+                      (joint.score_stats(theta, (x, h)), joint_ref),
+                      (marg.score_stats(theta, x), marg_ref),
+                      (lift_noisy(joint).sufficient_stats(((x, h), omega)), joint_ref),
+                      (lift_noisy(joint).score_stats(theta, ((x, h), omega)), joint_ref),
+                      (lift_noisy(marg).score_stats(theta, (x, omega)), marg_ref)]:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from igopt import substream
+from igopt import fisher, substream
 from igopt.families import BernoulliFamily, LogitBernoulliFamily, SingularFisher
 from igopt.fisher import (
     FisherMatrix,
@@ -64,6 +66,11 @@ def test_mc_fisher_sample_count_guard():
     fam = BernoulliFamily(3)
     with pytest.raises(ValueError):
         mc_fisher(fam, np.full(3, 0.5), 2, substream(33, 0))
+    # each half of the batch needs a row, even when dim_theta = 1
+    one = BernoulliFamily(1)
+    with pytest.raises(ValueError, match="max\\(2, dim_theta = 1\\)"):
+        mc_fisher(one, np.full(1, 0.5), 1, substream(33, 1))
+    assert mc_fisher(one, np.full(1, 0.5), 2, substream(33, 1)).sample_count == 2
 
 
 def test_mc_fisher_rank_deficiency_with_duplicated_samples():
@@ -98,6 +105,89 @@ def test_mc_fisher_unbiased_scaling():
     pooled = deviation(100, 0)
     ratio = single / pooled
     assert 5.0 < ratio < 20.0  # sqrt(100) = 10 within a factor of 2
+
+
+class _FixedRows:
+    """A stand-in family whose every batch is one given row matrix."""
+
+    def __init__(self, rows, centred):
+        self.rows = rows
+        self.centred_score = centred
+        self.dim_theta = rows.shape[1]
+
+    def sample(self, theta, m, rng):
+        assert m == len(self.rows)
+
+    def score_stats(self, theta, samples):
+        return self.rows.copy()  # mc_fisher centres its batch in place
+
+    grad_log_density = score_stats
+
+
+def _outer_mean(rows, centred):
+    """The two-pass reference: the mean outer product of the rows, about
+    their own mean when centred."""
+    dev = rows - rows.mean(axis=0) if centred else rows
+    return FisherMatrix(dev.T @ dev / rows.shape[0], "monte_carlo", rows.shape[0])
+
+
+@st.composite
+def _row_matrices(draw):
+    """m x p rows, each column of one kind: unit spread, constant, or unit
+    spread about an offset of up to 1e6 (where centring cancels digits)."""
+    p = draw(st.integers(1, 5))
+    m = draw(st.integers(max(2, p), 40))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    columns = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(["unit", "constant", "offset"]))
+        if kind == "constant":
+            columns.append(np.full(m, draw(st.floats(-1e6, 1e6, allow_nan=False))))
+            continue
+        spread = np.array(draw(st.lists(unit, min_size=m, max_size=m)))
+        offset = draw(st.floats(-1e6, 1e6, allow_nan=False)) if kind == "offset" else 0.0
+        columns.append(offset + spread)
+    return np.column_stack(columns)
+
+
+@given(rows=_row_matrices(), centred=st.booleans())
+def test_mc_fisher_one_pass_matches_the_two_pass_form(rows, centred):
+    halves = []
+
+    def spy(f1, f2):
+        halves[:] = f1, f2
+        return reliability_check(f1, f2)
+
+    m = len(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fisher, "reliability_check", spy)
+        got = mc_fisher(_FixedRows(rows, centred), None, m, None)
+    half = m // 2
+    ref1, ref2 = _outer_mean(rows[:half], centred), _outer_mean(rows[half:], centred)
+    verdict = reliability_check(ref1, ref2)
+    # the halves and everything judged from them keep their bits
+    assert halves[0].matrix.tobytes() == ref1.matrix.tobytes()
+    assert halves[1].matrix.tobytes() == ref2.matrix.tobytes()
+    assert got.reliability == verdict
+    assert np.array_equal(got.mean_eigenvalue, ref1.mean_eigenvalue, equal_nan=True)
+    assert (got.provenance, got.sample_count) == ("monte_carlo", m)
+    # the merged full matrix moves only by rounding: 1e-12 of its norm, plus,
+    # when centred, the first-order effect of the rounding of the half means
+    # on the n1 n2 / m^2 delta delta^T term (an error e_j <= m u (|mean1_j| +
+    # |mean2_j|) in each delta_j; Chan, Golub & LeVeque's condition number)
+    full = _outer_mean(rows, centred).matrix
+    bound = 1e-12 * np.linalg.norm(full)
+    if centred:
+        mean1, mean2 = rows[:half].mean(axis=0), rows[half:].mean(axis=0)
+        delta = np.abs(mean1 - mean2)
+        err = m * np.finfo(float).eps * (np.abs(mean1) + np.abs(mean2))
+        term = np.outer(delta, err) + np.outer(err, delta) + np.outer(err, err)
+        bound += half * (m - half) / m**2 * np.linalg.norm(term)
+        np.testing.assert_allclose(got.model_stats, rows.mean(axis=0), rtol=0,
+                                   atol=1e-13 * np.abs(rows).max())
+    else:
+        assert got.model_stats is None
+    assert np.linalg.norm(got.matrix - full) <= bound
 
 
 def test_reliability_check_identity_and_scaled():
