@@ -40,7 +40,7 @@ f3.matrix *= 3.0
 print("scaled estimate vs exact:", reliability_check(f3, exact),
       f"(mean eigenvalue {f3.mean_eigenvalue:.3f})")
 
-# Rank-deficient estimates refuse to invert; ridge is an explicit opt-in.
+# Rank-deficient estimates refuse to invert.
 # Three copies of one sample give the mean score outer product g g^T, rank 1.
 dup = np.tile(fam.sample(theta, 1, substream(6, 4)), (3, 1))
 g = fam.grad_log_density(theta, dup)
@@ -49,5 +49,3 @@ try:
     invert(bad)
 except SingularFisher as err:
     print("\nsingular estimate rejected:", err)
-ridged = invert(bad, ridge=1e-2)
-print("with ridge 1e-2, provenance:", bad.provenance)

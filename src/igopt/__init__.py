@@ -11,7 +11,6 @@ from .engine import (
     StepReport,
     adapt_dt,
     cem_step,
-    default_beta,
     igo_ml_step,
     igo_step,
     lift_noisy,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "families", "fisher", "flow", "normal", "objectives", "weights",
     "igo_step", "vanilla_step", "igo_ml_step", "weighted_ml", "cem_step",
-    "smoothed_cem_step", "step_diagnostics", "adapt_dt", "default_beta",
+    "smoothed_cem_step", "step_diagnostics", "adapt_dt",
     "lift_noisy", "StepReport",
     "WeightScheme", "RankedWeights", "compute_quantile_weights",
     "truncation", "signed_median", "table", "pbil_schedule",

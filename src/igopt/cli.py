@@ -66,7 +66,8 @@ _FLOW_TYPED = {**dict.fromkeys(("horizon", "flow_step", "q_report"), (float, "a 
 MAX_FLOW_STEPS = 100_000  # fixed steps of one flow integration
 _FLOW_RANGES = {"horizon": (lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
                 "flow_step": (lambda x: 0.0 < x < math.inf, "finite and > 0"),
-                "q_report": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")}
+                "q_report": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+                "out_prefix": exp_mod._KEY_RANGES["out_prefix"]}
 
 
 def cmd_flow(args):
@@ -125,9 +126,9 @@ def _flow_setup(spec):
         if scheme.kind != "truncation":
             raise ValueError(f"the sphere flow needs a truncation scheme, "
                              f"got {spec['scheme']!r}")
-        sphere = flow_mod.SphereFlow(fam_opts.take("d", int), scheme.q0)
+        sphere = flow_mod.SphereFlow(fam_opts.take("d", int, valid=exp_mod._COUNT), scheme.q0)
         r0 = fam_opts.take("r0", float, 3.0)
-        s0 = math.log(fam_opts.take("sigma0", float, 1.0))
+        s0 = math.log(fam_opts.take("sigma0", float, 1.0, exp_mod._SCALE))
         fam_opts.finish()
         return (["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"],
                 np.array([r0, s0]), sphere.rhs,

@@ -33,7 +33,6 @@ __all__ = [
     "StepReport",
     "step_diagnostics",
     "adapt_dt",
-    "default_beta",
     "lift_noisy",
     "LiftedNoisyFamily",
 ]
@@ -163,7 +162,6 @@ def smoothed_cem_step(family, theta, samples, weights, alpha, parametrization):
 class StepReport:
     kl_estimate: float
     kl_stderr: float
-    kl_sample_size: int
     fisher_step_norm: float
     cosine_with_previous: float = None  # None when no previous step
 
@@ -172,11 +170,11 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
                      fisher=None, samples=None):
     """KL spent by the step, its Fisher norm, and the turn angle.
 
-    The KL is the family's closed form ``exact_kl`` (stderr 0, sample size
-    0).  A family without one, or a step it cannot answer, falls back to the
-    mean old-minus-new log-likelihood on the update's own ``samples``
-    (drawn from the pre-step distribution); without samples, or if that
-    fails too, the KL is NaN.  The norm is sqrt(delta M delta) with M the
+    The KL is the family's closed form ``exact_kl`` (stderr 0).  A family
+    without one, or a step it cannot answer, falls back to the mean
+    old-minus-new log-likelihood on the update's own ``samples`` (drawn
+    from the pre-step distribution); without samples, or if that fails
+    too, the KL is NaN.  The norm is sqrt(delta M delta) with M the
     ``fisher`` estimate's matrix, or the family's exact Fisher matrix at
     theta_before (NaN when it has none).  The cosine is the same M's scalar
     product between the previous and current increments.
@@ -191,7 +189,7 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
         mat, fisher_step_norm = None, float("nan")
 
     try:
-        kl, stderr, m = float(family.exact_kl(theta_before, theta_after)), 0.0, 0
+        kl, stderr = float(family.exact_kl(theta_before, theta_after)), 0.0
     except (CapabilityError, DomainError, DegenerateUpdate):
         try:
             if samples is None:
@@ -199,7 +197,7 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
             diff = family.log_density(theta_before, samples) \
                 - family.log_density(theta_after, samples)
         except (CapabilityError, DomainError, DegenerateUpdate):
-            kl, stderr, m = float("nan"), float("nan"), 0
+            kl, stderr = float("nan"), float("nan")
         else:
             m = diff.size
             kl = float(diff.mean())
@@ -213,11 +211,7 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
         if den > 0.0:
             cosine = max(-1.0, min(1.0, num / den))
 
-    return StepReport(kl, stderr, m, fisher_step_norm, cosine)
-
-
-def default_beta(n_samples, dim_theta):
-    return min(n_samples / dim_theta, 0.5)
+    return StepReport(kl, stderr, fisher_step_norm, cosine)
 
 
 def adapt_dt(report, dt, beta):

@@ -76,6 +76,19 @@ MAX_ENTRIES = 2**24
 # the most Gibbs sweeps before an RBM draw (1,000 times the default); it
 # applies only to shapes that sample by Gibbs, yet is checked for every config
 MAX_GIBBS_BURN_IN = 100_000
+# (holds, what the value must be) of the spec options and config keys with a range
+_COUNT = (lambda v: v >= 1, "at least 1")
+_OPEN_UNIT = (lambda p: 0.0 < p < 1.0, "in (0, 1)")
+_SCALE = (lambda s: 0.0 < s < math.inf, "finite and > 0")
+_RATE = (lambda r: 0.0 < r <= 1.0, "in (0, 1]")
+_KEY_RANGES = {
+    "gibbs_burn_in": (lambda k: 0 <= k <= MAX_GIBBS_BURN_IN,
+                      f"in [0, MAX_GIBBS_BURN_IN = {MAX_GIBBS_BURN_IN}]"),
+    "concentration_stop": (lambda k: k >= 0, ">= 0"),
+    # the CSV files go into the output directory itself
+    "out_prefix": (lambda p: not {os.sep, "/"} & set(p),
+                   "a file name prefix with no path separator"),
+}
 
 
 @dataclass
@@ -105,14 +118,23 @@ class ExperimentConfig:
             raise ValueError("n, repeats and workers must be positive, steps non-negative")
         if not 0.0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        if not 0 <= self.gibbs_burn_in <= MAX_GIBBS_BURN_IN:
-            raise ValueError(f"gibbs_burn_in must lie in [0, MAX_GIBBS_BURN_IN = "
-                             f"{MAX_GIBBS_BURN_IN}], got {self.gibbs_burn_in}")
+        for key, (holds, what) in _KEY_RANGES.items():
+            if not holds(getattr(self, key)):
+                raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
         m = _fisher_sample_count(self.fisher)
         if not (self.stop in ("steps", "both_optima") or _stop_target(self) is not None):
             raise ValueError(f"unknown stop rule {self.stop!r}")
         rng = np.random.default_rng(0)  # stands in for the run's streams
-        fam = _setup(self, rng, rng)[0]
+        fam, _, obj, scheme, _ = _setup(self, rng, rng)
+        if isinstance(scheme, tuple) and scheme[1] > self.n:  # ("pbil", mu, lr)
+            raise ValueError(f"{self.scheme!r}: option mu must be at most n = {self.n}, "
+                             f"got {scheme[1]}")
+        if self.stop == "both_optima" and obj.kind != "two_min":
+            raise ValueError(f"stop = both_optima needs a noise-free two_min objective, "
+                             f"got {self.objective!r}")
+        if self.concentration_stop and not isinstance(fam, JointRbmFamily):
+            raise ValueError(f"concentration_stop watches the hidden unit of an rbm family, "
+                             f"got {self.family!r}")
         for what, entries in (("n * dim", self.n * fam.dim),
                               ("fisher m * dim_theta", m * fam.dim_theta),
                               ("repeats * (steps + 1) * dim_theta",
@@ -211,20 +233,21 @@ def _family_and_start(cfg, rng):
     kind, opts = parse_spec(cfg.family)
     if kind in ("rbm", "rbm_marginal"):
         rbm = JointRbmFamily if kind == "rbm" else MarginalRbmFamily
-        family = rbm(opts.take("n_x", int), opts.take("n_h", int, 1), burn_in=cfg.gibbs_burn_in)
+        family = rbm(opts.take("n_x", int, valid=_COUNT), opts.take("n_h", int, 1, _COUNT),
+                     burn_in=cfg.gibbs_burn_in)
         opts.finish()
         return family, family.init_params(rng)
     if kind not in ("bernoulli", "bernoulli_logit", "gaussian", "gaussian_iso", "gaussian_mean"):
         raise ValueError(f"unknown family spec {cfg.family!r}")
-    d = opts.take("d", int)
+    d = opts.take("d", int, valid=_COUNT)
     if kind in ("bernoulli", "bernoulli_logit"):
-        p0 = opts.take("p0", float, 0.5) * np.ones(d)
+        p0 = opts.take("p0", float, 0.5, _OPEN_UNIT) * np.ones(d)
         opts.finish()
         if kind == "bernoulli":
             return BernoulliFamily(d), p0
         return LogitBernoulliFamily(d), LogitBernoulliFamily.from_probabilities(p0)
     m0 = opts.take("m0", float, 0.0) * np.ones(d)
-    s0 = None if kind == "gaussian_mean" else opts.take("sigma0", float, 1.0)
+    s0 = None if kind == "gaussian_mean" else opts.take("sigma0", float, 1.0, _SCALE)
     opts.finish()
     if kind == "gaussian":
         family = FullGaussianFamily(d)
@@ -237,10 +260,15 @@ def _family_and_start(cfg, rng):
 def _stop_target(cfg):
     """The value that ends a run under ``stop = target:<value>``, else None."""
     kind, _, value = cfg.stop.partition(":")
+    if kind != "target":
+        return None
     try:
-        return float(value) if kind == "target" else None
+        target = float(value)
     except ValueError:
-        raise ValueError(f"stop target must be a number, got {value!r}") from None
+        target = math.nan
+    if not math.isfinite(target):
+        raise ValueError(f"stop target must be a finite number, got {value!r}")
+    return target
 
 
 def _setup(cfg, objective_rng, init_rng):
@@ -278,7 +306,7 @@ def _parse_scheme(spec):
                              f"got {text!r}") from None
         scheme = table(nodes, shift=opts.take("shift", float, 0.0))
     elif kind == "pbil":
-        scheme = ("pbil", opts.take("mu", int, 1), opts.take("lr", float))
+        scheme = ("pbil", opts.take("mu", int, 1, _COUNT), opts.take("lr", float, valid=_RATE))
     else:
         raise ValueError(f"unknown scheme spec {spec!r}")
     opts.finish()

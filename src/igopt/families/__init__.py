@@ -21,11 +21,9 @@ from .rbm import (
     JointRbmFamily,
     MarginalRbmFamily,
     RbmParams,
-    centered_to_standard,
     flip_hidden_params,
     flip_hidden_samples,
     rbm_init,
-    standard_to_centered,
 )
 
 __all__ = [
@@ -36,5 +34,4 @@ __all__ = [
     "gaussian_step", "to_second_moment", "from_second_moment",
     "JointRbmFamily", "MarginalRbmFamily", "RbmParams", "rbm_init",
     "flip_hidden_params", "flip_hidden_samples",
-    "standard_to_centered", "centered_to_standard",
 ]

@@ -56,8 +56,6 @@ __all__ = [
     "rbm_init",
     "flip_hidden_params",
     "flip_hidden_samples",
-    "centered_to_standard",
-    "standard_to_centered",
 ]
 
 # max n_x + n_h for tables over the 2^n_x visible states: enumerate_points
@@ -430,16 +428,3 @@ def flip_hidden_samples(samples, j):
     h = h.copy()
     h[:, j] = 1 - h[:, j]
     return x, h
-
-
-def standard_to_centered(params):
-    """Biases of the +-1/2-centered energy parametrization (A, B, W)."""
-    A = params.a + params.W.sum(axis=1) / 2.0
-    B = params.b + params.W.sum(axis=0) / 2.0
-    return RbmParams(A, B, params.W.copy())
-
-
-def centered_to_standard(centered):
-    a = centered.a - centered.W.sum(axis=1) / 2.0
-    b = centered.b - centered.W.sum(axis=0) / 2.0
-    return RbmParams(a, b, centered.W.copy())

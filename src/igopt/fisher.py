@@ -8,11 +8,10 @@ batch's two halves through the mean eigenvalue of F1 F2^{-1}, accepted
 inside [1/2, 2].  The full-batch estimate is not reduced again: it is
 merged from the halves' Gram products by the pairwise update of Chan,
 Golub & LeVeque (Am. Stat. 1983), so one pass over the rows gives all
-three.  Singular or ill-conditioned matrices raise ``SingularFisher``;
-ridge regularization is strictly opt-in and recorded in the provenance.
+three.  Singular or ill-conditioned matrices raise ``SingularFisher``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,11 +34,10 @@ CONDITION_LIMIT = 1e12  # double-precision safety margin
 @dataclass
 class FisherMatrix:
     matrix: np.ndarray
-    provenance: str = "exact"          # "exact" | "monte_carlo" | suffixed "+ridge"
+    provenance: str = "exact"          # "exact" | "monte_carlo"
     sample_count: int = 0              # Monte-Carlo sample count (0 for exact)
     reliability: str = "unchecked"     # "unchecked" | "pass" | "fail"
     mean_eigenvalue: float = None
-    notes: dict = field(default_factory=dict)
     model_stats: np.ndarray = None     # batch mean the score is centred on, if any
 
     def __post_init__(self):
@@ -135,33 +133,21 @@ def _annotate(f1, f2, ok, mean_eig):
         f.mean_eigenvalue = mean_eig
 
 
-def _factor(fm, ridge):
-    mat = fm.matrix
-    if ridge is not None:
-        mat = mat + ridge * np.eye(fm.dim)
-    eigs = np.linalg.eigvalsh(mat)
+def invert(fm):
+    """Inverse through an SPD factorization.
+
+    Raises SingularFisher when the factorization fails or the condition
+    number exceeds CONDITION_LIMIT.
+    """
+    inv = solve(fm, np.eye(fm.dim))
+    return 0.5 * (inv + inv.T)
+
+
+def solve(fm, rhs):
+    """F^{-1} rhs with the same guards as ``invert``."""
+    eigs = np.linalg.eigvalsh(fm.matrix)
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > CONDITION_LIMIT:
         raise SingularFisher(
             f"Fisher matrix not safely invertible (eig range [{eigs[0]:.3e}, {eigs[-1]:.3e}])"
         )
-    return scipy.linalg.cho_factor(mat, lower=True)
-
-
-def invert(fm, ridge=None):
-    """Inverse through an SPD factorization.
-
-    Raises SingularFisher when the factorization fails or the condition
-    number exceeds CONDITION_LIMIT.  With ``ridge`` set, inverts
-    F + ridge * I instead and flags the provenance as regularized.
-    """
-    inv = solve(fm, np.eye(fm.dim), ridge)
-    return 0.5 * (inv + inv.T)
-
-
-def solve(fm, rhs, ridge=None):
-    """F^{-1} rhs with the same guards as ``invert``."""
-    cf = _factor(fm, ridge)
-    if ridge is not None:
-        fm.provenance = fm.provenance.split("+")[0] + "+ridge"
-        fm.notes["ridge"] = ridge
-    return scipy.linalg.cho_solve(cf, rhs)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(fm.matrix, lower=True), rhs)

@@ -123,17 +123,22 @@ class _Options(dict):
     def __missing__(self, key):
         raise ValueError(f"{self.spec!r} needs option {key!r}")
 
-    def take(self, key, kind, default=None):
+    def take(self, key, kind, default=None, valid=None):
         """Remove option ``key`` and return it as ``kind`` (int, float or str),
-        or ``default`` when it is absent; without a default it is required."""
+        or ``default`` when it is absent; without a default it is required.
+        ``valid`` is (holds, what): a value that ``holds`` refuses must be
+        ``what``."""
         value = self[key] if default is None else self.get(key, default)
         self.pop(key, None)
         try:
-            return kind(value)
+            value = kind(value)
         except ValueError:
             what = "an integer" if kind is int else "a number"
             raise ValueError(f"{self.spec!r}: option {key} must be {what}, "
                              f"got {value!r}") from None
+        if valid is not None and not valid[0](value):
+            raise ValueError(f"{self.spec!r}: option {key} must be {valid[1]}, got {value!r}")
+        return value
 
     def finish(self):
         """Refuse the options no ``take`` asked for: the kind has none such."""

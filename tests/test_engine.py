@@ -7,7 +7,6 @@ from igopt import (
     adapt_dt,
     cem_step,
     compute_quantile_weights,
-    default_beta,
     igo_ml_step,
     igo_step,
     lift_noisy,
@@ -204,15 +203,15 @@ def test_step_diagnostics_monte_carlo_kl():
     samples = fam.sample(t0, 40000, substream(46, 0))
     rep = step_diagnostics(fam, t0, t1, samples=samples)
     exact = 0.5 * 0.1**2  # KL between unit normals shifted by 0.1
-    assert rep.kl_sample_size == 40000
+    assert 0.0 < rep.kl_stderr
     assert abs(rep.kl_estimate - exact) <= 3.5 * rep.kl_stderr + 1e-4
     # without samples the estimate is NaN
     rep = step_diagnostics(fam, t0, t1)
-    assert math.isnan(rep.kl_estimate) and rep.kl_sample_size == 0
+    assert math.isnan(rep.kl_estimate)
     # the plain family answers in closed form
     rep = step_diagnostics(FullGaussianFamily(1), t0, t1, samples=samples)
     assert rep.kl_estimate == pytest.approx(exact, rel=1e-12)
-    assert rep.kl_stderr == 0.0 and rep.kl_sample_size == 0
+    assert rep.kl_stderr == 0.0
 
 
 def test_cosine_and_adapt_dt():
@@ -224,11 +223,10 @@ def test_cosine_and_adapt_dt():
     assert rep.cosine_with_previous == pytest.approx(1.0)
     rep_back = step_diagnostics(fam, t0, t1, previous_step=-delta)
     assert rep_back.cosine_with_previous == pytest.approx(-1.0)
-    beta = default_beta(8, 2)
-    assert beta == 0.5
+    beta = 0.5
     assert adapt_dt(rep, 0.2, beta) == pytest.approx(0.2 * math.exp(beta / 2))
     assert adapt_dt(rep_back, 0.2, beta) == pytest.approx(0.2 * math.exp(-beta / 2))
-    none_rep = StepReport(0.0, 0.0, 0, 0.0, None)
+    none_rep = StepReport(0.0, 0.0, 0.0, None)
     assert adapt_dt(none_rep, 0.2, beta) == 0.2
 
 

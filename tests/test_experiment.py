@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -488,6 +489,7 @@ def test_cli_flow_config_grammar(tmp_path, monkeypatch, capsys, line, message):
     ("horizon = inf", "horizon must be finite and >= 0, got inf"),
     ("q_report = 2", "q_report must be in [0, 1], got 2.0"),
     ("q_report = -1", "q_report must be in [0, 1], got -1.0"),
+    ("out_prefix = a/b", "out_prefix must be a file name prefix with no path separator, got 'a/b'"),
 ])
 def test_cli_flow_refuses_numbers_out_of_range(tmp_path, monkeypatch, capsys, line, message):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
@@ -526,6 +528,9 @@ def test_cli_flow_steps_must_fit_the_horizon(tmp_path, monkeypatch, capsys, line
     ("rbm:n_x=16,n_h=8", "onemax:d=16",
      "tables over the 2^n_x visible states need n_x + n_h <= 20"),
     ("bernoulli:d=3", "onemax:d=4", "objective dimension 4 does not match the family's 3"),
+    # the sphere flow's family spec has the same domains as a run's
+    ("gaussian_iso:d=5,sigma0=0", "sphere:d=5", "option sigma0 must be finite and > 0, got 0.0"),
+    ("gaussian_iso:d=0", "sphere:d=5", "'gaussian_iso:d=0': option d must be at least 1, got 0"),
 ])
 def test_cli_flow_refuses_a_family_it_cannot_enumerate_at_parse_time(
         tmp_path, monkeypatch, capsys, family, objective, refusal):
@@ -670,10 +675,46 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("family = rbm:n_x=10,n_h=1,burn=5\nobjective = two_min:d=10,per_run=1\n",
      "'rbm:n_x=10,n_h=1,burn=5': unknown option 'burn'"),
     ("objective = onemax:d=10,k=1,j=2\n", "'onemax:d=10,k=1,j=2': unknown options 'j', 'k'"),
+    # spec numbers outside their option's domain
+    ("family = bernoulli:d=3\nobjective = onemax:d=3\nscheme = pbil:mu=5,lr=0.1\nn = 3\n",
+     "'pbil:mu=5,lr=0.1': option mu must be at most n = 3, got 5"),
+    ("scheme = pbil:mu=0,lr=0.1\n", "option mu must be at least 1, got 0"),
+    ("scheme = pbil:mu=1,lr=2\n", "'pbil:mu=1,lr=2': option lr must be in (0, 1], got 2.0"),
+    ("scheme = pbil:mu=1,lr=-1\n", "option lr must be in (0, 1], got -1.0"),
+    ("scheme = pbil:mu=1,lr=0\n", "option lr must be in (0, 1], got 0.0"),
+    ("family = rbm:n_x=4,n_h=0\nobjective = two_min:d=4,per_run=1\n",
+     "'rbm:n_x=4,n_h=0': option n_h must be at least 1, got 0"),
+    ("family = rbm_marginal:n_x=0\nobjective = two_min:d=4,per_run=1\n",
+     "option n_x must be at least 1, got 0"),
+    ("family = bernoulli:d=0\nobjective = onemax:d=0\n",
+     "'bernoulli:d=0': option d must be at least 1, got 0"),
+    ("family = gaussian_mean:d=-2\nobjective = sphere:d=2\n",
+     "option d must be at least 1, got -2"),
+    ("family = bernoulli:d=10,p0=2\n", "option p0 must be in (0, 1), got 2.0"),
+    ("family = bernoulli_logit:d=10,p0=0\n", "option p0 must be in (0, 1), got 0.0"),
+    ("family = bernoulli:d=10,p0=1\n", "option p0 must be in (0, 1), got 1.0"),
+    ("family = gaussian:d=10,sigma0=-1\nobjective = sphere:d=10\n",
+     "'gaussian:d=10,sigma0=-1': option sigma0 must be finite and > 0, got -1.0"),
+    ("family = gaussian_iso:d=10,sigma0=0\nobjective = sphere:d=10\n",
+     "option sigma0 must be finite and > 0, got 0.0"),
+    ("family = gaussian_iso:d=10,sigma0=inf\nobjective = sphere:d=10\n",
+     "option sigma0 must be finite and > 0, got inf"),
+    ("stop = target:nan\n", "stop target must be a finite number, got 'nan'"),
+    ("stop = target:-inf\n", "stop target must be a finite number, got '-inf'"),
+    # settings that cannot take effect
+    ("stop = both_optima\n",
+     "stop = both_optima needs a noise-free two_min objective, got 'onemax:d=10'"),
+    ("family = bernoulli:d=10\nobjective = two_min:d=10,seed=3,noise=uniform\n"
+     "stop = both_optima\n", "got 'two_min:d=10,seed=3,noise=uniform'"),
+    ("concentration_stop = 5\n", "concentration_stop watches the hidden unit of an rbm family"),
+    ("family = rbm_marginal:n_x=10\nobjective = two_min:d=10,per_run=1\n"
+     "concentration_stop = 5\n", "got 'rbm_marginal:n_x=10'"),
+    ("concentration_stop = -3\n", "concentration_stop must be >= 0, got -3"),
+    ("out_prefix = a/b\n", "out_prefix must be a file name prefix with no path separator"),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, extra, key):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=re.escape(key)):
         parse_config(_override(PBIL_CONFIG, extra))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(_override(PBIL_CONFIG, extra))

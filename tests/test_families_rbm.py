@@ -12,11 +12,9 @@ from igopt.families import (
     JointRbmFamily,
     MarginalRbmFamily,
     RbmParams,
-    centered_to_standard,
     flip_hidden_params,
     flip_hidden_samples,
     rbm_init,
-    standard_to_centered,
 )
 
 
@@ -287,15 +285,6 @@ def test_every_shape_accepted_before_is_still_enumerable():
         for n_h in range(1, 21 - n_x):
             JointRbmFamily(n_x, n_h)._check_enumerable()
     JointRbmFamily(40, 1)._check_enumerable()
-
-
-def test_centered_parametrization_round_trip():
-    params = tiny_params(3, 2, seed=13)
-    centered = standard_to_centered(params)
-    back = centered_to_standard(centered)
-    np.testing.assert_allclose(back.a, params.a, atol=1e-12)
-    np.testing.assert_allclose(back.b, params.b, atol=1e-12)
-    np.testing.assert_allclose(back.W, params.W, atol=1e-12)
 
 
 def test_serialization_order():
