@@ -148,7 +148,7 @@ def _flow_setup(spec):
     theta0 = spec.get("theta0", start)
     if len(theta0) != len(start):
         raise ValueError(f"theta0 needs {len(start)} numbers, got {len(theta0)}")
-    alpha = None  # flow.lyapunov_monitor's alpha: Bernoulli flows on c - alpha . x
+    alpha = None  # the lyapunov column's alpha: Bernoulli flows on c - alpha . x
     if isinstance(family, BernoulliFamily):
         if obj.kind == "onemax":
             alpha = np.ones(obj.dim)

@@ -301,9 +301,11 @@ def _parse_scheme(spec):
         text = opts.take("nodes", str)
         try:
             nodes = [tuple(float(p) for p in pair.split(":")) for pair in text.split(";")]
+            if not np.isfinite(sum(nodes, ())).all():
+                raise ValueError
         except ValueError:
-            raise ValueError(f"{spec!r}: option nodes must be q:v pairs separated by ';', "
-                             f"got {text!r}") from None
+            raise ValueError(f"{spec!r}: option nodes must be q:v pairs of finite numbers "
+                             f"separated by ';', got {text!r}") from None
         scheme = table(nodes, shift=opts.take("shift", float, 0.0))
     elif kind == "pbil":
         scheme = ("pbil", opts.take("mu", int, 1, _COUNT), opts.take("lr", float, valid=_RATE))

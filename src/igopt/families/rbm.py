@@ -29,16 +29,17 @@ marginal family's Fisher and KL need P(h | x), which is not linear in x, so
 they (and ``enumerate_points``) keep a table over the 2^n_x visible states,
 refused above ENUMERATION_CUTOFF total units.
 
-Samples are exact wherever that table is: the smaller layer's state is
-drawn from P(h) by inverse CDF (one uniform per sample), then the other
-layer from P(x | h), so there is no chain and no burn-in.  Shapes over
-EXACT_WORK_CUTOFF fall back to Gibbs chains, vectorized, one independent
-chain per sample, with ``burn_in`` sweeps.  Each Bernoulli draw compares a
-raw Philox word with an integer threshold (see ``_thresholds``), which gives
-the bits of ``rng.random() < p``.  While 2^n_h <= n, Gibbs draws the visible
-units from a per-hidden-state table of those thresholds, built once per
-call; wider hidden layers fall back to one matmul per sweep.  Both paths
-give the same bits.
+Sampling has its own bound, checked in ``_sample`` alone: a batch of n
+draws exactly when the smaller layer's table, 2^k * max(n_x, n_h) entries,
+is within EXACT_WORK_CUTOFF and within max(32 n (n_x + n_h), 2^14), about
+where 100 Gibbs sweeps cost as much.  The smaller layer's state is drawn
+from P(h) by inverse CDF (one uniform per sample), then the other layer
+from P(x | h): no chain, no burn-in.  Every shape the exact quantities
+accept draws so, as does every batch with 2^n_h <= n and n * n_x within
+EXACT_WORK_CUTOFF.  Other batches run Gibbs chains, one per sample, of
+``burn_in`` vectorized sweeps.  Each Bernoulli draw compares a raw Philox
+word with an integer threshold (see ``_thresholds``), which gives the bits
+of ``rng.random() < p``.
 """
 
 import math
@@ -64,7 +65,8 @@ ENUMERATION_CUTOFF = 20
 # max 2^min(n_x, n_h) * dim_theta^2, the multiply-adds of the exact joint
 # Fisher; it also bounds the 2^min(n_x, n_h) x dim_theta table behind it and
 # the Fisher itself.  ln Z, E[T] and the joint KL share the bound.  Every
-# shape with n_x + n_h <= 20 is within it (10 x 10: 1.47e7).
+# shape with n_x + n_h <= 20 is within it (10 x 10: 1.47e7).  The sampler
+# caps its 2^min(n_x, n_h) x max(n_x, n_h) table at as many entries.
 EXACT_WORK_CUTOFF = 2**24
 
 
@@ -169,13 +171,11 @@ class _RbmCommon(Family):
         return -(x @ p.a + h @ p.b + ((x @ p.W) * h).sum(axis=1))
 
     def _sample(self, theta, n, rng):
-        """n exact draws (x, h): the smaller layer's state k by inverse CDF
-        of P(h), then the other layer given it; Gibbs where
-        ``_check_enumerable`` refuses the table."""
-        try:
-            H, probs, PX, _ = self._hidden_table(theta)
-        except CapabilityError:
+        """n draws (x, h), exact or by Gibbs (see the module docstring)."""
+        table = 2**min(self.n_x, self.n_h) * max(self.n_x, self.n_h)
+        if table > min(EXACT_WORK_CUTOFF, max(32 * n * (self.n_x + self.n_h), 2**14)):
             return self._gibbs(theta, n, rng)
+        H, probs, PX, _ = self._hidden_table(theta)
         raw = _raw_words(rng)
         k = np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
         np.minimum(k, len(H) - 1, out=k)  # the cumulative sum may end below 1
@@ -187,21 +187,9 @@ class _RbmCommon(Family):
         raw = _raw_words(rng)
         p = self.unpack(theta)
         x = (raw((n, self.n_x)) < np.uint64(2**63)).astype(np.float64)  # u < 1/2
-        if 2**self.n_h <= n:
-            # P(x | h) takes one row per hidden state: gather its thresholds
-            # by the hidden code instead of a fresh n x n_x matmul and sigmoid
-            H = enumerate_bits(self.n_h).astype(np.float64)
-            x_table = _thresholds(_sigmoid(p.a + H @ p.W.T))
-            place = 2 ** np.arange(self.n_h)
-            thr = np.empty(x.shape, dtype=np.uint64)
-            for _ in range(self.burn_in):
-                h = raw((n, self.n_h)) <= _thresholds(_sigmoid(p.b + x @ p.W))
-                np.take(x_table, h @ place, axis=0, out=thr, mode="clip")
-                np.less_equal(raw((n, self.n_x)), thr, out=x)
-        else:
-            for _ in range(self.burn_in):
-                h = (raw((n, self.n_h)) <= _thresholds(_sigmoid(p.b + x @ p.W))).astype(np.float64)
-                x = (raw((n, self.n_x)) <= _thresholds(_sigmoid(p.a + h @ p.W.T))).astype(np.float64)
+        for _ in range(self.burn_in):
+            h = (raw((n, self.n_h)) <= _thresholds(_sigmoid(p.b + x @ p.W))).astype(np.float64)
+            x = (raw((n, self.n_x)) <= _thresholds(_sigmoid(p.a + h @ p.W.T))).astype(np.float64)
         h = raw((n, self.n_h)) <= _thresholds(_sigmoid(p.b + x @ p.W))
         return x.astype(np.uint8), h.astype(np.uint8)
 
@@ -224,7 +212,6 @@ class _RbmCommon(Family):
         """The smaller layer's 2^k states as float rows, and the permutation
         that puts statistics computed with the layers' roles swapped back in
         (x, h, x (x) h) order (the identity when n_x >= n_h)."""
-        self._check_enumerable()
         n_x, n_h = self.n_x, self.n_h
         if n_x >= n_h:
             perm = np.arange(self.dim_theta)
@@ -247,12 +234,14 @@ class _RbmCommon(Family):
         return H, np.exp(logmass - log_z), _sigmoid(act), log_z
 
     def _stats_and_log_z(self, theta):
+        self._check_enumerable()
         H, probs, PX, log_z = self._hidden_table(theta)
         exh = (PX * probs[:, None]).T @ H
         stats = np.concatenate([PX.T @ probs, H.T @ probs, exh.ravel()])
         return stats[self._enumerated[1]], log_z
 
     def log_partition(self, theta):
+        self._check_enumerable()
         return self._hidden_table(theta)[3]
 
     def exact_stats(self, theta):
@@ -305,14 +294,12 @@ class JointRbmFamily(_RbmCommon):
     def score_stats(self, theta, samples):
         return self.sufficient_stats(samples)
 
-    def to_expectation(self, theta):
-        return self.exact_stats(theta)
-
     def fisher(self, theta):
         """Exact Cov(T) by total covariance over the smaller layer h:
         Cov_h(E[T | h]) + E_h[Cov(T | h)].  Given h the x_i are independent
         and x_i enters T only as x_i (1, h), so Cov(T | h) is one
         var(x_i | h) (1, h)(1, h)^T block per x_i."""
+        self._check_enumerable()
         H, probs, PX, _ = self._hidden_table(theta)
         rows, nx = PX.shape
         nh = H.shape[1]

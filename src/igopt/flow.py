@@ -33,7 +33,6 @@ __all__ = [
     "exact_weights_all",
     "flow_rhs",
     "integrate",
-    "lyapunov_monitor",
     "gaussian_linear_constants",
     "critical_dt",
     "f_quantile",
@@ -200,23 +199,6 @@ def integrate(rhs, theta0, horizon, step, method="rk4"):
             theta = theta + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(FlowState((k + 1) * step, theta.copy()))
     return out
-
-
-def lyapunov_monitor(theta, alpha_coeffs):
-    """sum_i alpha_i d(theta_i)/dt for the Bernoulli flow on c - alpha . x
-    under truncation(1/2), which does not depend on c.
-
-    Non-negative along the flow, and zero exactly at the all-zeros /
-    all-ones corners.
-    """
-    from .families.bernoulli import BernoulliFamily
-    from .weights import truncation
-
-    alpha_coeffs = np.asarray(alpha_coeffs, dtype=float)
-    family = BernoulliFamily(alpha_coeffs.size)
-    obj = objectives_mod.linear(alpha_coeffs, 0.0, space="bits")
-    rhs = flow_rhs(family, np.asarray(theta, dtype=float), obj, truncation(0.5))
-    return float(alpha_coeffs @ rhs)
 
 
 # -- quantile reporting --------------------------------------------------------

@@ -127,7 +127,7 @@ class _Options(dict):
         """Remove option ``key`` and return it as ``kind`` (int, float or str),
         or ``default`` when it is absent; without a default it is required.
         ``valid`` is (holds, what): a value that ``holds`` refuses must be
-        ``what``."""
+        ``what``.  Without it a float must be finite."""
         value = self[key] if default is None else self.get(key, default)
         self.pop(key, None)
         try:
@@ -136,6 +136,8 @@ class _Options(dict):
             what = "an integer" if kind is int else "a number"
             raise ValueError(f"{self.spec!r}: option {key} must be {what}, "
                              f"got {value!r}") from None
+        if valid is None and kind is float:
+            valid = (np.isfinite, "a finite number")
         if valid is not None and not valid[0](value):
             raise ValueError(f"{self.spec!r}: option {key} must be {valid[1]}, got {value!r}")
         return value
@@ -162,6 +164,10 @@ def parse_spec(spec):
     return kind.strip(), opts
 
 
+_NOISE_KINDS = (lambda v: v in ("uniform", "gaussian"), "uniform or gaussian")
+_SPACES = (lambda v: v in ("bits", "reals"), "bits or reals")
+
+
 def parse_objective(spec, rng=None):
     """Parse a CLI objective string, e.g. ``two_min:d=16,seed=7``.
 
@@ -173,7 +179,7 @@ def parse_objective(spec, rng=None):
     """
     kind, kv = parse_spec(spec)
     d = kv.take("d", int, 0)
-    noise = kv.pop("noise", None)
+    noise = kv.take("noise", str, valid=_NOISE_KINDS) if "noise" in kv else None
     noise_scale = kv.take("noise_scale", float, 1.0)
     phi = kv.pop("phi", None)
 
@@ -181,7 +187,8 @@ def parse_objective(spec, rng=None):
         obj = onemax(d)
     elif kind == "linear":
         alpha = kv.take("alpha", float, 1.0) * np.ones(d)
-        obj = linear(alpha, kv.take("c", float, 0.0), space=kv.pop("space", "reals"))
+        obj = linear(alpha, kv.take("c", float, 0.0),
+                     space=kv.take("space", str, "reals", _SPACES))
     elif kind == "sphere":
         center = kv.take("center", float, 0.0) * np.ones(d)
         obj = sphere(d, center)
@@ -190,7 +197,8 @@ def parse_objective(spec, rng=None):
             from .rng import substream
             y_rng = substream(kv.take("seed", int), 0)
             obj = two_min_random(d, y_rng)
-        elif kv.pop("per_run", None):
+        elif "per_run" in kv:
+            kv.take("per_run", int, valid=(lambda v: v == 1, "1"))
             if rng is None:
                 raise ValueError("per_run two_min needs a run stream")
             obj = two_min_random(d, rng)

@@ -531,6 +531,9 @@ def test_cli_flow_steps_must_fit_the_horizon(tmp_path, monkeypatch, capsys, line
     # the sphere flow's family spec has the same domains as a run's
     ("gaussian_iso:d=5,sigma0=0", "sphere:d=5", "option sigma0 must be finite and > 0, got 0.0"),
     ("gaussian_iso:d=0", "sphere:d=5", "'gaussian_iso:d=0': option d must be at least 1, got 0"),
+    ("gaussian_iso:d=3,r0=nan", "sphere:d=3", "option r0 must be a finite number, got nan"),
+    ("bernoulli:d=3", "linear:d=3,alpha=inf,space=bits",
+     "'linear:d=3,alpha=inf,space=bits': option alpha must be a finite number, got inf"),
 ])
 def test_cli_flow_refuses_a_family_it_cannot_enumerate_at_parse_time(
         tmp_path, monkeypatch, capsys, family, objective, refusal):
@@ -700,6 +703,29 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("family = gaussian_iso:d=10,sigma0=inf\nobjective = sphere:d=10\n",
      "option sigma0 must be finite and > 0, got inf"),
     ("stop = target:nan\n", "stop target must be a finite number, got 'nan'"),
+    # a number with no range of its own must be finite
+    ("family = gaussian:d=3,m0=nan\nobjective = sphere:d=3\n",
+     "'gaussian:d=3,m0=nan': option m0 must be a finite number, got nan"),
+    ("family = gaussian:d=3,m0=inf\nobjective = sphere:d=3\n",
+     "option m0 must be a finite number, got inf"),
+    ("scheme = truncation:q0=0.5,shift=nan\n",
+     "'truncation:q0=0.5,shift=nan': option shift must be a finite number, got nan"),
+    ("family = gaussian:d=3\nobjective = sphere:d=3,center=nan\n",
+     "option center must be a finite number, got nan"),
+    ("family = gaussian:d=3\nobjective = linear:d=3,alpha=nan\n",
+     "option alpha must be a finite number, got nan"),
+    ("family = gaussian:d=3\nobjective = linear:d=3,c=inf\n",
+     "option c must be a finite number, got inf"),
+    ("family = gaussian:d=3\nobjective = sphere:d=3,noise=uniform,noise_scale=nan\n",
+     "option noise_scale must be a finite number, got nan"),
+    ("scheme = table:nodes=0:1;nan:0\n", "option nodes must be q:v pairs of finite numbers"),
+    ("scheme = table:nodes=0:nan\n", "option nodes must be q:v pairs of finite numbers"),
+    # words outside their option's choices
+    ("objective = onemax:d=10,noise=bogus\n",
+     "'onemax:d=10,noise=bogus': option noise must be uniform or gaussian, got 'bogus'"),
+    ("objective = linear:d=10,space=bogus\n",
+     "option space must be bits or reals, got 'bogus'"),
+    ("objective = two_min:d=10,per_run=0\n", "option per_run must be 1, got 0"),
     ("stop = target:-inf\n", "stop target must be a finite number, got '-inf'"),
     # settings that cannot take effect
     ("stop = both_optima\n",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from test_acceptance import _kl_hessian
 
 from igopt import igo_step, lift_noisy, substream, vanilla_step
+from igopt.experiment import MAX_ENTRIES
 from igopt.families import (
     CapabilityError,
     JointRbmFamily,
@@ -16,6 +17,7 @@ from igopt.families import (
     flip_hidden_samples,
     rbm_init,
 )
+from igopt.families import rbm as rbm_module
 
 
 def tiny_params(n_x, n_h, seed=0, scale=0.5):
@@ -297,9 +299,10 @@ def test_serialization_order():
 
 # -- frozen references: the sampler and exact quantities as first written ----
 # The family's Gibbs chains now draw from raw Philox words with integer
-# thresholds and gather P(x | h) from a per-hidden-state table; they must
-# equal these bit for bit, as its exact draws must equal ``ref_ancestral``.  Its exact joint quantities sum over the smaller layer, while
-# these sum over the visible states.
+# thresholds; they must equal ``ref_gibbs`` bit for bit, as its exact draws
+# must equal ``ref_ancestral``.
+# Its exact joint quantities sum over the smaller layer, while these sum
+# over the visible states.
 
 def _ref_sigmoid(t):
     return 1.0 / (1.0 + np.exp(-np.clip(t, -40.0, 40.0)))
@@ -355,12 +358,12 @@ def ref_marginal_kl(fam, tp, tq):
 
 
 @pytest.mark.parametrize("n_x, n_h, n", [
-    (16, 1, 500),   # per-hidden-state table
+    (16, 1, 500),   # 2^n_h < n
     (12, 3, 300),
     (2, 2, 64),
     (10, 5, 200),
-    (10, 5, 32),    # 2^n_h == n: still the table
-    (6, 8, 100),    # 2^n_h > n: matmul fallback
+    (10, 5, 32),    # 2^n_h == n
+    (6, 8, 100),    # 2^n_h > n
 ])
 @pytest.mark.parametrize("burn_in", [0, 30])
 def test_gibbs_matches_reference_bit_for_bit(n_x, n_h, n, burn_in):
@@ -407,7 +410,12 @@ def ref_ancestral(fam, theta, n, rng):
     return (small, other) if swap else (other, small)
 
 
-@pytest.mark.parametrize("n_x, n_h, n", [(16, 1, 500), (12, 3, 300), (2, 2, 64), (3, 5, 200)])
+@pytest.mark.parametrize("n_x, n_h, n", [
+    (16, 1, 500), (12, 3, 300), (2, 2, 64), (3, 5, 200),
+    # refused by the exact quantities, yet their sampling tables are small
+    (20, 12, 1000), (12, 20, 1000),
+    (150, 5, 100),  # 2^n_h <= n
+])
 def test_sample_matches_ancestral_reference_bit_for_bit(n_x, n_h, n):
     for seed, scale in [(0, 0.5), (1, 3.0)]:
         theta = tiny_params(n_x, n_h, seed=80 + seed, scale=scale).flat()
@@ -436,17 +444,104 @@ def test_sample_moments_match_exact(n_x, n_h):
 
 
 def test_shapes_over_the_cutoff_sample_by_gibbs():
-    # 2^12 * 272^2 > EXACT_WORK_CUTOFF: no table, so the chain runs
-    theta = tiny_params(20, 12, seed=82, scale=0.3).flat()
-    joint = JointRbmFamily(20, 12, burn_in=2)
-    with pytest.raises(CapabilityError):
-        joint._check_enumerable()
-    x, h = joint.sample(theta, 16, substream(83, 0))
-    x_ref, h_ref = ref_gibbs(joint, theta, 16, substream(83, 0))
-    np.testing.assert_array_equal(x, x_ref)
-    np.testing.assert_array_equal(h, h_ref)
-    marg = MarginalRbmFamily(20, 12, burn_in=2)
-    np.testing.assert_array_equal(marg.sample(theta, 16, substream(83, 0)), x_ref)
+    # the smaller layer's table has 2^12 * 20 = 81,920 entries, more than
+    # the chain's 32 n (n_x + n_h) = 16,384 at n = 16, so the chain runs;
+    # 16 x 16 at n = 1000 has 2^16 * 16 = 1,048,576 against 1,024,000
+    for n_x, n_h, n in [(20, 12, 16), (16, 16, 1000)]:
+        theta = tiny_params(n_x, n_h, seed=82, scale=0.3).flat()
+        joint = JointRbmFamily(n_x, n_h, burn_in=2)
+        with pytest.raises(CapabilityError):
+            joint._check_enumerable()
+        x, h = joint.sample(theta, n, substream(83, 0))
+        x_ref, h_ref = ref_gibbs(joint, theta, n, substream(83, 0))
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(h, h_ref)
+        marg = MarginalRbmFamily(n_x, n_h, burn_in=2)
+        np.testing.assert_array_equal(marg.sample(theta, n, substream(83, 0)), x_ref)
+
+
+def test_exact_quantities_refuse_shapes_that_sample_exactly():
+    # 20 x 12 draws from its sampling table, yet ln Z, E[T], the KL and
+    # the Fisher matrix stay refused: 2^12 * 272^2 > EXACT_WORK_CUTOFF
+    joint, marg = JointRbmFamily(20, 12), MarginalRbmFamily(20, 12)
+    theta = tiny_params(20, 12, seed=84, scale=0.3).flat()
+    x, h = joint.sample(theta, 1000, substream(85, 0))
+    for call in (joint.check_fisher, lambda: joint.fisher(theta),
+                 lambda: joint.exact_kl(theta, theta), lambda: joint.exact_stats(theta),
+                 lambda: joint.log_density(theta, (x, h)),
+                 lambda: marg.log_density(theta, x), lambda: marg.log_partition(theta)):
+        with pytest.raises(CapabilityError, match="2\\^24"):
+            call()
+
+
+class _Chosen(Exception):
+    """Raised by the stand-ins below: which sampler ``_sample`` chose."""
+
+
+@pytest.fixture
+def sampler_path(monkeypatch):
+    """path(n_x, n_h, n): "exact" or "gibbs", the way ``sample`` draws, found
+    without drawing: the smaller layer's state table and the chain stop
+    with _Chosen as soon as they are asked for."""
+    def stop(name):
+        def chosen(*args):
+            raise _Chosen(name)
+        return chosen
+
+    empty = RbmParams(np.zeros(0), np.zeros(0), np.zeros((0, 0)))
+    monkeypatch.setattr(JointRbmFamily, "unpack", lambda self, theta: empty)
+    monkeypatch.setattr(rbm_module, "enumerate_bits", stop("exact"))
+    monkeypatch.setattr(JointRbmFamily, "_gibbs", stop("gibbs"))
+
+    def path(n_x, n_h, n):
+        try:
+            JointRbmFamily(n_x, n_h).sample(None, n, None)
+        except _Chosen as chosen:
+            return chosen.args[0]
+        raise AssertionError("sample drew without asking for a table or a chain")
+    return path
+
+
+def _accepted_shapes():
+    """Every shape ``_check_enumerable`` accepts; its refusal only grows
+    with either layer."""
+    def accepted(n_x, n_h):
+        try:
+            JointRbmFamily(n_x, n_h)._check_enumerable()
+        except CapabilityError:
+            return False
+        return True
+
+    shapes = []
+    for n_h in range(1, 2**12):
+        if not accepted(1, n_h):
+            break
+        n_x = 1
+        while accepted(n_x, n_h):
+            shapes.append((n_x, n_h))
+            n_x += 1
+    return shapes
+
+
+def test_sampler_draws_exactly_wherever_it_did_or_the_chain_had_a_table(sampler_path):
+    # every shape the exact quantities accept draws exactly, at any n >= 1
+    shapes = _accepted_shapes()
+    assert (40, 1) in shapes and (1, 1447) in shapes and len(shapes) > 4000
+    for n_x, n_h in shapes:
+        for n in (1, 2, 1000, MAX_ENTRIES // n_x):
+            assert sampler_path(n_x, n_h, n) == "exact", (n_x, n_h, n)
+    # so does every batch the runner allows (n * n_x <= MAX_ENTRIES) that had
+    # a chain over at most n hidden states (2^n_h <= n)
+    for n_h in range(1, 25):
+        top = MAX_ENTRIES // 2**n_h
+        widths = {*range(1, min(top, 300) + 1), *np.geomspace(1, top, 60).astype(int).tolist(), top}
+        for n_x in sorted(widths):
+            for n in (2**n_h, 2**n_h + 1, MAX_ENTRIES // n_x):
+                assert sampler_path(n_x, n_h, n) == "exact", (n_x, n_h, n)
+    # and the chain still runs where the table costs more than it
+    assert sampler_path(20, 12, 16) == sampler_path(16, 16, 1000) == "gibbs"
+    assert sampler_path(30, 14, 100) == sampler_path(40, 16, 1000) == "gibbs"
+    assert sampler_path(20, 12, 1000) == sampler_path(30, 14, 1000) == "exact"
 
 
 def ref_fisher(fam, theta):

@@ -26,7 +26,6 @@ from igopt.flow import (
     flow_rhs,
     gaussian_linear_constants,
     integrate,
-    lyapunov_monitor,
 )
 from igopt.normal import Phi_inv, phi
 from igopt.objectives import PHI_REGISTRY, evaluate, linear, monotone_transform, onemax, two_min
@@ -328,6 +327,12 @@ def test_expectation_parameter_flow_identity():
 
 
 def test_lyapunov_monitor_values():
+    # alpha . dtheta/dt of the Bernoulli flow on -alpha . x under truncation(1/2),
+    # the CLI's lyapunov column: non-negative, zero exactly at the corners
+    def lyapunov_monitor(theta, alpha):
+        obj = linear(alpha, 0.0, space="bits")
+        return float(alpha @ flow_rhs(BernoulliFamily(alpha.size), theta, obj, truncation(0.5)))
+
     assert lyapunov_monitor(np.array([0.4]), np.array([1.0])) == pytest.approx(0.2)
     for corner in (np.zeros(4), np.ones(4)):
         assert lyapunov_monitor(corner, np.ones(4)) == pytest.approx(0.0, abs=1e-14)
