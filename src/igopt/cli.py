@@ -61,13 +61,19 @@ _FLOW_KEYS = {"family", "objective", "scheme", "horizon", "flow_step", "method",
 _FLOW_TYPED = {**dict.fromkeys(("horizon", "flow_step", "q_report"), (float, "a number")),
                "seed": (int, "an integer"),
                "method": ({"euler": "euler", "rk4": "rk4"}.__getitem__, "euler or rk4"),
-               "theta0": (lambda v: np.array([float(t) for t in v.split()]),
-                          "numbers separated by spaces")}
+               "theta0": (lambda v: _finite(np.array([float(t) for t in v.split()])),
+                          "finite numbers separated by spaces")}
 MAX_FLOW_STEPS = 100_000  # fixed steps of one flow integration
 _FLOW_RANGES = {"horizon": (lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
                 "flow_step": (lambda x: 0.0 < x < math.inf, "finite and > 0"),
                 "q_report": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
                 "out_prefix": exp_mod._KEY_RANGES["out_prefix"]}
+
+
+def _finite(values):
+    if not np.isfinite(values).all():
+        raise ValueError("not finite")
+    return values
 
 
 def cmd_flow(args):

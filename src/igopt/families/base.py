@@ -3,7 +3,7 @@
 A family maps a flat parameter vector theta to a probability distribution on
 its search space.  The step engines only ever touch theta as a vector and
 treat samples as an opaque container, so families are free to represent
-points however is natural (bit matrices, float matrices, (x, h) pairs).
+samples however is natural (bit matrices, float matrices, (x, h) pairs).
 
 Methods are optional; a family advertises what it implements through
 ``capabilities`` and raises ``CapabilityError`` for the rest.
@@ -80,12 +80,16 @@ class Family:
 
     # -- enumeration ---------------------------------------------------------
     def enumerate_points(self):
-        """All points of the search space, as a sample container."""
+        """All points of the search space, as rows an objective takes."""
         raise CapabilityError(f"{type(self).__name__} is not enumerable")
 
     def enumerated_log_density(self, theta):
         """log P_theta of every row of ``enumerate_points()``, in that order."""
         return self.log_density(theta, self.enumerate_points())
+
+    def enumerated_score(self, theta):
+        """Score of every row of ``enumerate_points()``, for the exact flow."""
+        return self.grad_log_density(theta, self.enumerate_points())
 
     # -- housekeeping ----------------------------------------------------------
     def project(self, theta):

@@ -232,7 +232,11 @@ class IsotropicGaussianFamily(Family):
         return self.dim + 1
 
     def split(self, theta):
-        return theta[: self.dim], math.exp(theta[self.dim])
+        """(m, sigma); DomainError when sigma^2 is not a positive finite float."""
+        sigma = math.exp(min(theta[self.dim], 709.0))  # a larger exponent overflows
+        if not 0.0 < sigma * sigma < math.inf:
+            raise DomainError(f"log sigma = {theta[self.dim]} puts sigma^2 outside the floats")
+        return theta[: self.dim], sigma
 
     def sample(self, theta, n, rng):
         m, sigma = self.split(theta)

@@ -24,10 +24,10 @@ so with the free energy of h (Salakhutdinov & Murray, ICML 2008)
 
 with hh = (1, h).  When n_x < n_h the same sums run with the layers' roles
 swapped, (a, b, W) -> (b, a, W^T), and the statistics are permuted back.
-They are refused when 2^k * dim_theta^2 exceeds EXACT_WORK_CUTOFF.  The
-marginal family's Fisher and KL need P(h | x), which is not linear in x, so
-they (and ``enumerate_points``) keep a table over the 2^n_x visible states,
-refused above ENUMERATION_CUTOFF total units.
+They are refused when 2^k * dim_theta^2 exceeds EXACT_WORK_CUTOFF.  Both
+families enumerate the 2^n_x visible states, the search space, for the exact
+flow and the marginal Fisher and KL (P(h | x) is not linear in x); that
+table is refused above ENUMERATION_CUTOFF total units.
 
 Sampling has its own bound, checked in ``_sample`` alone: a batch of n
 draws exactly when the smaller layer's table, 2^k * max(n_x, n_h) entries,
@@ -249,6 +249,38 @@ class _RbmCommon(Family):
         for the marginal family it is also E[U], since U(x) = E[T | x]."""
         return self._stats_and_log_z(theta)[0]
 
+    # -- the 2^n_x visible states, the search space ---------------------------
+    @cached_property
+    def _visible_bits(self):
+        """The 2^n_x visible configurations as float rows, built once."""
+        self._check_visible_table()
+        X = enumerate_bits(self.n_x).astype(float)
+        X.flags.writeable = False
+        return X
+
+    def _visible_logmass(self, theta, x):
+        """ln P(x) + ln Z of visible rows x, by the free energy of x."""
+        p = self.unpack(theta)
+        x = np.asarray(x, dtype=float)
+        return x @ p.a + _softplus(p.b + x @ p.W).sum(axis=1)
+
+    def _visible_stats(self, theta, x):
+        """U(x) = E[T | x] = (x, p(h|x), x (x) p(h|x))."""
+        x = np.asarray(x, dtype=float)
+        return _stats_rows(x, self.p_hidden_given_visible(theta, x))
+
+    def enumerate_points(self):
+        return self._visible_bits
+
+    def enumerated_log_density(self, theta):
+        """ln P(x) of every visible state: h summed out."""
+        return self._visible_logmass(theta, self._visible_bits) - self.log_partition(theta)
+
+    def enumerated_score(self, theta):
+        """U(x) - E[T] of every visible state: the marginal score, and the
+        joint score T(x, h) - E[T] averaged over h given x."""
+        return self._visible_stats(theta, self._visible_bits) - self.exact_stats(theta)
+
 
 def _stats_rows(x, h):
     """The rows (x, h, x (x) h) of two float arrays, written into one array."""
@@ -317,20 +349,6 @@ class JointRbmFamily(_RbmCommon):
         perm = self._enumerated[1]
         return cov[np.ix_(perm, perm)]
 
-    @cached_property
-    def _points(self):
-        """Every (x, h) pair, x-major, built once and read-only."""
-        self._check_visible_table()
-        X = enumerate_bits(self.n_x)
-        H = enumerate_bits(self.n_h)
-        x_all = np.repeat(X, len(H), axis=0)
-        h_all = np.tile(H, (len(X), 1))
-        x_all.flags.writeable = h_all.flags.writeable = False
-        return x_all, h_all
-
-    def enumerate_points(self):
-        return self._points
-
     def exact_kl(self, theta_p, theta_q):
         """KL between two joint RBM laws: the joint family is exponential in
         theta, so KL(P||Q) = (theta_p - theta_q) . E_P[T] - ln Z_p + ln Z_q."""
@@ -348,34 +366,18 @@ class MarginalRbmFamily(_RbmCommon):
     def sample(self, theta, n, rng):
         return self._sample(theta, n, rng)[0]
 
-    def score_stats(self, theta, x):
-        """U(x) = E[T | x] = (x, p(h|x), x (x) p(h|x))."""
-        x = np.asarray(x, dtype=float)
-        return _stats_rows(x, self.p_hidden_given_visible(theta, x))
+    score_stats = _RbmCommon._visible_stats
 
     def log_density(self, theta, samples):
-        p = self.unpack(theta)
-        x = np.asarray(samples, dtype=float)
-        act = p.b + x @ p.W
-        return x @ p.a + _softplus(act).sum(axis=1) - self.log_partition(theta)
+        return self._visible_logmass(theta, samples) - self.log_partition(theta)
 
     def grad_log_density(self, theta, samples, model_stats=None):
         stats = self.exact_stats(theta) if model_stats is None else model_stats
         return self.score_stats(theta, samples) - stats
 
-    @cached_property
-    def _visible_bits(self):
-        """The 2^n_x visible configurations as float rows, built once."""
-        self._check_visible_table()
-        X = enumerate_bits(self.n_x).astype(float)
-        X.flags.writeable = False
-        return X
-
     def _visible_log_probs(self, theta):
-        """ln P(x) of every visible configuration, by the free energy of x."""
-        p = self.unpack(theta)
-        X = self._visible_bits
-        logmass = X @ p.a + _softplus(p.b + X @ p.W).sum(axis=1)
+        """ln P(x) of every visible configuration, normalized over the table."""
+        logmass = self._visible_logmass(theta, self._visible_bits)
         return logmass - _logsumexp(logmass)
 
     def fisher(self, theta):
@@ -384,9 +386,6 @@ class MarginalRbmFamily(_RbmCommon):
         U = self.score_stats(theta, self._visible_bits)
         mean = U.T @ probs
         return (U * probs[:, None]).T @ U - np.outer(mean, mean)
-
-    def enumerate_points(self):
-        return self._visible_bits
 
     def exact_kl(self, theta_p, theta_q):
         # The marginal law is not exponential in theta: sum directly.

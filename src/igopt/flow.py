@@ -105,7 +105,7 @@ def _value_groups(family, objective, points):
     key = (family, _content_key(objective))
     groups = _groups_cache.get(key)
     if groups is None:
-        values = objectives_mod.evaluate(objective, family.points_of(points))
+        values = objectives_mod.evaluate(objective, points)
         values.flags.writeable = False
         groups = values, np.unique(values, return_inverse=True)[1]
         _groups_cache[key] = groups
@@ -148,7 +148,7 @@ def exact_weight(family, theta, objective, scheme, x):
     """W(x): exact quantile-rewritten preference of a single point."""
     values, _ = _value_groups(family, objective, family.enumerate_points())
     probs = np.exp(family.enumerated_log_density(theta))
-    fx = float(objectives_mod.evaluate(objective, family.points_of(_single(family, x)))[0])
+    fx = float(objectives_mod.evaluate(objective, np.atleast_2d(x))[0])
     # capped as in exact_weights_all: the masses can sum to 1 + 2^-52
     q_minus = min(1.0, float(probs[values < fx].sum()))
     q_plus = min(1.0, float(probs[values <= fx].sum()))
@@ -157,22 +157,16 @@ def exact_weight(family, theta, objective, scheme, x):
     return scheme.integral(q_minus, q_plus) / (q_plus - q_minus)
 
 
-def _single(family, x):
-    if isinstance(x, tuple):
-        return tuple(np.atleast_2d(part) for part in x)
-    return np.atleast_2d(x)
-
-
-def flow_rhs(family, theta, objective, scheme, *, use_closed_form=True):
-    """Exact d(theta)/dt at theta, by enumeration."""
+def flow_rhs(family, theta, objective, scheme):
+    """Exact d(theta)/dt at theta, by enumeration: the closed-form natural
+    drift, else the exact Fisher solve of the weighted ``enumerated_score``."""
     points, probs, _, w = exact_weights_all(family, theta, objective, scheme)
     mass = probs * w
-    if use_closed_form:
-        try:
-            return family.natural_drift(theta, points, mass)
-        except CapabilityError:
-            pass
-    grad = mass @ family.grad_log_density(theta, points)
+    try:
+        return family.natural_drift(theta, points, mass)
+    except CapabilityError:
+        pass
+    grad = mass @ family.enumerated_score(theta)
     return fisher_mod.solve(fisher_mod.exact_fisher(family, theta), grad)
 
 

@@ -255,6 +255,21 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["run", str(flaky)]) == 3
 
 
+@pytest.mark.parametrize("text", [
+    # the step sends log sigma to -398: sigma^2 underflows to 0
+    "objective = sphere:d=2\ndt = 1e3\n",
+    # a step of 1e5 overflows exp(log sigma)
+    "objective = linear:d=2\nscheme = truncation:q0=0.2\ndt = 1e5\n",
+])
+def test_isotropic_gaussian_leaving_the_float_range_fails_the_run(tmp_path, monkeypatch, text):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"family = gaussian_iso:d=2\nn = 20\nsteps = 5\n{text}")
+    assert cli.main(["run", str(cfgfile)]) == 3
+    runs = (tmp_path / "experiment_runs.csv").read_text().splitlines()
+    assert runs[-1].endswith(",failed_singular")
+
+
 def test_cli_table_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     assert cli.main(["table", "critical_dt:points=30,q_min=0.05,q_max=0.6"]) == 0
@@ -341,28 +356,6 @@ def test_cli_flow_fills_the_lyapunov_column_for_bernoulli_only(tmp_path, monkeyp
                          names=True, skip_header=1)
     assert rows.size == 3 and np.all(np.isnan(rows["lyapunov"]))
     assert np.all(np.isfinite(rows["speed"]))
-
-
-def test_cli_joint_rbm_flow_is_unchanged_by_the_cached_point_table(tmp_path, monkeypatch):
-    # the same CSV bytes as with a fresh (x, h) table on every call
-    from igopt.families import JointRbmFamily
-    from igopt.families.base import enumerate_bits
-
-    def fresh_points(fam):
-        x, h = enumerate_bits(fam.n_x), enumerate_bits(fam.n_h)
-        return np.repeat(x, len(h), axis=0), np.tile(h, (len(x), 1))
-
-    cfgfile = tmp_path / "flow.cfg"
-    cfgfile.write_text("family = rbm:n_x=6,n_h=2\nobjective = two_min:d=6,seed=3\n"
-                       "scheme = truncation:q0=0.3\nhorizon = 0.5\nflow_step = 0.05\nseed = 5\n")
-    csv = []
-    for patch in (False, True):
-        if patch:
-            monkeypatch.setattr(JointRbmFamily, "enumerate_points", fresh_points)
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / str(patch)))
-        assert cli.main(["flow", str(cfgfile)]) == 0
-        csv.append((tmp_path / str(patch) / "flow_trajectory.csv").read_bytes())
-    assert csv[0] == csv[1]
 
 
 def test_cli_flow_singular_fisher_exits_3(tmp_path, monkeypatch, capsys):
@@ -463,18 +456,24 @@ def test_cli_sphere_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
     assert (tmp_path / "sphere_trajectory.csv").read_bytes() == open(reference, "rb").read()
 
 
-@pytest.mark.parametrize("line, message", [
-    ("horizon = 2.0\n", "line 4: duplicate key 'horizon'"),
-    ("", "line 3: horizon must be a number, got 'abc'"),
-    ("method = midpoint\n", "line 4: method must be euler or rk4, got 'midpoint'"),
-    ("theta0 = 0.5 0.5\n", "theta0 needs 3 numbers, got 2"),
+@pytest.mark.parametrize("family, line, message", [
+    ("bernoulli:d=3", "horizon = 2.0\n", "line 4: duplicate key 'horizon'"),
+    ("bernoulli:d=3", "", "line 3: horizon must be a number, got 'abc'"),
+    ("bernoulli:d=3", "method = midpoint\n", "line 4: method must be euler or rk4, got 'midpoint'"),
+    ("bernoulli:d=3", "theta0 = 0.5 0.5\n", "theta0 needs 3 numbers, got 2"),
+    ("bernoulli:d=3", "theta0 = nan 0.5 0.5\n",
+     "line 4: theta0 must be finite numbers separated by spaces, got 'nan 0.5 0.5'"),
+    ("rbm:n_x=3,n_h=1", "theta0 = nan 0.5 0.5 0 0 0 0\n",
+     "line 4: theta0 must be finite numbers separated by spaces, got 'nan 0.5 0.5 0 0 0 0'"),
+    ("rbm:n_x=3,n_h=1", "theta0 = 0 0 0 0 inf 0 0\n",
+     "line 4: theta0 must be finite numbers separated by spaces, got '0 0 0 0 inf 0 0'"),
 ])
-def test_cli_flow_config_grammar(tmp_path, monkeypatch, capsys, line, message):
+def test_cli_flow_config_grammar(tmp_path, monkeypatch, capsys, family, line, message):
     # the flow config shares the run config's grammar and its messages
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     cfgfile = tmp_path / "flow.cfg"
     horizon = "horizon = 1.0\n" if line else "horizon = abc\n"
-    cfgfile.write_text("family = bernoulli:d=3\nobjective = onemax:d=3\n" + horizon + line)
+    cfgfile.write_text(f"family = {family}\nobjective = onemax:d=3\n" + horizon + line)
     assert cli.main(["flow", str(cfgfile)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not list(tmp_path.glob("*.csv"))

@@ -18,6 +18,9 @@ from igopt.families import (
     rbm_init,
 )
 from igopt.families import rbm as rbm_module
+from igopt.flow import flow_rhs
+from igopt.objectives import evaluate, onemax, two_min_random
+from igopt.weights import truncation
 
 
 def tiny_params(n_x, n_h, seed=0, scale=0.5):
@@ -29,14 +32,15 @@ def tiny_params(n_x, n_h, seed=0, scale=0.5):
     )
 
 
+def joint_pairs(fam):
+    """Every (x, h) pair of an RBM, x-major: the brute-force oracle."""
+    x, h = _ref_bits(fam.n_x), _ref_bits(fam.n_h)
+    return np.repeat(x, len(h), axis=0), np.tile(h, (len(x), 1))
+
+
 def brute_force_moments(fam, theta):
-    pts = fam.enumerate_points()
-    if isinstance(pts, tuple):
-        x, h = pts
-        energies = fam.energy(theta, x, h)
-        logmass = -energies
-    else:
-        raise AssertionError("expected joint enumeration")
+    pts = joint_pairs(fam)
+    logmass = -fam.energy(theta, *pts)
     z = np.exp(logmass - logmass.max()).sum() * math.exp(logmass.max())
     probs = np.exp(logmass) / z
     T = fam.sufficient_stats(pts)
@@ -48,7 +52,7 @@ def brute_force_moments(fam, theta):
 def test_zero_parameters_give_uniform_distribution():
     fam = JointRbmFamily(2, 2)
     theta = np.zeros(fam.dim_theta)
-    pts = fam.enumerate_points()
+    pts = joint_pairs(fam)
     logp = fam.log_density(theta, pts)
     np.testing.assert_allclose(np.exp(logp), 1.0 / 16.0, rtol=1e-12)
     np.testing.assert_allclose(fam.energy(theta, *pts), 0.0)
@@ -138,7 +142,7 @@ def test_grad_hand_example_zero_parameters():
 def test_scores_are_centered():
     joint = JointRbmFamily(3, 2)
     theta = tiny_params(3, 2, seed=5).flat()
-    pts = joint.enumerate_points()
+    pts = joint_pairs(joint)
     probs = np.exp(joint.log_density(theta, pts))
     np.testing.assert_allclose(probs @ joint.grad_log_density(theta, pts), 0.0,
                                atol=1e-10)
@@ -190,7 +194,7 @@ def test_init_zero_weights_give_uniform():
     params.b[:] = 0.0
     params.a[:] = 0.0
     fam = JointRbmFamily(1, 1)
-    logp = fam.log_density(params.flat(), fam.enumerate_points())
+    logp = fam.log_density(params.flat(), joint_pairs(fam))
     np.testing.assert_allclose(np.exp(logp), 0.25, atol=1e-12)
 
 
@@ -208,7 +212,7 @@ def test_flip_hidden_preserves_distribution():
     theta = tiny_params(3, 2, seed=8).flat()
     params = fam.unpack(theta)
     flipped = flip_hidden_params(params, 1)
-    pts = fam.enumerate_points()
+    pts = joint_pairs(fam)
     flipped_pts = flip_hidden_samples(pts, 1)
     np.testing.assert_allclose(fam.log_density(theta, pts),
                                fam.log_density(flipped.flat(), flipped_pts),
@@ -249,7 +253,7 @@ def test_exact_kl_matches_direct_sum():
     fam = JointRbmFamily(2, 2)
     t1 = tiny_params(2, 2, seed=11).flat()
     t2 = tiny_params(2, 2, seed=12).flat()
-    pts = fam.enumerate_points()
+    pts = joint_pairs(fam)
     p = np.exp(fam.log_density(t1, pts))
     direct = float(p @ (fam.log_density(t1, pts) - fam.log_density(t2, pts)))
     assert fam.exact_kl(t1, t2) == pytest.approx(direct, rel=1e-10)
@@ -271,15 +275,54 @@ def test_enumeration_cutoff_enforced():
         fam.log_partition(np.zeros(fam.dim_theta))
 
 
-def test_joint_points_are_built_once_and_read_only():
-    fam = JointRbmFamily(3, 2)
-    first, second = fam.enumerate_points(), fam.enumerate_points()
-    for a, b in zip(first, second):
-        assert a is b
-        assert not a.flags.writeable
-    x, h = first
-    np.testing.assert_array_equal(x, np.repeat(_ref_bits(3), 4, axis=0))
-    np.testing.assert_array_equal(h, np.tile(_ref_bits(2), (8, 1)))
+def pair_table_drift(fam, theta, objective, scheme):
+    """The exact joint flow by brute force: sum P(x, h) W(x) (T - E[T]) over
+    every (x, h) pair, with W from the pairs' own running quantiles, and
+    solve with the joint Fisher matrix."""
+    x, h = joint_pairs(fam)
+    probs = np.exp(fam.log_density(theta, (x, h)))
+    values = evaluate(objective, x)
+    w = np.empty_like(values)
+    cum = 0.0
+    for v in np.unique(values):
+        group = values == v
+        q_minus, cum = cum, min(1.0, cum + probs[group].sum())
+        w[group] = scheme.integral(q_minus, cum) / (cum - q_minus)
+    T = fam.sufficient_stats((x, h))
+    grad = (probs * w) @ (T - probs @ T)
+    return np.linalg.solve(fam.fisher(theta), grad)
+
+
+@pytest.mark.parametrize("n_x, n_h", [(4, 2), (3, 3), (2, 4), (3, 5)])
+def test_joint_flow_matches_the_pair_table_reference(n_x, n_h):
+    # onemax ties the x with equal counts of ones: each tie group gets one weight
+    fam = JointRbmFamily(n_x, n_h)
+    points = fam.enumerate_points()  # the visible states, built once, read-only
+    assert points is fam.enumerate_points() and not points.flags.writeable
+    np.testing.assert_array_equal(points, _ref_bits(n_x))
+    for seed in range(3):
+        theta = tiny_params(n_x, n_h, seed=60 + seed).flat()
+        for scheme in (truncation(0.3), truncation(0.6, shift=-0.2)):
+            np.testing.assert_allclose(flow_rhs(fam, theta, onemax(n_x), scheme),
+                                       pair_table_drift(fam, theta, onemax(n_x), scheme),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_x, n_h", [(4, 2), (2, 4)])
+def test_joint_flow_is_hidden_flip_equivariant(n_x, n_h):
+    # the flip A is linear in theta, so the exact flow satisfies
+    # rhs(A theta) = A rhs(theta)
+    fam = JointRbmFamily(n_x, n_h)
+    obj = two_min_random(n_x, substream(61, 0))
+    scheme = truncation(0.3)
+    for seed in range(3):
+        theta = tiny_params(n_x, n_h, seed=70 + seed).flat()
+        for j in range(n_h):
+            def flip(t, j=j):
+                return flip_hidden_params(fam.unpack(t), j).flat()
+            np.testing.assert_allclose(flow_rhs(fam, flip(theta), obj, scheme),
+                                       flip(flow_rhs(fam, theta, obj, scheme)),
+                                       rtol=0, atol=1e-12)
 
 
 def test_every_shape_accepted_before_is_still_enumerable():

@@ -510,8 +510,8 @@ def test_f_quantile_of_cached_values_matches_the_sort_path(objective):
 
 def test_flow_rhs_matches_derivative_free_covariance_form():
     # for a family in natural exponential coordinates the flow is
-    # Cov(T, T)^{-1} Cov(T, W), no derivatives involved: check against the
-    # generic path by direct enumeration sums
+    # Cov(T, T)^{-1} Cov(T, W), no derivatives involved: check the drift
+    # against direct enumeration sums
     from igopt.families import LogitBernoulliFamily
     fam = LogitBernoulliFamily(3)
     theta = fam.from_probabilities(np.array([0.35, 0.5, 0.7]))
@@ -523,7 +523,7 @@ def test_flow_rhs_matches_derivative_free_covariance_form():
     cov_tt = (stats * probs[:, None]).T @ stats - np.outer(mean_t, mean_t)
     cov_tw = (probs * w) @ stats - mean_t * (probs @ w)
     expected = np.linalg.solve(cov_tt, cov_tw)
-    got = flow_rhs(fam, theta, obj, scheme, use_closed_form=False)
+    got = flow_rhs(fam, theta, obj, scheme)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
