@@ -46,19 +46,18 @@ def _score(family, theta, samples, model_stats):
     return family.grad_log_density(theta, samples, model_stats=model_stats)
 
 
-def igo_step(family, theta, samples, weights, dt, *, fisher=None, model_stats=None,
-             use_closed_form=True):
+def igo_step(family, theta, samples, weights, dt, *, fisher=None, model_stats=None):
     """One natural-gradient step.  Deterministic given its inputs.
 
-    With ``use_closed_form`` (default) the family's closed-form
-    Fisher-preconditioned step is used when available; otherwise the step
-    solves against ``fisher`` (an explicit FisherMatrix estimate) or the
-    family's exact Fisher matrix.  ``model_stats`` centres the score of a
-    ``centred_score`` family.  SingularFisher propagates to the caller.
+    Without ``fisher`` the family's closed-form Fisher-preconditioned step
+    is used when available; otherwise the step solves against ``fisher``
+    (an explicit FisherMatrix) or the family's exact Fisher matrix.
+    ``model_stats`` centres the score of a ``centred_score`` family.
+    SingularFisher propagates to the caller.
     """
     w = as_weight_array(weights)
     theta = np.asarray(theta, dtype=float)
-    if use_closed_form and fisher is None:
+    if fisher is None:
         try:
             return family.natural_step(theta, samples, w, dt)
         except CapabilityError:

@@ -93,7 +93,7 @@ def test_criterion_02_triple_equality():
         vals = samples.sum(axis=1) + rng.random(20) * 0.01
         w = compute_quantile_weights(vals, truncation(0.5)).normalized()
         dt = rng.uniform(0.05, 0.9)
-        a = igo_step(fam_b, theta, samples, w, dt, use_closed_form=False)
+        a = igo_step(fam_b, theta, samples, w, dt, fisher=exact_fisher(fam_b, theta))
         b = igo_ml_step(fam_b, theta, samples, w, dt)
         c = smoothed_cem_step(fam_b, theta, samples, w, dt, "expectation")
         scale = np.maximum(np.abs(a), 1.0)
@@ -106,7 +106,7 @@ def test_criterion_02_triple_equality():
         samples = mu + math.sqrt(var) * rng.standard_normal((16, 1))
         w = compute_quantile_weights(samples[:, 0], truncation(0.5)).normalized()
         dt = rng.uniform(0.05, 0.9)
-        a = igo_step(fam_g, theta, samples, w, dt, use_closed_form=False)
+        a = igo_step(fam_g, theta, samples, w, dt, fisher=exact_fisher(fam_g, theta))
         b = igo_ml_step(fam_g, theta, samples, w, dt)
         c = smoothed_cem_step(fam_g, theta, samples, w, dt, "expectation")
         scale = np.maximum(np.abs(a), 1.0)
@@ -364,9 +364,8 @@ def test_criterion_12_hflip_equivariance():
     def flip(t):
         return flip_hidden_params(fam.unpack(t), j).flat()
 
-    nat_a = flip(igo_step(fam, base, samples, rw, 0.2, use_closed_form=False))
-    nat_b = igo_step(fam, flip(base), flip_hidden_samples(samples, j), rw, 0.2,
-                     use_closed_form=False)
+    nat_a = flip(igo_step(fam, base, samples, rw, 0.2))
+    nat_b = igo_step(fam, flip(base), flip_hidden_samples(samples, j), rw, 0.2)
     nat_gap = np.abs(nat_a - nat_b).max()
     assert nat_gap < 1e-6
 

@@ -36,7 +36,7 @@ def test_igo_step_hand_example_bernoulli():
     np.testing.assert_allclose(out, [0.55])
     # the generic Fisher-solve path gives the same number
     out2 = igo_step(fam, np.array([0.5]), np.array([[1]]), np.array([1.0]), 0.1,
-                    use_closed_form=False)
+                    fisher=exact_fisher(fam, np.array([0.5])))
     np.testing.assert_allclose(out2, [0.55], rtol=1e-14)
 
 
@@ -56,7 +56,7 @@ def test_closed_form_and_solve_paths_agree():
     vals = samples.sum(axis=1).astype(float)
     rw = compute_quantile_weights(vals, truncation(0.5))
     a = igo_step(fam, theta, samples, rw, 0.05)
-    b = igo_step(fam, theta, samples, rw, 0.05, use_closed_form=False)
+    b = igo_step(fam, theta, samples, rw, 0.05, fisher=exact_fisher(fam, theta))
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
@@ -148,7 +148,7 @@ def test_triple_equality_in_expectation_coordinates():
         vals = samples[:, 0]
         w = compute_quantile_weights(vals, truncation(0.5)).normalized()
         dt = 0.3
-        a = igo_step(fam, theta, samples, w, dt, use_closed_form=False)
+        a = igo_step(fam, theta, samples, w, dt, fisher=exact_fisher(fam, theta))
         b = igo_ml_step(fam, theta, samples, w, dt)
         c = smoothed_cem_step(fam, theta, samples, w, dt, "expectation")
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)

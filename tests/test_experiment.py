@@ -61,12 +61,13 @@ def test_comments_and_blank_lines_ignored():
 
 def test_run_is_deterministic_and_csv_byte_identical(tmp_path):
     cfg = parse_config(PBIL_CONFIG)
-    run_experiment(cfg, out_dir=tmp_path / "a")
-    run_experiment(cfg, out_dir=tmp_path / "b")
+    first = run_experiment(cfg, out_dir=tmp_path / "a")
+    second = run_experiment(cfg, out_dir=tmp_path / "b")
     for name in ("experiment_runs.csv", "experiment_summary.csv"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+    assert all(np.array_equal(x.thetas, y.thetas) for x, y in zip(first, second, strict=True))
 
 
 def test_worker_pool_gives_identical_csv(tmp_path):
@@ -293,12 +294,22 @@ def test_cli_table_outputs(tmp_path, monkeypatch):
     assert np.all(lc["beta"] < 0)
 
 
-def test_cli_table_bad_number_names_the_option(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("spec, message", [
+    ("critical_dt:points=many", "option points must be an integer, got 'many'"),
+    ("linear_constants:d=0", "option d must be at least 1, got 0"),
+    ("linear_constants:d=-2", "option d must be at least 1, got -2"),
+    ("linear_constants:points=-1", "option points must be in [1, 10000], got -1"),
+    ("critical_dt:points=0", "option points must be in [1, 10000], got 0"),
+    ("critical_dt:points=10001", "option points must be in [1, 10000], got 10001"),
+    ("critical_dt:q_min=0", "option q_min must be in (0, 1), got 0.0"),
+    ("critical_dt:q_max=1", "option q_max must be in (0, 1), got 1.0"),
+    ("linear_constants:q_min=-0.5", "option q_min must be in (0, 1], got -0.5"),
+    ("linear_constants:q_max=1.5", "option q_max must be in (0, 1], got 1.5"),
+])
+def test_cli_table_bad_number_names_the_option(tmp_path, monkeypatch, capsys, spec, message):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
-    assert cli.main(["table", "critical_dt:points=many"]) == 2
-    assert capsys.readouterr().err == (
-        "config error: 'critical_dt:points=many': option points must be an integer, "
-        "got 'many'\n")
+    assert cli.main(["table", spec]) == 2
+    assert capsys.readouterr().err == f"config error: {spec!r}: {message}\n"
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -367,8 +378,10 @@ def test_cli_flow_singular_fisher_exits_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["flow", str(cfgfile)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("flow failed: Fisher matrix not safely")
-    # so is a state outside the family's domain
-    cfgfile.write_text("family = bernoulli:d=3\nobjective = onemax:d=3\ntheta0 = 0.5 0.5 1.5\n")
+    # so is a state that leaves the family's domain: one Euler step of
+    # length 5 moves p = 0.4 by 5 * 0.2 to 1.4
+    cfgfile.write_text("family = bernoulli:d=1\nobjective = linear:d=1,space=bits\n"
+                       "method = euler\nflow_step = 5\nhorizon = 5\ntheta0 = 0.4\n")
     assert cli.main(["flow", str(cfgfile)]) == 3
     assert capsys.readouterr().err == (
         "flow failed: Bernoulli probabilities must lie strictly inside (0, 1)\n")
@@ -461,6 +474,13 @@ def test_cli_sphere_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
     ("bernoulli:d=3", "", "line 3: horizon must be a number, got 'abc'"),
     ("bernoulli:d=3", "method = midpoint\n", "line 4: method must be euler or rk4, got 'midpoint'"),
     ("bernoulli:d=3", "theta0 = 0.5 0.5\n", "theta0 needs 3 numbers, got 2"),
+    # a theta0 outside the family's domain is a config error, not a failed flow
+    ("bernoulli:d=3", "theta0 = 0.5 0.5 1.5\n",
+     "theta0 is outside the family's domain: Bernoulli probabilities must lie strictly "
+     "inside (0, 1)"),
+    ("bernoulli:d=3", "theta0 = 0.5 0 0.5\n",
+     "theta0 is outside the family's domain: Bernoulli probabilities must lie strictly "
+     "inside (0, 1)"),
     ("bernoulli:d=3", "theta0 = nan 0.5 0.5\n",
      "line 4: theta0 must be finite numbers separated by spaces, got 'nan 0.5 0.5'"),
     ("rbm:n_x=3,n_h=1", "theta0 = nan 0.5 0.5 0 0 0 0\n",
@@ -573,10 +593,6 @@ def test_bernoulli_blends_survive_round_off(tmp_path, monkeypatch, algorithm):
         "family = bernoulli:d=8\nobjective = onemax:d=8\nscheme = truncation:q0=0.3\n"
         f"algorithm = {algorithm}\nn = 30\ndt = 0.2\nsteps = 20\nseed = 32\n")
     assert cli.main(["run", str(cfgfile)]) == 0
-
-
-def test_cli_selftest():
-    assert cli.main(["selftest"]) == 0
 
 
 def test_explicit_config_defaults():
@@ -855,3 +871,15 @@ def test_lift_noisy_forwards_the_sampled_kl_and_the_centred_score(tmp_path):
         csv[lifted] = (tmp_path / lifted / "experiment_runs.csv").read_bytes()
     assert csv["true"] == csv["false"]
 
+
+def test_cli_help_lists_the_subcommands_main_registers(capsys):
+    # the module docstring is the --help description: its subcommand list
+    # must be the one argparse shows as {run,...}
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    registered = re.search(r"\{([a-z,]+)\}", out).group(1).split(",")
+    listed = re.findall(r"^  ([a-z]+) ", cli.__doc__, flags=re.M)
+    assert cli.__doc__.strip() in out
+    assert listed == registered

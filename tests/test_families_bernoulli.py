@@ -8,6 +8,7 @@ from scipy.special import xlogy
 
 from igopt import igo_step, substream, truncation
 from igopt.families import BernoulliFamily, CapabilityError, DomainError, LogitBernoulliFamily
+from igopt.fisher import exact_fisher
 
 
 def test_grad_and_fisher_hand_values():
@@ -81,7 +82,7 @@ def test_generic_step_matches_closed_form_update():
     vals = (3 - samples.sum(axis=1)).astype(float)
     from igopt import compute_quantile_weights
     rw = compute_quantile_weights(vals, truncation(0.5))
-    via_engine = igo_step(fam, theta, samples, rw, dt=0.1, use_closed_form=False)
+    via_engine = igo_step(fam, theta, samples, rw, dt=0.1, fisher=exact_fisher(fam, theta))
     via_formula = fam.natural_step(theta, samples, rw.weights, 0.1)
     np.testing.assert_allclose(via_engine, via_formula, rtol=1e-13, atol=1e-15)
 

@@ -235,11 +235,9 @@ def test_hflip_commutes_with_natural_step_not_vanilla():
 
     # natural-gradient step: the flip map is affine in theta, so the exact
     # natural step commutes with it
-    step_then_flip = flip_theta(igo_step(fam, theta, samples, rw, 0.2,
-                                         use_closed_form=False))
+    step_then_flip = flip_theta(igo_step(fam, theta, samples, rw, 0.2))
     flip_then_step = igo_step(fam, flip_theta(theta),
-                              flip_hidden_samples(samples, j), rw, 0.2,
-                              use_closed_form=False)
+                              flip_hidden_samples(samples, j), rw, 0.2)
     assert np.abs(step_then_flip - flip_then_step).max() < 1e-6
 
     # the vanilla step does not commute
