@@ -440,6 +440,7 @@ def single_run(cfg, run_id):
         ))
         theta = new_theta
         record.thetas.append(np.array(theta, dtype=float, copy=True))
+        del samples, points, base_samples  # this batch dies before the next is drawn
 
         if two_min_y is not None and cfg.stop == "both_optima":
             seen_optima = [seen or d.min() == 0 for seen, d in zip(seen_optima, dists)]

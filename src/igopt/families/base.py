@@ -87,6 +87,10 @@ class Family:
         """log P_theta of every row of ``enumerate_points()``, in that order."""
         return self.log_density(theta, self.enumerate_points())
 
+    def enumerated_drift(self, theta, mass):
+        """``natural_drift`` over the rows of ``enumerate_points()``."""
+        return self.natural_drift(theta, self.enumerate_points(), mass)
+
     def enumerated_score(self, theta):
         """Score of every row of ``enumerate_points()``, for the exact flow."""
         return self.grad_log_density(theta, self.enumerate_points())

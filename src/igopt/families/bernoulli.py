@@ -57,10 +57,6 @@ class BernoulliFamily(Family):
     def natural_grad_log_density(self, theta, samples):
         return np.asarray(samples, dtype=float) - theta
 
-    def natural_drift(self, theta, samples, mass):
-        # sum_i mass_i (x_i - theta), without the matrix of scores
-        return mass @ np.asarray(samples, dtype=float) - mass.sum() * theta
-
     def natural_step(self, theta, samples, w, dt):
         """The convex blend (1 - w_total dt) theta + dt sum_i w_i x_i.  With
         one unit weight on the best sample and dt = LR this is the classic
@@ -100,13 +96,29 @@ class BernoulliFamily(Family):
 
     def enumerated_log_density(self, theta):
         # Row k holds the bits of k, so the first 2^i rows extend to the
-        # first 2^(i+1) by one coordinate: bit i off, then bit i on.  Only
-        # xlogy's -inf at an exact 0 or 1 enters, never +inf, so no NaN.
+        # first 2^(i+1) by one coordinate: bit i on (written from the lower
+        # half), then bit i off (added in place).  Only xlogy's -inf at an
+        # exact 0 or 1 enters, never +inf, so no NaN.
         self._check_enumerable()
-        out = np.zeros(1)
+        out = np.empty(2**self.dim)
+        out[0] = 0.0
+        size = 1
         for on, off in zip(xlogy(1.0, theta), xlogy(1.0, 1.0 - theta)):
-            out = np.concatenate((out + off, out + on))
+            np.add(out[:size], on, out=out[size:2 * size])
+            out[:size] += off
+            size *= 2
         return out
+
+    def enumerated_drift(self, theta, mass):
+        # Row k holds the bits of k, so the rows with the top bit on are the
+        # upper half; folding the upper half onto the lower one drops that bit.
+        # Folding from the top gives every sum_x mass(x) x_i, then the total.
+        upper = np.empty(self.dim)
+        for i in reversed(range(self.dim)):
+            half = mass.size // 2
+            upper[i] = mass[half:].sum()
+            mass = mass[:half] + mass[half:]
+        return upper - mass[0] * theta
 
     def exact_kl(self, theta_p, theta_q):
         """KL between two product-Bernoulli laws, closed form."""
@@ -161,7 +173,11 @@ class LogitBernoulliFamily(Family):
 
     def fisher(self, theta):
         p = self.mean(theta)
-        return np.diag(p * (1.0 - p))
+        var = p * (1.0 - p)  # 0 once theta_i > ~37 rounds p_i to 1 (or < ~-745 to 0)
+        if not np.all(var > 0.0):
+            raise DomainError("Bernoulli logits must keep every probability "
+                              "strictly inside (0, 1)")
+        return np.diag(var)
 
     def sufficient_stats(self, samples):
         return np.asarray(samples, dtype=float)

@@ -14,7 +14,6 @@ three.  Singular or ill-conditioned matrices raise ``SingularFisher``.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .families.base import SingularFisher
 
@@ -145,6 +144,8 @@ def invert(fm):
 
 def solve(fm, rhs):
     """F^{-1} rhs with the same guards as ``invert``."""
+    import scipy.linalg  # on first use: a run that never solves does not load it
+
     eigs = np.linalg.eigvalsh(fm.matrix)
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > CONDITION_LIMIT:
         raise SingularFisher(

@@ -73,9 +73,10 @@ class LinearFlowConstants:
 
 
 _GROUPS_CACHE_SIZE = 8
-# (family, objective content) -> (values, inverse) of _value_groups.  The
-# key holds the family itself, and families compare by identity, so an
-# entry can only be found by the family whose enumeration it was built on.
+# (family, objective content) -> (values, distinct values, inverse) of
+# _value_groups.  The key holds the family itself, and families compare by
+# identity, so an entry can only be found by the family whose enumeration it
+# was built on.
 _groups_cache = {}
 
 
@@ -97,8 +98,8 @@ def _content_key(objective):
 
 def _value_groups(family, objective, points):
     """The theta-independent half of the exact weights: the objective's
-    values on ``points`` (the family's enumeration), read-only, and the
-    ``np.unique`` inverse that numbers their distinct values ascending.
+    values on ``points`` (the family's enumeration), read-only, then the
+    ``np.unique`` distinct values, ascending, and inverse that numbers them.
 
     Cached per (family, objective content).
     """
@@ -107,19 +108,19 @@ def _value_groups(family, objective, points):
     if groups is None:
         values = objectives_mod.evaluate(objective, points)
         values.flags.writeable = False
-        groups = values, np.unique(values, return_inverse=True)[1]
+        groups = (values, *np.unique(values, return_inverse=True))
         _groups_cache[key] = groups
         if len(_groups_cache) > _GROUPS_CACHE_SIZE:
             del _groups_cache[next(iter(_groups_cache))]  # the oldest entry
     return groups
 
 
-def _cached_inverse(values):
-    """The ``np.unique`` inverse of ``values`` when they are the read-only
+def _cached_groups(values):
+    """(distinct values, inverse) of ``values`` when they are the read-only
     values array of a ``_groups_cache`` entry, else None."""
-    for cached, inverse in _groups_cache.values():
+    for cached, uniq, inverse in _groups_cache.values():
         if cached is values:
-            return inverse
+            return uniq, inverse
     return None
 
 
@@ -133,20 +134,27 @@ def exact_weights_all(family, theta, objective, scheme):
     running quantile (q- == q+), gets w(q+), as in ``exact_weight``.
     """
     points = family.enumerate_points()
-    values, inverse = _value_groups(family, objective, points)
+    values, _, inverse = _value_groups(family, objective, points)
     probs = np.exp(family.enumerated_log_density(theta))
-    q_plus = np.minimum(1.0, np.cumsum(np.bincount(inverse, weights=probs)))
-    q_minus = np.concatenate(([0.0], q_plus[:-1]))
+    q_plus = np.cumsum(np.bincount(inverse, weights=probs))
+    np.minimum(q_plus, 1.0, out=q_plus)
+    q_minus = np.empty_like(q_plus)
+    q_minus[0] = 0.0
+    q_minus[1:] = q_plus[:-1]
     wide = q_plus > q_minus
-    w = np.empty_like(q_plus)
-    w[wide] = scheme.integral(q_minus[wide], q_plus[wide]) / (q_plus - q_minus)[wide]
-    w[~wide] = scheme(q_plus[~wide])  # w pointwise only where it is used
+    if wide.all():  # every group moves the running quantile
+        w = scheme.integral(q_minus, q_plus)
+        w /= np.subtract(q_plus, q_minus, out=q_minus)
+    else:
+        w = np.empty_like(q_plus)
+        w[wide] = scheme.integral(q_minus[wide], q_plus[wide]) / (q_plus - q_minus)[wide]
+        w[~wide] = scheme(q_plus[~wide])  # w pointwise only where it is used
     return points, probs, values, w[inverse]
 
 
 def exact_weight(family, theta, objective, scheme, x):
     """W(x): exact quantile-rewritten preference of a single point."""
-    values, _ = _value_groups(family, objective, family.enumerate_points())
+    values = _value_groups(family, objective, family.enumerate_points())[0]
     probs = np.exp(family.enumerated_log_density(theta))
     fx = float(objectives_mod.evaluate(objective, np.atleast_2d(x))[0])
     # capped as in exact_weights_all: the masses can sum to 1 + 2^-52
@@ -158,12 +166,13 @@ def exact_weight(family, theta, objective, scheme, x):
 
 
 def flow_rhs(family, theta, objective, scheme):
-    """Exact d(theta)/dt at theta, by enumeration: the closed-form natural
-    drift, else the exact Fisher solve of the weighted ``enumerated_score``."""
-    points, probs, _, w = exact_weights_all(family, theta, objective, scheme)
-    mass = probs * w
+    """Exact d(theta)/dt at theta, by enumeration: the closed-form
+    ``enumerated_drift``, else the exact Fisher solve of the weighted
+    ``enumerated_score``."""
+    _, probs, _, mass = exact_weights_all(family, theta, objective, scheme)
+    mass *= probs
     try:
-        return family.natural_drift(theta, points, mass)
+        return family.enumerated_drift(theta, mass)
     except CapabilityError:
         pass
     grad = mass @ family.enumerated_score(theta)
@@ -207,8 +216,8 @@ def f_quantile(values, probs, q):
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    group = _cached_inverse(values)
-    if group is None:
+    groups = _cached_groups(values)
+    if groups is None:
         order = np.argsort(values)
         v = values[order]
         first = _group_starts(v)
@@ -218,14 +227,12 @@ def f_quantile(values, probs, q):
         group[order] = np.cumsum(first) - 1
         uniq = v[first]
     else:
-        # the same ascending group ids, from the np.unique the cache made
-        uniq = np.empty(int(group.max()) + 1)
-        uniq[group] = values
-    p = probs / probs.sum()
-    keep = p > 0.0
-    mass = np.bincount(group[keep], weights=p[keep], minlength=uniq.size)
-    held = mass > 0.0  # the groups with a kept point
-    return _group_quantile(uniq[held], mass[held], q)
+        uniq, group = groups  # the same ascending group ids, from the cache
+    mass = np.bincount(group, weights=probs / probs.sum(), minlength=uniq.size)
+    held = mass > 0.0  # zero-mass groups would put repeated nodes into the interpolation
+    if not held.all():
+        uniq, mass = uniq[held], mass[held]
+    return _group_quantile(uniq, mass, q)
 
 
 def batch_quantile(values, q):

@@ -113,11 +113,15 @@ class WeightScheme:
         b = np.asarray(b, dtype=float)
         if not np.all((0.0 <= a) & (a <= b) & (b <= 1.0)):
             raise ValueError("integration bounds must satisfy 0 <= a <= b <= 1")
-        base = 0.0
+        # Zero steps and a zero shift would add exact zeros to a sum that
+        # starts at +0.0 and so never holds -0.0: skipping them keeps the
+        # bits, and truncation takes one pass.
+        out = np.zeros(np.broadcast(a, b).shape)
         for lo, hi, v in self._cells():
-            if v:  # a zero step adds exact zeros; skipping it keeps truncation at one pass
-                base = base + v * np.maximum(0.0, np.minimum(b, hi) - np.maximum(a, lo))
-        out = base + self.shift * (b - a)
+            if v:
+                out += v * np.maximum(0.0, np.minimum(b, hi) - np.maximum(a, lo))
+        if self.shift:
+            out += self.shift * (b - a)
         return float(out) if out.ndim == 0 else out
 
     def mean(self):

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -128,6 +129,32 @@ def test_target_stop_marks_converged():
     rec = run_experiment(cfg)[0]
     assert rec.status == "converged"
     assert rec.rows[-1].best_f <= 0.0
+
+
+@pytest.mark.parametrize("family, objective", [("bernoulli:d=6", "onemax:d=6"),
+                                               ("gaussian:d=3", "sphere:d=3")])
+def test_single_run_frees_each_batch_before_drawing_the_next(monkeypatch, family, objective):
+    cfg = parse_config(f"family = {family}\nobjective = {objective}\n"
+                       "n = 40\ndt = 0.1\nsteps = 5\nseed = 3\n")
+    batches = []
+    real_setup = experiment._setup
+
+    def setup(*args):
+        fam, *rest = real_setup(*args)
+        real_sample = fam.sample
+
+        def sample(theta, n, rng):
+            assert all(ref() is None for ref in batches)  # the previous batch is dead
+            batch = real_sample(theta, n, rng)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        fam.sample = sample
+        return (fam, *rest)
+
+    monkeypatch.setattr(experiment, "_setup", setup)
+    assert experiment.single_run(cfg.validate(), 0).status == "step_limit"
+    assert len(batches) == 5
 
 
 def test_both_optima_stop():
@@ -481,6 +508,10 @@ def test_cli_sphere_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
     ("bernoulli:d=3", "theta0 = 0.5 0 0.5\n",
      "theta0 is outside the family's domain: Bernoulli probabilities must lie strictly "
      "inside (0, 1)"),
+    # a logit that rounds a probability to 0 or 1 has a singular Fisher matrix
+    ("bernoulli_logit:d=3", "theta0 = 50 3 0\n",
+     "theta0 is outside the family's domain: Bernoulli logits must keep every probability "
+     "strictly inside (0, 1)"),
     ("bernoulli:d=3", "theta0 = nan 0.5 0.5\n",
      "line 4: theta0 must be finite numbers separated by spaces, got 'nan 0.5 0.5'"),
     ("rbm:n_x=3,n_h=1", "theta0 = nan 0.5 0.5 0 0 0 0\n",
@@ -496,6 +527,19 @@ def test_cli_flow_config_grammar(tmp_path, monkeypatch, capsys, family, line, me
     cfgfile.write_text(f"family = {family}\nobjective = onemax:d=3\n" + horizon + line)
     assert cli.main(["flow", str(cfgfile)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_flow_logit_reaching_a_rounded_probability_exits_3(tmp_path, monkeypatch, capsys):
+    # Euler steps of length 1 carry the second logit from 3 past ~37
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text("family = bernoulli_logit:d=2\nobjective = onemax:d=2\n"
+                       "theta0 = 30 3\nmethod = euler\nflow_step = 1\nhorizon = 50\n")
+    with np.errstate(all="ignore"):
+        assert cli.main(["flow", str(cfgfile)]) == 3
+    assert capsys.readouterr().err.endswith(
+        "flow failed: Bernoulli logits must keep every probability strictly inside (0, 1)\n")
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -174,6 +174,16 @@ def test_enumerated_log_density_matches_xlogy_row_sums(theta):
         assert abs(math.fsum(np.exp(got)) - 1.0) <= 1e-14
 
 
+@given(st.integers(1, 16).flatmap(lambda d: st.lists(_PROBABILITY, min_size=d, max_size=d)))
+def test_enumerated_log_density_matches_the_concatenation_loop_bit_for_bit(theta):
+    # frozen reference: the doubling as one new array per coordinate
+    theta = np.array(theta)
+    ref = np.zeros(1)
+    for on, off in zip(xlogy(1.0, theta), xlogy(1.0, 1.0 - theta)):
+        ref = np.concatenate((ref + off, ref + on))
+    np.testing.assert_array_equal(BernoulliFamily(theta.size).enumerated_log_density(theta), ref)
+
+
 def test_enumeration_is_built_once_and_read_only():
     fam = BernoulliFamily(5)
     pts = fam.enumerate_points()

@@ -140,6 +140,53 @@ def test_increasing_transform_leaves_exact_weight_unchanged():
 _PROBABILITY = st.one_of(st.floats(0.0, 1e-6), st.floats(1.0 - 1e-6, 1.0), st.floats(0.0, 1.0))
 
 
+def frozen_masked_exact_weights(family, theta, objective, scheme):
+    """exact_weights_all as it was before its every-group-wide fast path:
+    each group through the masks, the shift term always added."""
+    values = evaluate(objective, family.enumerate_points())
+    inverse = np.unique(values, return_inverse=True)[1]
+    probs = np.exp(family.enumerated_log_density(theta))
+    q_plus = np.minimum(1.0, np.cumsum(np.bincount(inverse, weights=probs)))
+    q_minus = np.concatenate(([0.0], q_plus[:-1]))
+    wide = q_plus > q_minus
+    a, b = q_minus[wide], q_plus[wide]
+    integral = 0.0
+    for lo, hi, v in scheme._cells():
+        if v:
+            integral = integral + v * np.maximum(0.0, np.minimum(b, hi) - np.maximum(a, lo))
+    integral = integral + scheme.shift * (b - a)
+    w = np.empty_like(q_plus)
+    w[wide] = integral / (q_plus - q_minus)[wide]
+    w[~wide] = scheme(q_plus[~wide])
+    return probs, w[inverse]
+
+
+_SHIFT = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+           st.lists(st.one_of(st.just(0.0), st.just(1.0), _PROBABILITY),
+                    min_size=d, max_size=d),
+           st.lists(st.integers(0, 1), min_size=d, max_size=d))),
+       st.sampled_from(["onemax", "binval", "two_min"]),
+       st.one_of(st.builds(truncation, st.floats(0.01, 1.0), _SHIFT),
+                 st.builds(signed_median, _SHIFT),
+                 st.builds(lambda shift: table([(0.0, 2.0), (0.25, 1.0), (0.6, -0.5)], shift),
+                           _SHIFT)))
+def test_exact_weights_all_matches_the_masked_form_bit_for_bit(case, kind, scheme):
+    # ties (onemax, two_min), distinct values (BinVal), and corners that
+    # leave groups degenerate
+    theta, y = (np.array(v) for v in case)
+    d = theta.size
+    objective = {"onemax": onemax(d), "binval": linear(2.0 ** -np.arange(d), space="bits"),
+                 "two_min": two_min(y.astype(float))}[kind]
+    family = BernoulliFamily(d)
+    _, probs, _, w = exact_weights_all(family, theta, objective, scheme)
+    ref_probs, ref_w = frozen_masked_exact_weights(family, theta, objective, scheme)
+    np.testing.assert_array_equal(probs, ref_probs)
+    np.testing.assert_array_equal(w, ref_w)
+
+
 @st.composite
 def _bits_objective(draw):
     """(d, objective) among onemax, two_min and a bits-linear f; integer-valued,
@@ -242,7 +289,7 @@ def test_bernoulli_natural_drift_matches_the_score_matrix_form(case):
     points = fam.enumerate_points()
     ref = mass @ fam.natural_grad_log_density(theta, points)
     # atol: the scale at which the two summation orders cancel
-    np.testing.assert_allclose(fam.natural_drift(theta, points, mass), ref,
+    np.testing.assert_allclose(fam.enumerated_drift(theta, mass), ref,
                                rtol=1e-13, atol=1e-13 * np.abs(mass).sum())
 
 
@@ -501,8 +548,8 @@ def test_f_quantile_of_cached_values_matches_the_sort_path(objective):
     for _ in range(10):
         theta = rng.uniform(0.05, 0.95, objective.dim)
         _, probs, values, _ = exact_weights_all(family, theta, objective, truncation(0.3))
-        assert flow_module._cached_inverse(values) is not None
-        assert flow_module._cached_inverse(values.copy()) is None
+        assert flow_module._cached_groups(values) is not None
+        assert flow_module._cached_groups(values.copy()) is None
         for q in (0.0, 0.1, 0.25, 0.3, 0.5, 0.77, 0.9, 1.0):
             assert_same_quantile(f_quantile(values, probs, q),
                                  f_quantile(values.copy(), probs, q), values)
@@ -545,6 +592,14 @@ def test_import_loads_neither_scipy_stats_nor_integrate():
     loaded = fresh_scipy_modules("import igopt, igopt.cli")
     assert "scipy.stats" not in loaded
     assert "scipy.integrate" not in loaded
+    assert "scipy.linalg" not in loaded
+
+
+def test_fisher_solve_loads_scipy_linalg():
+    loaded = fresh_scipy_modules(
+        "import numpy as np; from igopt import fisher; "
+        "fisher.solve(fisher.FisherMatrix(np.eye(2)), np.ones(2))")
+    assert "scipy.linalg" in loaded
 
 
 def test_sphere_flow_rhs_loads_scipy_integrate():

@@ -117,7 +117,8 @@ def test_integral_is_elementwise_and_scalar_gives_float():
     a = np.array([0.0, 0.1, 0.45, 0.5, 0.9])
     b = np.array([1.0, 0.3, 0.55, 0.5, 1.0])
     for scheme in (truncation(0.3, shift=0.2), signed_median(0.1),
-                   table([(0.0, 2.0), (0.4, 1.0), (0.6, -1.0)], shift=-0.5)):
+                   table([(0.0, 2.0), (0.4, 1.0), (0.6, -1.0)], shift=-0.5),
+                   truncation(0.3), signed_median(), table([(0.0, 0.0)])):
         got = scheme.integral(a, b)
         assert got.shape == a.shape
         np.testing.assert_array_equal(
