@@ -92,10 +92,10 @@ def cmd_flow(args):
         return 2
     rhs = _memoized(rhs)
     try:
-        traj = flow_mod.integrate(rhs, theta0, spec.get("horizon", 1.0),
-                                  spec.get("flow_step", 0.01), spec.get("method", "rk4"))
+        states = flow_mod.trajectory(rhs, theta0, spec.get("horizon", 1.0),
+                                     spec.get("flow_step", 0.01), spec.get("method", "rk4"))
         rows = [[state.t, *state.theta, *cells(state.theta, rhs(state.theta))]
-                for state in traj]
+                for state in states]
     except (SingularFisher, DomainError, DegenerateUpdate) as err:
         print(f"flow failed: {err}", file=sys.stderr)
         return 3
@@ -164,28 +164,38 @@ def _flow_setup(spec):
         elif obj.kind == "linear" and obj.space == "bits":
             alpha = obj.params["alpha"]
 
+    last = {}  # the state rhs met last -> (values, probabilities) there
+
+    def rhs(theta):
+        weights = flow_mod.exact_weights_all(family, theta, obj, scheme)
+        last.clear()
+        last[theta.tobytes()] = weights[2], weights[1]
+        return flow_mod.flow_rhs(family, theta, obj, scheme, weights=weights)
+
     def cells(theta, drift):
-        _, probs, values, _ = flow_mod.exact_weights_all(family, theta, obj, scheme)
+        values, probs = last[theta.tobytes()]  # a row's drift is rhs's last state
         speed = math.sqrt(max(0.0, float(drift @ family.fisher(theta) @ drift)))
         lyap = float(alpha @ drift) if alpha is not None else float("nan")
         return [flow_mod.f_quantile(values, probs, q_report), speed, lyap]
 
     header = (["t"] + [f"theta_{i}" for i in range(len(theta0))]
               + ["f_quantile", "speed", "lyapunov"])
-    return (header, theta0, lambda theta: flow_mod.flow_rhs(family, theta, obj, scheme),
-            cells)
+    return header, theta0, rhs, cells
 
 
 def _memoized(rhs):
-    """``rhs`` remembered by the bytes of its state: RK4 evaluates each
-    step's start state as its k1, and the CSV row of that state reuses it."""
-    drifts = {}
+    """``rhs`` remembered for the state it met last.  ``flow.trajectory``
+    yields each state before stepping from it, so the CSV row of a state
+    and the step's first evaluation there share one call."""
+    last = {}
 
     def memo(theta):
         key = theta.tobytes()
-        if key not in drifts:
-            drifts[key] = rhs(theta)
-        return drifts[key]
+        if key not in last:
+            drift = rhs(theta)
+            last.clear()
+            last[key] = drift
+        return last[key]
 
     return memo
 

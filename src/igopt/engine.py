@@ -173,10 +173,12 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
     without one, or a step it cannot answer, falls back to the mean
     old-minus-new log-likelihood on the update's own ``samples`` (drawn
     from the pre-step distribution); without samples, or if that fails
-    too, the KL is NaN.  The norm is sqrt(delta M delta) with M the
-    ``fisher`` estimate's matrix, or the family's exact Fisher matrix at
-    theta_before (NaN when it has none).  The cosine is the same M's scalar
-    product between the previous and current increments.
+    too, the KL is NaN.  A DomainError from the new log-likelihood means
+    theta_after left the family's domain: it raises DegenerateUpdate.  The
+    norm is sqrt(delta M delta) with M the ``fisher`` estimate's matrix, or
+    the family's exact Fisher matrix at theta_before (NaN when it has
+    none).  The cosine is the same M's scalar product between the previous
+    and current increments.
     """
     theta_before = np.asarray(theta_before, dtype=float)
     theta_after = np.asarray(theta_after, dtype=float)
@@ -193,11 +195,14 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
         try:
             if samples is None:
                 raise CapabilityError("no samples for the KL estimate")
-            diff = family.log_density(theta_before, samples) \
-                - family.log_density(theta_after, samples)
+            before = family.log_density(theta_before, samples)
         except (CapabilityError, DomainError, DegenerateUpdate):
             kl, stderr = float("nan"), float("nan")
         else:
+            try:
+                diff = before - family.log_density(theta_after, samples)
+            except DomainError as err:
+                raise DegenerateUpdate(f"the update left the family's domain: {err}") from None
             m = diff.size
             kl = float(diff.mean())
             stderr = float(diff.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
@@ -261,6 +266,9 @@ class LiftedNoisyFamily(Family):
 
     def score_stats(self, theta, samples):
         return self.base.score_stats(theta, samples[0])
+
+    def fisher_rows(self, theta, samples):
+        return self.base.fisher_rows(theta, samples[0])
 
     def natural_step(self, theta, samples, w, dt):
         return self.base.natural_step(theta, samples[0], w, dt)

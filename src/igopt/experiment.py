@@ -15,7 +15,6 @@ it.  These statuses are recorded in the run record, never raised.
 
 import math
 import os
-import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -409,15 +408,15 @@ def single_run(cfg, run_id):
                 break
 
         try:
-            new_theta = part(family, theta, samples, values, weights, cfg.dt, fm)
-        except (SingularFisher, DegenerateUpdate):
+            new_theta = family.project(
+                part(family, theta, samples, values, weights, cfg.dt, fm))
+            report = step_diagnostics(family, theta, new_theta, fisher=fm, samples=samples)
+        except (SingularFisher, DegenerateUpdate, DomainError):
             # a degenerate parameter state has the same operational meaning
-            # as a singular Fisher matrix: the run cannot continue
+            # as a singular Fisher matrix: the run cannot continue, and an
+            # update that left the domain writes no row
             record.status = "failed_singular"
             break
-
-        new_theta = family.project(new_theta)
-        report = step_diagnostics(family, theta, new_theta, fisher=fm, samples=samples)
         if two_min_y is not None:
             # each point's distances to the optimum y and to its complement
             dists = (np.abs(points - two_min_y).sum(axis=1),
@@ -602,12 +601,26 @@ def write_csv_outputs(cfg, records, out_dir):
         for r, rec in enumerate(records):
             for k, row in enumerate(rec.rows):
                 grid[:, r, k] = [getattr(row, q) for q in quantities]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN cells give NaN
-            pct = np.nanpercentile(grid, (16, 50, 84), axis=1)  # (percentile, quantity, step)
+        pct = _percentiles(grid, (16, 50, 84))  # (percentile, quantity, step)
         for k in range(max_steps):
             fh.write(",".join([str(k)] + [_fmt(v) for v in pct[:, :, k].T.ravel()]) + "\n")
     return runs_path, summary_path
+
+
+def _percentiles(grid, q):
+    """``np.nanpercentile(grid, q, axis=1)`` of a (quantity, repeat, step)
+    grid, bit for bit: one ``np.percentile`` call over the (quantity, step)
+    cells without NaN, ``np.nanpercentile`` per cell for the rest, and NaN
+    without a warning for a cell that holds no value."""
+    cells = np.moveaxis(grid, 1, -1)  # (quantity, step, repeat)
+    full = ~np.isnan(cells).any(axis=-1)
+    out = np.full((len(q), *full.shape), np.nan)
+    if full.any():
+        out[:, full] = np.percentile(cells[full], q, axis=-1)
+    for i, k in zip(*np.nonzero(~full)):
+        if not np.isnan(cells[i, k]).all():
+            out[:, i, k] = np.nanpercentile(cells[i, k], q)
+    return out
 
 
 def status_counts(records):

@@ -47,6 +47,14 @@ class Family:
         """Per-sample score vectors, shape (n, dim_theta)."""
         raise CapabilityError(f"{type(self).__name__} has no score function")
 
+    def fisher_rows(self, theta, samples):
+        """Per-sample rows whose covariance (when ``centred_score``) or mean
+        outer product (otherwise) estimates the Fisher matrix: the score
+        statistics, or the scores.  Integer rows must hold 0/1 values."""
+        if self.centred_score:
+            return self.score_stats(theta, samples)
+        return self.grad_log_density(theta, samples)
+
     def natural_grad_log_density(self, theta, samples):
         """Closed-form Fisher-preconditioned score, when known."""
         raise CapabilityError(f"{type(self).__name__} has no closed-form natural gradient")

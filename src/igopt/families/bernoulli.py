@@ -159,25 +159,30 @@ class LogitBernoulliFamily(Family):
     def sample(self, theta, n, rng):
         return (rng.random((n, self.dim)) < self.mean(theta)).astype(np.uint8)
 
+    def _interior_mean(self, theta):
+        """mean(theta); DomainError where p (1 - p) is 0, as once theta_i
+        > ~37 rounds p_i to 1 (or < ~-745 to 0)."""
+        p = self.mean(theta)
+        if not np.all(p * (1.0 - p) > 0.0):
+            raise DomainError("Bernoulli logits must keep every probability "
+                              "strictly inside (0, 1)")
+        return p
+
     def log_density(self, theta, samples):
         x = np.asarray(samples, dtype=float)
-        p = self.mean(theta)
+        p = self._interior_mean(theta)
         return x @ np.log(p) + (1.0 - x) @ np.log1p(-p)
 
     def grad_log_density(self, theta, samples):
         return np.asarray(samples, dtype=float) - self.mean(theta)
 
     def natural_grad_log_density(self, theta, samples):
-        p = self.mean(theta)
+        p = self._interior_mean(theta)
         return (np.asarray(samples, dtype=float) - p) / (p * (1.0 - p))
 
     def fisher(self, theta):
-        p = self.mean(theta)
-        var = p * (1.0 - p)  # 0 once theta_i > ~37 rounds p_i to 1 (or < ~-745 to 0)
-        if not np.all(var > 0.0):
-            raise DomainError("Bernoulli logits must keep every probability "
-                              "strictly inside (0, 1)")
-        return np.diag(var)
+        p = self._interior_mean(theta)
+        return np.diag(p * (1.0 - p))
 
     def sufficient_stats(self, samples):
         return np.asarray(samples, dtype=float)

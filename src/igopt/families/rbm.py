@@ -68,6 +68,8 @@ ENUMERATION_CUTOFF = 20
 # shape with n_x + n_h <= 20 is within it (10 x 10: 1.47e7).  The sampler
 # caps its 2^min(n_x, n_h) x max(n_x, n_h) table at as many entries.
 EXACT_WORK_CUTOFF = 2**24
+# raw words per block of exact draws of the larger layer: 2,048 rows of 16
+DRAW_BLOCK_WORDS = 2**15
 
 
 @dataclass
@@ -179,7 +181,17 @@ class _RbmCommon(Family):
         raw = _raw_words(rng)
         k = np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
         np.minimum(k, len(H) - 1, out=k)  # the cumulative sum may end below 1
-        other = (raw((n, PX.shape[1])) <= _thresholds(PX)[k]).astype(np.uint8)
+        # the same raw words in the same order as one (n, width) draw, taken
+        # a block of rows at a time, so no n x width word array is built
+        thresholds = _thresholds(PX)
+        width = PX.shape[1]
+        other = np.empty((n, width), dtype=bool)
+        rows = max(1, DRAW_BLOCK_WORDS // width)
+        for start in range(0, n, rows):
+            block = k[start:start + rows]
+            np.less_equal(raw((len(block), width)), thresholds[block],
+                          out=other[start:start + rows])
+        other = other.view(np.uint8)
         small = H[k].astype(np.uint8)
         return (other, small) if self.n_x >= self.n_h else (small, other)
 
@@ -325,6 +337,20 @@ class JointRbmFamily(_RbmCommon):
 
     def score_stats(self, theta, samples):
         return self.sufficient_stats(samples)
+
+    def fisher_rows(self, theta, samples):
+        """T = (x, h, x (x) h) as 0/1 uint8 rows in a column-major array,
+        which ``mc_fisher`` counts exactly."""
+        x = np.asarray(samples[0], dtype=np.uint8)
+        h = np.asarray(samples[1], dtype=np.uint8)
+        n, nx = x.shape
+        nh = h.shape[1]
+        out = np.empty((n, nx + nh + nx * nh), dtype=np.uint8, order="F")
+        out[:, :nx] = x
+        out[:, nx:nx + nh] = h
+        np.bitwise_and(x[:, :, None], h[:, None, :],
+                       out=out[:, nx + nh:].reshape(n, nx, nh, copy=False))
+        return out
 
     def fisher(self, theta):
         """Exact Cov(T) by total covariance over the smaller layer h:

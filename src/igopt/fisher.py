@@ -8,7 +8,9 @@ batch's two halves through the mean eigenvalue of F1 F2^{-1}, accepted
 inside [1/2, 2].  The full-batch estimate is not reduced again: it is
 merged from the halves' Gram products by the pairwise update of Chan,
 Golub & LeVeque (Am. Stat. 1983), so one pass over the rows gives all
-three.  Singular or ill-conditioned matrices raise ``SingularFisher``.
+three.  Rows of 0/1 statistics are counted exactly (see ``_gram``).
+Singular or ill-conditioned matrices raise ``SingularFisher``; a solve
+goes through one symmetric eigendecomposition.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,9 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12  # double-precision safety margin
+# float32 holds every integer up to 2^24 exactly, so a Gram product of at most
+# this many 0/1 rows is exact in any summation order
+EXACT_COUNT_ROWS = 2**24
 
 
 @dataclass
@@ -58,12 +63,13 @@ def exact_fisher(family, theta):
 def mc_fisher(family, theta, m, rng):
     """Monte-Carlo Fisher matrix from one batch of m samples, in one pass.
 
-    The batch is split into halves of n1 = m // 2 and n2 = m - n1 rows, and
-    each half's Gram product S_k is formed once: about the half's own mean
-    for a family with a ``centred_score`` (its rows are score statistics),
-    about zero otherwise (its rows are scores).  The halves' estimates
-    S_k / n_k go to ``reliability_check``.  The full-batch estimate is their
-    pairwise merge (Chan, Golub & LeVeque, Am. Stat. 1983),
+    The batch's rows are ``family.fisher_rows``: score statistics for a
+    family with a ``centred_score``, scores otherwise.  The batch is split
+    into halves of n1 = m // 2 and n2 = m - n1 rows, and each half's Gram
+    product S_k is formed once: about the half's own mean when centred,
+    about zero otherwise.  The halves' estimates S_k / n_k go to
+    ``reliability_check``.  The full-batch estimate is their pairwise merge
+    (Chan, Golub & LeVeque, Am. Stat. 1983),
 
         F = (S1 + S2 + n1 n2 / m * delta delta^T) / m,   delta = mean1 - mean2,
 
@@ -76,10 +82,7 @@ def mc_fisher(family, theta, m, rng):
         raise ValueError(f"need at least max(2, dim_theta = {p}) samples, got {m}")
     samples = family.sample(theta, m, rng)
     centred = family.centred_score
-    if centred:
-        rows = family.score_stats(theta, samples)
-    else:
-        rows = family.grad_log_density(theta, samples)
+    rows = family.fisher_rows(theta, samples)
     n1 = m // 2
     n2 = m - n1
     s1, mean1 = _gram(rows[:n1], centred)
@@ -98,13 +101,34 @@ def mc_fisher(family, theta, m, rng):
 
 def _gram(rows, centred):
     """Gram product of the rows about their own mean when centred (about
-    zero otherwise), and that mean.  Centring overwrites the rows: a fresh
-    batch is centred where it lies, which spares a copy per half."""
+    zero otherwise), and that mean.
+
+    Float rows are centred where they lie, which spares a copy per half.
+    Integer rows must hold 0/1 statistics.  Their Gram C and column counts
+    c are exact integers: C comes from a float32 product whose every partial
+    sum is an integer of at most n <= EXACT_COUNT_ROWS.  The centred Gram
+    C - c c^T / n is then formed as (n C - c c^T) / n, exact until that one
+    division, so each entry is rounded once.
+    """
+    n = len(rows)
+    if rows.dtype.kind == "f":
+        if not centred:
+            return rows.T @ rows, None
+        mean = rows.mean(axis=0)
+        rows -= mean
+        return rows.T @ rows, mean
+    if n > EXACT_COUNT_ROWS:
+        raise ValueError(f"{n} integer rows exceed the exact float32 count bound "
+                         f"EXACT_COUNT_ROWS = 2^24")
+    bits = rows.astype(np.float32)
+    gram = (bits.T @ bits).astype(np.float64)
     if not centred:
-        return rows.T @ rows, None
-    mean = rows.mean(axis=0)
-    rows -= mean
-    return rows.T @ rows, mean
+        return gram, None
+    counts = rows.sum(axis=0, dtype=np.int64).astype(np.float64)
+    gram *= n
+    gram -= np.outer(counts, counts)
+    gram /= n
+    return gram, counts / n
 
 
 def reliability_check(f1, f2):
@@ -133,22 +157,23 @@ def _annotate(f1, f2, ok, mean_eig):
 
 
 def invert(fm):
-    """Inverse through an SPD factorization.
+    """Inverse through the eigendecomposition of ``solve``.
 
-    Raises SingularFisher when the factorization fails or the condition
-    number exceeds CONDITION_LIMIT.
+    Raises SingularFisher when the matrix is not positive definite or its
+    condition number exceeds CONDITION_LIMIT.
     """
     inv = solve(fm, np.eye(fm.dim))
     return 0.5 * (inv + inv.T)
 
 
 def solve(fm, rhs):
-    """F^{-1} rhs with the same guards as ``invert``."""
-    import scipy.linalg  # on first use: a run that never solves does not load it
-
-    eigs = np.linalg.eigvalsh(fm.matrix)
+    """F^{-1} rhs with the same guards as ``invert``: with F = V diag(eigs) V^T
+    from one symmetric eigendecomposition, V ((V^T rhs) / eigs)."""
+    eigs, vecs = np.linalg.eigh(fm.matrix)
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > CONDITION_LIMIT:
         raise SingularFisher(
             f"Fisher matrix not safely invertible (eig range [{eigs[0]:.3e}, {eigs[-1]:.3e}])"
         )
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(fm.matrix, lower=True), rhs)
+    coords = vecs.T @ rhs
+    coords /= eigs if coords.ndim == 1 else eigs[:, None]
+    return vecs @ coords

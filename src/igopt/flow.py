@@ -33,6 +33,7 @@ __all__ = [
     "exact_weights_all",
     "flow_rhs",
     "integrate",
+    "trajectory",
     "gaussian_linear_constants",
     "critical_dt",
     "f_quantile",
@@ -165,11 +166,14 @@ def exact_weight(family, theta, objective, scheme, x):
     return scheme.integral(q_minus, q_plus) / (q_plus - q_minus)
 
 
-def flow_rhs(family, theta, objective, scheme):
+def flow_rhs(family, theta, objective, scheme, weights=None):
     """Exact d(theta)/dt at theta, by enumeration: the closed-form
     ``enumerated_drift``, else the exact Fisher solve of the weighted
-    ``enumerated_score``."""
-    _, probs, _, mass = exact_weights_all(family, theta, objective, scheme)
+    ``enumerated_score``.  ``weights`` is ``exact_weights_all``'s result at
+    theta when the caller has it; its weight array is overwritten."""
+    if weights is None:
+        weights = exact_weights_all(family, theta, objective, scheme)
+    _, probs, _, mass = weights
     mass *= probs
     try:
         return family.enumerated_drift(theta, mass)
@@ -186,11 +190,18 @@ def integrate(rhs, theta0, horizon, step, method="rk4"):
     Euler scheme of this ODE, and the correspondence is tested.  rk4 is the
     default for accurate reference trajectories.
     """
+    return list(trajectory(rhs, theta0, horizon, step, method))
+
+
+def trajectory(rhs, theta0, horizon, step, method="rk4"):
+    """The states of ``integrate``, yielded one at a time.  Each state is
+    yielded before the step from it is taken, so a consumer that evaluates
+    rhs at the state does so just before the step's first evaluation there."""
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown integration method: {method!r}")
     n_steps = int(round(horizon / step))
     theta = np.asarray(theta0, dtype=float).copy()
-    out = [FlowState(0.0, theta.copy())]
+    yield FlowState(0.0, theta.copy())
     for k in range(n_steps):
         if method == "euler":
             theta = theta + step * rhs(theta)
@@ -200,8 +211,7 @@ def integrate(rhs, theta0, horizon, step, method="rk4"):
             k3 = rhs(theta + 0.5 * step * k2)
             k4 = rhs(theta + step * k3)
             theta = theta + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(FlowState((k + 1) * step, theta.copy()))
-    return out
+        yield FlowState((k + 1) * step, theta.copy())
 
 
 # -- quantile reporting --------------------------------------------------------

@@ -1,9 +1,12 @@
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from igopt import cli
 from igopt import experiment
@@ -283,19 +286,26 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["run", str(flaky)]) == 3
 
 
-@pytest.mark.parametrize("text", [
-    # the step sends log sigma to -398: sigma^2 underflows to 0
-    "objective = sphere:d=2\ndt = 1e3\n",
-    # a step of 1e5 overflows exp(log sigma)
-    "objective = linear:d=2\nscheme = truncation:q0=0.2\ndt = 1e5\n",
+@pytest.mark.parametrize("text, steps_written", [
+    # the second step sends log sigma to -398: sigma^2 underflows to 0
+    ("n = 20\nobjective = sphere:d=2\ndt = 1e3\n", 1),
+    ("n = 100\nobjective = sphere:d=2\ndt = 1e3\n", 1),
+    # the first step of 1e5 overflows exp(log sigma)
+    ("n = 20\nobjective = linear:d=2\nscheme = truncation:q0=0.2\ndt = 1e5\n", 0),
 ])
-def test_isotropic_gaussian_leaving_the_float_range_fails_the_run(tmp_path, monkeypatch, text):
+def test_isotropic_gaussian_leaving_the_float_range_fails_the_run(tmp_path, monkeypatch, capsys,
+                                                                   text, steps_written):
+    # the step that leaves the domain ends the run and writes no row
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"family = gaussian_iso:d=2\nn = 20\nsteps = 5\n{text}")
+    cfgfile.write_text(f"family = gaussian_iso:d=2\nalgorithm = igo\nsteps = 5\nseed = 1\n{text}")
     assert cli.main(["run", str(cfgfile)]) == 3
-    runs = (tmp_path / "experiment_runs.csv").read_text().splitlines()
-    assert runs[-1].endswith(",failed_singular")
+    assert capsys.readouterr().out == "failed_singular: 1\n"
+    _, header, *runs = (tmp_path / "experiment_runs.csv").read_text().splitlines()
+    assert len(runs) == steps_written
+    for row in runs:
+        assert row.endswith(",failed_singular")
+        assert math.isfinite(float(row.split(",")[header.split(",").index("kl")]))
 
 
 def test_cli_table_outputs(tmp_path, monkeypatch):
@@ -412,6 +422,15 @@ def test_cli_flow_singular_fisher_exits_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["flow", str(cfgfile)]) == 3
     assert capsys.readouterr().err == (
         "flow failed: Bernoulli probabilities must lie strictly inside (0, 1)\n")
+    # a logit that rounds p to 1 fails before any log1p(-p) or 1 / (p (1 - p)):
+    # no numpy warning precedes the line
+    cfgfile.write_text("family = bernoulli_logit:d=2\nobjective = onemax:d=2\ntheta0 = 30 3\n"
+                       "method = euler\nflow_step = 1\nhorizon = 50\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["flow", str(cfgfile)]) == 3
+    assert capsys.readouterr().err == (
+        "flow failed: Bernoulli logits must keep every probability strictly inside (0, 1)\n")
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -465,8 +484,9 @@ def test_cli_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
             return _inner(*args, **kwargs)
         monkeypatch.setattr(flow_mod, name, counted)
     assert cli.main(["flow", str(cfgfile)]) == 0
-    # 10 RK4 steps of 4 drifts plus the final state; 11 rows of quantiles
-    assert calls == {"flow_rhs": 41, "exact_weights_all": 52}
+    # 10 RK4 steps of 4 drifts plus the final state; the 11 rows' quantiles
+    # reuse the weights of their states' drifts
+    assert calls == {"flow_rhs": 41, "exact_weights_all": 41}
     assert (tmp_path / "flow_trajectory.csv").read_bytes() == open(reference, "rb").read()
 
 
@@ -927,3 +947,28 @@ def test_cli_help_lists_the_subcommands_main_registers(capsys):
     listed = re.findall(r"^  ([a-z]+) ", cli.__doc__, flags=re.M)
     assert cli.__doc__.strip() in out
     assert listed == registered
+
+
+@st.composite
+def _summary_grids(draw):
+    """(quantity, repeat, step) grids with NaN holes, all-NaN quantities and
+    signed zeros among the values."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    cell = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan]),
+                     st.floats(-1e3, 1e3, allow_nan=False))
+    grid = np.array(draw(st.lists(cell, min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))).reshape(shape)
+    empty = draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]))
+    grid[np.array(empty)] = math.nan
+    return grid
+
+
+@given(grid=_summary_grids())
+def test_summary_percentiles_equal_nanpercentile_bit_for_bit(grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN cells
+        want = np.nanpercentile(grid, (16, 50, 84), axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = experiment._percentiles(grid, (16, 50, 84))
+    assert got.tobytes() == want.tobytes()

@@ -687,3 +687,50 @@ def test_stats_rows_match_the_einsum_form_bit_for_bit(n_x, n_h, kind):
                       (lift_noisy(marg).score_stats(theta, (x, omega)), marg_ref)]:
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_x, n_h", [(16, 1), (5, 3), (3, 6)])
+@pytest.mark.parametrize("kind", ["uint8", "float", "list"])
+def test_joint_fisher_rows_are_the_statistics_as_column_major_bits(n_x, n_h, kind):
+    theta = tiny_params(n_x, n_h, seed=92).flat()
+    joint = JointRbmFamily(n_x, n_h)
+    x, h = joint.sample(theta, 40, substream(92, 1))
+    want = ref_stats_rows(x, h)
+    x, h = {"uint8": (x, h), "float": (x.astype(float), h.astype(float)),
+            "list": (x.tolist(), h.tolist())}[kind]
+    omega = substream(92, 2).random(40)
+    for got in (joint.fisher_rows(theta, (x, h)),
+                lift_noisy(joint).fisher_rows(theta, ((x, h), omega))):
+        assert got.dtype == np.uint8 and got.flags.f_contiguous
+        np.testing.assert_array_equal(got, want)
+
+
+def ref_one_shot(fam, theta, n, rng):
+    """Exact draws that compare the larger layer's raw words with its
+    thresholds in one (n, width) array: the reference for the blocks."""
+    H, probs, PX, _ = fam._hidden_table(theta)
+    raw = rng.bit_generator.random_raw
+    k = np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
+    np.minimum(k, len(H) - 1, out=k)
+    other = (raw((n, PX.shape[1])) <= rbm_module._thresholds(PX)[k]).astype(np.uint8)
+    small = H[k].astype(np.uint8)
+    return (other, small) if fam.n_x >= fam.n_h else (small, other)
+
+
+@pytest.mark.parametrize("n_x, n_h", [(16, 1), (3, 5), (7, 7)])  # (3, 5) draws h in blocks
+@pytest.mark.parametrize("block_words", [rbm_module.DRAW_BLOCK_WORDS, 3])
+def test_blocked_draws_match_the_one_shot_draws_bit_for_bit(monkeypatch, n_x, n_h,
+                                                             block_words):
+    monkeypatch.setattr(rbm_module, "DRAW_BLOCK_WORDS", block_words)
+    block = max(1, block_words // max(n_x, n_h))  # rows per block
+    theta = tiny_params(n_x, n_h, seed=93, scale=1.0).flat()
+    for n in sorted({1, max(1, block - 1), block, block + 1, 3 * block + 5}):
+        for fam in (JointRbmFamily(n_x, n_h), MarginalRbmFamily(n_x, n_h)):
+            want = ref_one_shot(fam, theta, n, substream(93, n))
+            got = fam.sample(theta, n, substream(93, n))
+            if isinstance(fam, MarginalRbmFamily):
+                want = want[:1]
+                got = (got,)
+            for g, w in zip(got, want):
+                assert g.dtype == np.uint8
+                np.testing.assert_array_equal(g, w)

@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from igopt import fisher, substream
-from igopt.families import BernoulliFamily, LogitBernoulliFamily, SingularFisher
+from igopt import fisher, lift_noisy, substream
+from igopt.families import BernoulliFamily, JointRbmFamily, LogitBernoulliFamily, SingularFisher
 from igopt.fisher import (
     FisherMatrix,
     exact_fisher,
@@ -121,7 +122,7 @@ class _FixedRows:
     def score_stats(self, theta, samples):
         return self.rows.copy()  # mc_fisher centres its batch in place
 
-    grad_log_density = score_stats
+    grad_log_density = fisher_rows = score_stats
 
 
 def _outer_mean(rows, centred):
@@ -277,3 +278,87 @@ def test_rbm_reliability_calibration_baseline():
         f2 = FisherMatrix(np.cov(stats[half:].T, bias=True), "monte_carlo", half)
         passes += reliability_check(f1, f2) == "pass"
     assert passes / seeds >= 0.95
+
+
+@st.composite
+def _bit_matrices(draw):
+    """n x p 0/1 rows, n = 2..64; each column random, all 0 or all 1."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 64))
+    columns = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(["random", "zeros", "ones"]))
+        if kind == "random":
+            columns.append(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        else:
+            columns.append([int(kind == "ones")] * n)
+    return np.array(columns, dtype=np.uint8).T
+
+
+@given(bits=_bit_matrices(), centred=st.booleans(), fortran=st.booleans())
+def test_count_gram_of_bit_rows_matches_the_exact_rational_form(bits, centred, fortran):
+    n, p = bits.shape
+    rows = np.asfortranarray(bits) if fortran else bits
+    gram, mean = fisher._gram(rows, centred)
+    counts = [int(c) for c in bits.sum(axis=0)]
+    exact_mean = [Fraction(c, n) for c in counts]
+    centre = exact_mean if centred else [0] * p
+    exact = [[sum((int(r[i]) - centre[i]) * (int(r[j]) - centre[j]) for r in bits)
+              for j in range(p)] for i in range(p)]
+    assert gram.dtype == np.float64 and gram.shape == (p, p)
+    # (n C - c c^T) / n is exact until its division: within half an ulp
+    scale = max(abs(float(e)) for row in exact for e in row)
+    for i in range(p):
+        for j in range(p):
+            assert abs(Fraction(float(gram[i, j])) - exact[i][j]) <= 2 * np.spacing(scale)
+    if centred:
+        assert mean.tolist() == [float(m) for m in exact_mean]
+    else:
+        assert mean is None
+
+
+def test_count_gram_refuses_more_rows_than_float32_counts_exactly():
+    rows = np.broadcast_to(np.zeros((1, 1), dtype=np.uint8), (fisher.EXACT_COUNT_ROWS + 1, 1))
+    with pytest.raises(ValueError, match="EXACT_COUNT_ROWS"):
+        fisher._gram(rows, True)
+
+
+@pytest.mark.parametrize("n_x, n_h", [(16, 1), (3, 5), (6, 2)])
+def test_joint_rbm_bit_rows_match_the_float_statistics(n_x, n_h):
+    # the same batch through its float statistics: the two-pass float Gram
+    fam = JointRbmFamily(n_x, n_h)
+    theta = fam.init_params(substream(40, n_x, 0))
+    m = 2001
+    got = mc_fisher(fam, theta, m, substream(40, n_x, 1))
+    stats = fam.sufficient_stats(fam.sample(theta, m, substream(40, n_x, 1)))
+    want = mc_fisher(_FixedRows(stats, True), None, m, None)
+    assert got.model_stats.tobytes() == want.model_stats.tobytes()
+    assert got.reliability == want.reliability
+    assert got.mean_eigenvalue == pytest.approx(want.mean_eigenvalue, rel=1e-12)
+    np.testing.assert_allclose(got.matrix, want.matrix, rtol=0,
+                               atol=1e-13 * np.abs(want.matrix).max())
+
+
+def test_lifted_joint_rbm_gives_the_same_monte_carlo_fisher_bits():
+    fam = JointRbmFamily(6, 2)
+    theta = fam.init_params(substream(41, 0))
+    plain = mc_fisher(fam, theta, 500, substream(41, 1))
+    lifted = mc_fisher(lift_noisy(fam), theta, 500, substream(41, 1))
+    assert plain.matrix.tobytes() == lifted.matrix.tobytes()
+    assert plain.model_stats.tobytes() == lifted.model_stats.tobytes()
+    assert (plain.reliability, plain.mean_eigenvalue) == (lifted.reliability,
+                                                          lifted.mean_eigenvalue)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12),
+       log_cond=st.floats(0.0, 10.0), log_scale=st.floats(-3.0, 3.0))
+def test_solve_residual_is_small_up_to_condition_1e10(seed, dim, log_cond, log_scale):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eigs = 10.0**log_scale * np.logspace(0.0, -log_cond, dim)
+    fm = FisherMatrix((q * eigs) @ q.T)
+    norm = np.linalg.norm(fm.matrix, 2)
+    for rhs in (rng.normal(size=dim), rng.normal(size=(dim, 3))):
+        x = solve(fm, rhs)
+        assert x.shape == rhs.shape
+        assert np.linalg.norm(fm.matrix @ x - rhs) <= 1e-13 * norm * np.linalg.norm(x)
