@@ -55,8 +55,10 @@ def cmd_run(args):
     return 0
 
 
-_FLOW_KEYS = {"family", "objective", "scheme", "horizon", "flow_step", "method",
-              "out_prefix", "theta0", "q_report", "seed"}
+_FLOW_DEFAULTS = {"scheme": "truncation:q0=0.5", "horizon": 1.0, "flow_step": 0.01,
+                  "method": "rk4", "out_prefix": "flow", "theta0": None, "q_report": 0.5,
+                  "seed": 1}
+_FLOW_KEYS = {"family", "objective", *_FLOW_DEFAULTS}
 _FLOW_TYPED = {**dict.fromkeys(("horizon", "flow_step", "q_report"), (float, "a number")),
                "seed": (int, "an integer"),
                "method": ({"euler": "euler", "rk4": "rk4"}.__getitem__, "euler or rk4"),
@@ -78,30 +80,28 @@ def _finite(values):
 def cmd_flow(args):
     try:
         with open(args.config) as fh:
-            spec = exp_mod.read_key_values(fh.read(), _FLOW_KEYS, _FLOW_TYPED)
+            spec = {**_FLOW_DEFAULTS,
+                    **exp_mod.read_key_values(fh.read(), _FLOW_KEYS, _FLOW_TYPED)}
         for required in ("family", "objective"):
             if required not in spec:
                 raise ValueError(f"flow config needs {required!r}")
         for key, (ok, what) in _FLOW_RANGES.items():
-            if key in spec and not ok(spec[key]):
+            if not ok(spec[key]):
                 raise ValueError(f"{key} must be {what}, got {spec[key]!r}")
-        _check_flow_steps(spec.get("horizon", 1.0), spec.get("flow_step", 0.01))
+        _check_flow_steps(spec["horizon"], spec["flow_step"])
         header, theta0, rhs, cells = _flow_setup(spec)
     except (OSError, ValueError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    rhs = _memoized(rhs)
     try:
-        states = flow_mod.trajectory(rhs, theta0, spec.get("horizon", 1.0),
-                                     spec.get("flow_step", 0.01), spec.get("method", "rk4"))
-        rows = [[state.t, *state.theta, *cells(state.theta, rhs(state.theta))]
-                for state in states]
+        states = flow_mod.trajectory(rhs, theta0, spec["horizon"], spec["flow_step"],
+                                     spec["method"])
+        rows = [[state.t, *state.theta, *cells(state.theta)] for state in states]
     except (SingularFisher, DomainError, DegenerateUpdate) as err:
         print(f"flow failed: {err}", file=sys.stderr)
         return 3
-    path = _write_csv(f"{spec.get('out_prefix', 'flow')}_trajectory.csv",
-                      f"igopt flow schema v{exp_mod.CSV_SCHEMA_VERSION}", header, rows)
-    print(path)
+    print(exp_mod.write_csv(_out_dir(), f"{spec['out_prefix']}_trajectory.csv",
+                            f"igopt flow schema v{exp_mod.CSV_SCHEMA_VERSION}", header, rows))
     return 0
 
 
@@ -119,97 +119,93 @@ def _check_flow_steps(horizon, step):
 
 def _flow_setup(spec):
     """The CSV header, starting state and drift of a flow config, and
-    cells(theta, drift): a state's f-quantile, speed and Lyapunov cells."""
-    q_report = spec.get("q_report", 0.5)
-    scheme = exp_mod._parse_scheme(spec.get("scheme", "truncation:q0=0.5"))
+    cells(theta): a state's f-quantile, speed and Lyapunov cells."""
+    scheme = exp_mod._parse_scheme(spec["scheme"])
     if isinstance(scheme, tuple):
         raise ValueError("flow integration needs a quantile scheme, not a schedule")
     fam_kind, fam_opts = objectives_mod.parse_spec(spec["family"])
     obj = objectives_mod.parse_objective(spec["objective"])
+    if obj.kind == "noisy":
+        raise ValueError(f"the exact flow needs a noise-free objective, "
+                         f"got {spec['objective']!r}")
 
     if fam_kind == "gaussian_iso" and obj.kind == "sphere":
         if scheme.kind != "truncation":
             raise ValueError(f"the sphere flow needs a truncation scheme, "
                              f"got {spec['scheme']!r}")
+        if spec["q_report"] != 0.5:
+            raise ValueError(f"the sphere flow reports the exact median, so q_report "
+                             f"must be 0.5, got {spec['q_report']!r}")
         sphere = flow_mod.SphereFlow(fam_opts.take("d", int, valid=exp_mod._COUNT), scheme.q0)
-        r0 = fam_opts.take("r0", float, 3.0)
-        s0 = math.log(fam_opts.take("sigma0", float, 1.0, exp_mod._SCALE))
+        start = np.array([fam_opts.take("r0", float, 3.0),
+                          math.log(fam_opts.take("sigma0", float, 1.0, exp_mod._SCALE))])
         fam_opts.finish()
-        return (["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"],
-                np.array([r0, s0]), sphere.rhs,
-                lambda theta, drift: [sphere.median_f(theta), sphere.speed(theta, drift),
-                                      float("nan")])
+        dim, in_domain = sphere.d, sphere.median_f  # as the f_quantile cell of every row
+        header = ["t", "r", "log_sigma"]
+        memo = _last_state(lambda theta: (sphere.rhs(theta),))
 
-    cfg = exp_mod.ExperimentConfig(family=spec["family"], objective=spec["objective"])
-    family, start = exp_mod._family_and_start(cfg, substream(spec.get("seed", 1), 0, INIT))
-    try:
-        family.enumerate_points()  # refuses a family, or a size, it cannot enumerate
-    except CapabilityError as err:
-        raise ValueError(f"flow integration needs an enumerable family "
-                         f"(or gaussian_iso with a sphere objective): {err}") from None
-    if obj.dim != family.dim:
+        def cells(theta):
+            return [sphere.median_f(theta), sphere.speed(theta, memo(theta)[0]), float("nan")]
+    else:
+        family, start = exp_mod._family_and_start(spec["family"], 0,  # the flow draws nothing
+                                                  substream(spec["seed"], 0, INIT))
+        try:
+            family.enumerate_points()  # refuses a family, or a size, it cannot enumerate
+        except CapabilityError as err:
+            raise ValueError(f"flow integration needs an enumerable family "
+                             f"(or gaussian_iso with a sphere objective): {err}") from None
+        dim, in_domain = family.dim, family.fisher  # as the speed cell of every row does
+        header = ["t"] + [f"theta_{i}" for i in range(len(start))]
+        alpha = None  # the lyapunov column's alpha: Bernoulli flows on c - alpha . x
+        if isinstance(family, BernoulliFamily):
+            if obj.kind == "onemax":
+                alpha = np.ones(obj.dim)
+            elif obj.kind == "linear" and obj.space == "bits":
+                alpha = obj.params["alpha"]
+
+        def evaluate(theta):
+            weights = flow_mod.exact_weights_all(family, theta, obj, scheme)
+            drift = flow_mod.flow_rhs(family, theta, obj, scheme, weights=weights)
+            return drift, weights[2], weights[1]
+
+        memo = _last_state(evaluate)
+
+        def cells(theta):
+            drift, values, probs = memo(theta)
+            speed = math.sqrt(max(0.0, float(drift @ family.fisher(theta) @ drift)))
+            lyap = float(alpha @ drift) if alpha is not None else float("nan")
+            return [flow_mod.f_quantile(values, probs, spec["q_report"]), speed, lyap]
+
+    if obj.dim != dim:
         raise ValueError(f"objective dimension {obj.dim} does not match "
-                         f"the family's {family.dim}")
-    theta0 = spec.get("theta0", start)
+                         f"the family's {dim}")
+    theta0 = start if spec["theta0"] is None else spec["theta0"]
     if len(theta0) != len(start):
         raise ValueError(f"theta0 needs {len(start)} numbers, got {len(theta0)}")
     try:
-        family.fisher(theta0)  # as the speed cell of every row does
+        in_domain(theta0)
     except DomainError as err:
         raise ValueError(f"theta0 is outside the family's domain: {err}") from None
-    alpha = None  # the lyapunov column's alpha: Bernoulli flows on c - alpha . x
-    if isinstance(family, BernoulliFamily):
-        if obj.kind == "onemax":
-            alpha = np.ones(obj.dim)
-        elif obj.kind == "linear" and obj.space == "bits":
-            alpha = obj.params["alpha"]
-
-    last = {}  # the state rhs met last -> (values, probabilities) there
-
-    def rhs(theta):
-        weights = flow_mod.exact_weights_all(family, theta, obj, scheme)
-        last.clear()
-        last[theta.tobytes()] = weights[2], weights[1]
-        return flow_mod.flow_rhs(family, theta, obj, scheme, weights=weights)
-
-    def cells(theta, drift):
-        values, probs = last[theta.tobytes()]  # a row's drift is rhs's last state
-        speed = math.sqrt(max(0.0, float(drift @ family.fisher(theta) @ drift)))
-        lyap = float(alpha @ drift) if alpha is not None else float("nan")
-        return [flow_mod.f_quantile(values, probs, q_report), speed, lyap]
-
-    header = (["t"] + [f"theta_{i}" for i in range(len(theta0))]
-              + ["f_quantile", "speed", "lyapunov"])
-    return header, theta0, rhs, cells
+    return (header + ["f_quantile", "speed", "lyapunov"], theta0,
+            lambda theta: memo(theta)[0], cells)
 
 
-def _memoized(rhs):
-    """``rhs`` remembered for the state it met last.  ``flow.trajectory``
-    yields each state before stepping from it, so the CSV row of a state
-    and the step's first evaluation there share one call."""
+def _last_state(evaluate):
+    """``evaluate`` (the drift at a state, then what the state's cells need)
+    remembered for the state it met last.  ``flow.trajectory`` yields each
+    state before stepping from it, so the CSV row of a state and the step's
+    first evaluation there share one call."""
     last = {}
 
     def memo(theta):
         key = theta.tobytes()
         if key not in last:
-            drift = rhs(theta)
+            result = evaluate(theta)
             last.clear()
-            last[key] = drift
+            last[key] = result
         return last[key]
 
     return memo
-
-
-def _write_csv(name, comment, header, rows):
-    """Write ``# comment``, the header and the rows to ``name`` in the output
-    directory; returns the path."""
-    path = os.path.join(_out_dir(), name)
-    os.makedirs(_out_dir(), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(f"# {comment}\n" + ",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(exp_mod._fmt(v) for v in row) + "\n")
-    return path
 
 
 def cmd_table(args):
@@ -241,9 +237,9 @@ def _grid(opts, lo, hi, valid):
 def _critical_dt_table(opts):
     rows = [[q] + [flow_mod.critical_dt(float(q), j) for j in (0, 1, 2, math.inf)]
             for q in _grid(opts, 0.01, 0.6, (lambda q: 0.0 < q < 1.0, "in (0, 1)"))]
-    return _write_csv("critical_dt.csv",
-                      "critical step size vs truncation quantile, per update family j",
-                      ["q", "j0", "j1", "j2", "j_inf"], rows)
+    return exp_mod.write_csv(_out_dir(), "critical_dt.csv",
+                             "critical step size vs truncation quantile, per update family j",
+                             ["q", "j0", "j1", "j2", "j_inf"], rows)
 
 
 def _linear_constants_table(opts):
@@ -252,9 +248,9 @@ def _linear_constants_table(opts):
     for q0 in _grid(opts, 0.05, 0.95, (lambda q: 0.0 < q <= 1.0, "in (0, 1]")):
         lc = flow_mod.gaussian_linear_constants(float(q0), d)
         rows.append([q0, lc.alpha, lc.beta])
-    return _write_csv(f"linear_constants_d{d}.csv",
-                      "isotropic-Gaussian linear-objective flow rates",
-                      ["q0", "alpha", "beta"], rows)
+    return exp_mod.write_csv(_out_dir(), f"linear_constants_d{d}.csv",
+                             "isotropic-Gaussian linear-objective flow rates",
+                             ["q0", "alpha", "beta"], rows)
 
 
 _TABLES = {"critical_dt": _critical_dt_table, "linear_constants": _linear_constants_table}

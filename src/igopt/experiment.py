@@ -64,7 +64,7 @@ from .weights import (
 )
 
 __all__ = ["ExperimentConfig", "RunRecord", "StepRow", "parse_config",
-           "run_experiment", "write_csv_outputs", "status_counts",
+           "run_experiment", "write_csv", "write_csv_outputs", "status_counts",
            "CSV_SCHEMA_VERSION"]
 
 CSV_SCHEMA_VERSION = 1
@@ -226,18 +226,18 @@ def _fisher_sample_count(spec):
 
 # -- spec-string builders ------------------------------------------------------
 
-def _family_and_start(cfg, rng):
-    """The family of ``cfg`` and its starting theta; ``rng`` draws an RBM's.
-    Each kind takes only its own options."""
-    kind, opts = parse_spec(cfg.family)
+def _family_and_start(spec, burn_in, rng):
+    """The family of a family ``spec`` and its start; ``rng`` draws an RBM's,
+    which takes ``burn_in`` Gibbs sweeps per draw.  Each kind takes only its own options."""
+    kind, opts = parse_spec(spec)
     if kind in ("rbm", "rbm_marginal"):
         rbm = JointRbmFamily if kind == "rbm" else MarginalRbmFamily
         family = rbm(opts.take("n_x", int, valid=_COUNT), opts.take("n_h", int, 1, _COUNT),
-                     burn_in=cfg.gibbs_burn_in)
+                     burn_in=burn_in)
         opts.finish()
         return family, family.init_params(rng)
     if kind not in ("bernoulli", "bernoulli_logit", "gaussian", "gaussian_iso", "gaussian_mean"):
-        raise ValueError(f"unknown family spec {cfg.family!r}")
+        raise ValueError(f"unknown family spec {spec!r}")
     d = opts.take("d", int, valid=_COUNT)
     if kind in ("bernoulli", "bernoulli_logit"):
         p0 = opts.take("p0", float, 0.5, _OPEN_UNIT) * np.ones(d)
@@ -273,7 +273,7 @@ def _stop_target(cfg):
 def _setup(cfg, objective_rng, init_rng):
     """Family, starting theta, objective, weight scheme and step part of one
     run; raises ValueError when they do not fit together."""
-    family, theta = _family_and_start(cfg, init_rng)
+    family, theta = _family_and_start(cfg.family, cfg.gibbs_burn_in, init_rng)
     obj = objectives_mod.parse_objective(cfg.objective, rng=objective_rng)
     if obj.dim != family.dim:
         raise ValueError(f"objective dimension {obj.dim} does not match "
@@ -575,36 +575,38 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def write_csv_outputs(cfg, records, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    runs_path = os.path.join(out_dir, f"{cfg.out_prefix}_runs.csv")
-    with open(runs_path, "w") as fh:
-        fh.write(f"# igopt runs schema v{CSV_SCHEMA_VERSION}; seed={cfg.seed}; "
-                 f"algorithm={cfg.algorithm}\n")
-        fh.write(",".join(["run_id", *_STEP_COLUMNS, "status"]) + "\n")
-        for rec in records:
-            for row in rec.rows:
-                out = [rec.run_id, *(getattr(row, c) for c in _STEP_COLUMNS), rec.status]
-                fh.write(",".join(_fmt(v) for v in out) + "\n")
+def write_csv(directory, name, comment, header, rows):
+    """Write ``# comment``, the header and the rows (cells through ``_fmt``) to
+    the file ``name`` in ``directory``, made if missing; returns the path."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
+    with open(path, "w") as fh:
+        fh.write(f"# {comment}\n" + ",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
-    summary_path = os.path.join(out_dir, f"{cfg.out_prefix}_summary.csv")
-    quantities = ["best_f", "f_quantile", "dist_second", "mean_hidden", "kl",
-                  "speed_norm"]
-    with open(summary_path, "w") as fh:
-        fh.write(f"# igopt summary schema v{CSV_SCHEMA_VERSION}; "
-                 "percentiles 16/50/84 across repeats\n")
-        header = ["step"] + [f"{q}_p{p}" for q in quantities for p in (16, 50, 84)]
-        fh.write(",".join(header) + "\n")
-        max_steps = max((len(r.rows) for r in records), default=0)
-        # (quantity, repeat, step), NaN past a repeat's last step
-        grid = np.full((len(quantities), len(records), max_steps), np.nan)
-        for r, rec in enumerate(records):
-            for k, row in enumerate(rec.rows):
-                grid[:, r, k] = [getattr(row, q) for q in quantities]
-        pct = _percentiles(grid, (16, 50, 84))  # (percentile, quantity, step)
-        for k in range(max_steps):
-            fh.write(",".join([str(k)] + [_fmt(v) for v in pct[:, :, k].T.ravel()]) + "\n")
-    return runs_path, summary_path
+
+def write_csv_outputs(cfg, records, out_dir):
+    runs_path = write_csv(
+        out_dir, f"{cfg.out_prefix}_runs.csv",
+        f"igopt runs schema v{CSV_SCHEMA_VERSION}; seed={cfg.seed}; algorithm={cfg.algorithm}",
+        ["run_id", *_STEP_COLUMNS, "status"],
+        ([rec.run_id, *(getattr(row, c) for c in _STEP_COLUMNS), rec.status]
+         for rec in records for row in rec.rows))
+    quantities = ["best_f", "f_quantile", "dist_second", "mean_hidden", "kl", "speed_norm"]
+    max_steps = max((len(r.rows) for r in records), default=0)
+    # (quantity, repeat, step), NaN past a repeat's last step
+    grid = np.full((len(quantities), len(records), max_steps), np.nan)
+    for r, rec in enumerate(records):
+        for k, row in enumerate(rec.rows):
+            grid[:, r, k] = [getattr(row, q) for q in quantities]
+    pct = _percentiles(grid, (16, 50, 84))  # (percentile, quantity, step)
+    return runs_path, write_csv(
+        out_dir, f"{cfg.out_prefix}_summary.csv",
+        f"igopt summary schema v{CSV_SCHEMA_VERSION}; percentiles 16/50/84 across repeats",
+        ["step"] + [f"{q}_p{p}" for q in quantities for p in (16, 50, 84)],
+        ([k, *pct[:, :, k].T.ravel()] for k in range(max_steps)))
 
 
 def _percentiles(grid, q):

@@ -10,7 +10,7 @@ consistency tests check directly.
 
 W depends on theta only through P_theta: the objective's values on the
 enumeration and the tie groups they form do not.  That half is computed
-once per (family, objective) and kept in a small cache keyed on the
+once per (family, objective) and kept for the last pair, keyed on the
 objective's content; per theta only the log-masses, the running quantiles
 of the groups and the scheme are left.
 """
@@ -23,7 +23,7 @@ from scipy.special import chndtrix, gammainc, gammaincinv
 
 from . import fisher as fisher_mod
 from . import objectives as objectives_mod
-from .families.base import CapabilityError
+from .families.base import CapabilityError, DomainError
 from .normal import Phi_inv, phi
 
 __all__ = [
@@ -73,11 +73,10 @@ class LinearFlowConstants:
         return m0 + sigma0 * self.beta / self.alpha * math.expm1(self.alpha * t)
 
 
-_GROUPS_CACHE_SIZE = 8
-# (family, objective content) -> (values, distinct values, inverse) of
-# _value_groups.  The key holds the family itself, and families compare by
-# identity, so an entry can only be found by the family whose enumeration it
-# was built on.
+# {(family, objective content): (values, distinct values, inverse)} of
+# _value_groups, for the last pair only: a flow integrates one pair.  The key
+# holds the family itself, and families compare by identity, so the entry can
+# only be found by the family whose enumeration it was built on.
 _groups_cache = {}
 
 
@@ -102,7 +101,7 @@ def _value_groups(family, objective, points):
     values on ``points`` (the family's enumeration), read-only, then the
     ``np.unique`` distinct values, ascending, and inverse that numbers them.
 
-    Cached per (family, objective content).
+    Cached for the last (family, objective content) asked for.
     """
     key = (family, _content_key(objective))
     groups = _groups_cache.get(key)
@@ -110,15 +109,14 @@ def _value_groups(family, objective, points):
         values = objectives_mod.evaluate(objective, points)
         values.flags.writeable = False
         groups = (values, *np.unique(values, return_inverse=True))
+        _groups_cache.clear()
         _groups_cache[key] = groups
-        if len(_groups_cache) > _GROUPS_CACHE_SIZE:
-            del _groups_cache[next(iter(_groups_cache))]  # the oldest entry
     return groups
 
 
 def _cached_groups(values):
     """(distinct values, inverse) of ``values`` when they are the read-only
-    values array of a ``_groups_cache`` entry, else None."""
+    values array of the ``_groups_cache`` entry, else None."""
     for cached, uniq, inverse in _groups_cache.values():
         if cached is values:
             return uniq, inverse
@@ -355,9 +353,18 @@ class SphereFlow:
         self.d = int(d)
         self.q0 = float(q0)
 
-    def _tau_parts(self, state):
+    def _split(self, state):
+        """(r, sigma); DomainError unless sigma^2 > 0 and (r / sigma)^2 are finite floats."""
         r, s = state
-        sigma = math.exp(s)
+        sigma = math.exp(min(s, 709.0))  # a larger exponent overflows
+        mu = float(r) / sigma
+        if not (0.0 < sigma * sigma < math.inf and mu * mu < math.inf):
+            raise DomainError(f"(r, log sigma) = ({r}, {s}) puts sigma^2 or (r / sigma)^2 "
+                              "outside the floats")
+        return r, sigma
+
+    def _tau_parts(self, state):
+        r, sigma = self._split(state)
         lam = (r / sigma) ** 2
         y_over_s2 = _ncx2_ppf(self.q0, self.d, lam)
         return r, sigma, y_over_s2
@@ -391,12 +398,12 @@ class SphereFlow:
 
     def median_f(self, state):
         """Exact median of f under the current state (scaled ncx2 median)."""
-        r, sigma = state[0], math.exp(state[1])
+        r, sigma = self._split(state)
         return sigma**2 * _ncx2_ppf(0.5, self.d, (r / sigma) ** 2)
 
     def speed(self, state, drift=None):
         """Fisher norm of d(theta)/dt in (m, log sigma) coordinates; ``drift``
         is ``rhs(state)``, computed when not given."""
         rhs = self.rhs(state) if drift is None else drift
-        sigma = math.exp(state[1])
+        sigma = self._split(state)[1]
         return math.sqrt((rhs[0] / sigma) ** 2 + 2.0 * self.d * rhs[1] ** 2)

@@ -1,7 +1,9 @@
+import ast
 import math
 import re
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from igopt.experiment import (
     parse_config,
     run_experiment,
     status_counts,
+    write_csv,
 )
 from igopt.families import BernoulliFamily
 from igopt.objectives import onemax
@@ -475,8 +478,8 @@ def test_cli_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
         "family = bernoulli:d=10\nobjective = onemax:d=10\nhorizon = 1.0\n"
         "flow_step = 0.1\ntheta0 = " + " ".join(repr(float(t)) for t in theta0) + "\n")
     header = ["t"] + [f"theta_{i}" for i in range(10)] + ["f_quantile", "speed", "lyapunov"]
-    reference = cli._write_csv("unmemoized.csv", f"igopt flow schema v{CSV_SCHEMA_VERSION}", header,
-                               _unmemoized_flow_rows(theta0))
+    reference = write_csv(tmp_path, "unmemoized.csv", f"igopt flow schema v{CSV_SCHEMA_VERSION}",
+                          header, _unmemoized_flow_rows(theta0))
     calls = dict.fromkeys(("flow_rhs", "exact_weights_all"), 0)
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(flow_mod, name), **kwargs):
@@ -501,8 +504,8 @@ def test_cli_sphere_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
     sphere = flow_mod.SphereFlow(5, 0.3)
     rows = [[s.t, *s.theta, sphere.median_f(s.theta), sphere.speed(s.theta), float("nan")]
             for s in flow_mod.integrate(sphere.rhs, np.array([3.0, 0.0]), 1.0, 0.1)]
-    reference = cli._write_csv("unmemoized.csv", f"igopt flow schema v{CSV_SCHEMA_VERSION}",
-                               ["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"], rows)
+    reference = write_csv(tmp_path, "unmemoized.csv", f"igopt flow schema v{CSV_SCHEMA_VERSION}",
+                          ["t", "r", "log_sigma", "f_quantile", "speed", "lyapunov"], rows)
     calls = dict.fromkeys(("rhs", "_tau_parts"), 0)
     for name in calls:
         def counted(self, state, _name=name, _inner=getattr(flow_mod.SphereFlow, name)):
@@ -617,6 +620,12 @@ def test_cli_flow_steps_must_fit_the_horizon(tmp_path, monkeypatch, capsys, line
     ("gaussian_iso:d=3,r0=nan", "sphere:d=3", "option r0 must be a finite number, got nan"),
     ("bernoulli:d=3", "linear:d=3,alpha=inf,space=bits",
      "'linear:d=3,alpha=inf,space=bits': option alpha must be a finite number, got inf"),
+    # the exact flow has no noise stream, for either flow kind
+    ("bernoulli:d=3", "onemax:d=3,noise=uniform",
+     "the exact flow needs a noise-free objective, got 'onemax:d=3,noise=uniform'"),
+    ("gaussian_iso:d=3", "sphere:d=3,noise=gaussian",
+     "the exact flow needs a noise-free objective, got 'sphere:d=3,noise=gaussian'"),
+    ("gaussian_iso:d=3", "sphere:d=4", "objective dimension 4 does not match the family's 3"),
 ])
 def test_cli_flow_refuses_a_family_it_cannot_enumerate_at_parse_time(
         tmp_path, monkeypatch, capsys, family, objective, refusal):
@@ -627,6 +636,64 @@ def test_cli_flow_refuses_a_family_it_cannot_enumerate_at_parse_time(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ") and refusal in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("family, line, message", [
+    ("gaussian_iso:d=3", "theta0 = 1 2 3", "theta0 needs 2 numbers, got 3"),
+    ("gaussian_iso:d=3", "q_report = 0.1",
+     "the sphere flow reports the exact median, so q_report must be 0.5, got 0.1"),
+    # a start whose sigma^2 or (r / sigma)^2 leaves the floats, before any numpy warning
+    ("gaussian_iso:d=3,r0=1e300", "", "theta0 is outside the family's domain: "
+     "(r, log sigma) = (1e+300, 0.0) puts sigma^2 or (r / sigma)^2 outside the floats"),
+    ("gaussian_iso:d=3,sigma0=1e-300", "", "theta0 is outside the family's domain: "
+     "(r, log sigma) = (3.0, -690.7755278982137) puts sigma^2 or (r / sigma)^2 outside the floats"),
+    ("gaussian_iso:d=3", "theta0 = 0 800", "theta0 is outside the family's domain: "
+     "(r, log sigma) = (0.0, 800.0) puts sigma^2 or (r / sigma)^2 outside the floats"),
+])
+def test_cli_sphere_flow_checks_its_start_and_report(tmp_path, monkeypatch, capsys, family,
+                                                     line, message):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "sphere.cfg"
+    cfgfile.write_text(f"family = {family}\nobjective = sphere:d=3\n"
+                       f"horizon = 0.1\nflow_step = 0.1\n{line}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["flow", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_sphere_flow_starts_at_theta0(tmp_path, monkeypatch):
+    # the sphere's theta0 is (r, log sigma), the trajectory's two state columns
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "sphere.cfg"
+    cfgfile.write_text("family = gaussian_iso:d=3\nobjective = sphere:d=3\ntheta0 = 1 2\n"
+                       "q_report = 0.5\nhorizon = 0.1\nflow_step = 0.1\n")
+    assert cli.main(["flow", str(cfgfile)]) == 0
+    rows = np.genfromtxt(tmp_path / "flow_trajectory.csv", delimiter=",",
+                         names=True, skip_header=1)
+    assert (rows["t"][0], rows["r"][0], rows["log_sigma"][0]) == (0.0, 1.0, 2.0)
+    assert rows["f_quantile"][0] == flow_mod.SphereFlow(3, 0.5).median_f(np.array([1.0, 2.0]))
+    assert rows.size == 2 and rows["r"][1] != 1.0
+
+
+def test_one_function_opens_files_for_writing():
+    # every file igopt writes goes through experiment.write_csv
+    writers = []
+
+    def visit(node, path, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            if not all(isinstance(m, ast.Constant) and set(m.value) <= set("rbt") for m in modes):
+                writers.append((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in sorted(Path(experiment.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert writers == [("experiment.py", "write_csv")]
 
 
 def test_marginal_rbm_runs_on_a_monte_carlo_fisher():

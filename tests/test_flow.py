@@ -241,15 +241,18 @@ def test_value_groups_follow_in_place_edits_of_params():
 
 
 def test_equal_objectives_share_one_cache_entry():
-    flow_module._groups_cache.clear()
     fam, theta, scheme = BernoulliFamily(5), np.full(5, 0.3), truncation(0.3)
     alpha = 2.0 ** -np.arange(5)
-    _, _, first, _ = exact_weights_all(fam, theta, linear(alpha, space="bits"), scheme)
+    _, probs, first, _ = exact_weights_all(fam, theta, linear(alpha, space="bits"), scheme)
     _, _, second, _ = exact_weights_all(fam, theta, linear(alpha.copy(), space="bits"), scheme)
     assert second is first and len(flow_module._groups_cache) == 1
-    # another family with the same enumeration gets its own entry
+    quantiles = [f_quantile(first, probs, q) for q in (0.0, 0.3, 0.5, 1.0)]
+    # another family with the same enumeration replaces the entry; the old
+    # values then take the sort path, to the same bits
     exact_weights_all(BernoulliFamily(5), theta, linear(alpha, space="bits"), scheme)
-    assert len(flow_module._groups_cache) == 2
+    assert len(flow_module._groups_cache) == 1 and flow_module._cached_groups(first) is None
+    for q, cached in zip((0.0, 0.3, 0.5, 1.0), quantiles):
+        assert_same_quantile(f_quantile(first, probs, q), cached, first)
 
 
 def test_cached_values_are_read_only():
@@ -261,13 +264,19 @@ def test_cached_values_are_read_only():
 
 
 def test_value_groups_cache_is_bounded():
+    # the cache holds the last (family, objective content) only
     fam, theta, scheme = BernoulliFamily(3), np.full(3, 0.5), truncation(0.5)
-    bound = flow_module._GROUPS_CACHE_SIZE
-    for k in range(2 * bound + 1):
+    previous = None
+    for k in range(4):
         obj = linear(np.array([1.0, 2.0, float(k)]), space="bits")
-        exact_weights_all(fam, theta, obj, scheme)
-        assert len(flow_module._groups_cache) <= bound
-    assert (fam, flow_module._content_key(obj)) in flow_module._groups_cache
+        _, probs, values, _ = exact_weights_all(fam, theta, obj, scheme)
+        assert list(flow_module._groups_cache) == [(fam, flow_module._content_key(obj))]
+        if previous is not None:  # replaced: the sort path gives the same bits
+            old_values, old_probs, old_quantile = previous
+            assert flow_module._cached_groups(old_values) is None
+            assert_same_quantile(f_quantile(old_values, old_probs, 0.3), old_quantile,
+                                 old_values)
+        previous = values, probs, f_quantile(values, probs, 0.3)
 
 
 def test_exact_weight_agrees_with_exact_weights_all_after_a_cache_hit():
