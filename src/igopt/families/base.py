@@ -91,9 +91,9 @@ class Family:
         """All points of the search space, as rows an objective takes."""
         raise CapabilityError(f"{type(self).__name__} is not enumerable")
 
-    def enumerated_log_density(self, theta):
-        """log P_theta of every row of ``enumerate_points()``, in that order."""
-        return self.log_density(theta, self.enumerate_points())
+    def enumerated_probs(self, theta):
+        """P_theta of every row of ``enumerate_points()``, in that order."""
+        return np.exp(self.log_density(theta, self.enumerate_points()))
 
     def enumerated_drift(self, theta, mass):
         """``natural_drift`` over the rows of ``enumerate_points()``."""

@@ -94,18 +94,22 @@ class BernoulliFamily(Family):
         X.flags.writeable = False
         return X
 
-    def enumerated_log_density(self, theta):
+    def enumerated_probs(self, theta):
         # Row k holds the bits of k, so the first 2^i rows extend to the
         # first 2^(i+1) by one coordinate: bit i on (written from the lower
-        # half), then bit i off (added in place).  Only xlogy's -inf at an
-        # exact 0 or 1 enters, never +inf, so no NaN.
+        # half), then bit i off (multiplied in place).  Row k is the product
+        # of its d factors in bit order.  Adding +0.0 maps -0.0 to +0.0, so
+        # no mass is -0.0.
         self._check_enumerable()
+        theta = np.asarray(theta, dtype=float)
+        if not np.all((theta >= 0.0) & (theta <= 1.0)):  # NaN fails too
+            raise DomainError("Bernoulli probabilities must lie in [0, 1]")
         out = np.empty(2**self.dim)
-        out[0] = 0.0
+        out[0] = 1.0
         size = 1
-        for on, off in zip(xlogy(1.0, theta), xlogy(1.0, 1.0 - theta)):
-            np.add(out[:size], on, out=out[size:2 * size])
-            out[:size] += off
+        for p in (theta + 0.0).tolist():
+            np.multiply(out[:size], p, out=out[size:2 * size])
+            out[:size] *= 1.0 - p
             size *= 2
         return out
 

@@ -284,9 +284,9 @@ class _RbmCommon(Family):
     def enumerate_points(self):
         return self._visible_bits
 
-    def enumerated_log_density(self, theta):
-        """ln P(x) of every visible state: h summed out."""
-        return self._visible_logmass(theta, self._visible_bits) - self.log_partition(theta)
+    def enumerated_probs(self, theta):
+        """P(x) of every visible state: h summed out."""
+        return np.exp(self._visible_logmass(theta, self._visible_bits) - self.log_partition(theta))
 
     def enumerated_score(self, theta):
         """U(x) - E[T] of every visible state: the marginal score, and the

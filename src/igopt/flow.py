@@ -11,8 +11,10 @@ consistency tests check directly.
 W depends on theta only through P_theta: the objective's values on the
 enumeration and the tie groups they form do not.  That half is computed
 once per (family, objective) and kept for the last pair, keyed on the
-objective's content; per theta only the log-masses, the running quantiles
-of the groups and the scheme are left.
+objective's content; per theta only the masses, the running quantiles of
+the groups and the scheme are left.  When every value is distinct the
+groups are the points themselves, and the masses are summed into groups by
+one cached permutation instead of ``np.bincount``, with the same bits.
 """
 
 import math
@@ -73,7 +75,7 @@ class LinearFlowConstants:
         return m0 + sigma0 * self.beta / self.alpha * math.expm1(self.alpha * t)
 
 
-# {(family, objective content): (values, distinct values, inverse)} of
+# {(family, objective content): (values, distinct values, inverse, order)} of
 # _value_groups, for the last pair only: a flow integrates one pair.  The key
 # holds the family itself, and families compare by identity, so the entry can
 # only be found by the family whose enumeration it was built on.
@@ -99,7 +101,9 @@ def _content_key(objective):
 def _value_groups(family, objective, points):
     """The theta-independent half of the exact weights: the objective's
     values on ``points`` (the family's enumeration), read-only, then the
-    ``np.unique`` distinct values, ascending, and inverse that numbers them.
+    ``np.unique`` distinct values, ascending, the inverse that numbers them
+    and, when every value is distinct, the permutation ``np.argsort(inverse)``
+    that sorts them (else None).
 
     Cached for the last (family, objective content) asked for.
     """
@@ -108,19 +112,33 @@ def _value_groups(family, objective, points):
     if groups is None:
         values = objectives_mod.evaluate(objective, points)
         values.flags.writeable = False
-        groups = (values, *np.unique(values, return_inverse=True))
+        uniq, inverse = np.unique(values, return_inverse=True)
+        order = None
+        if uniq.size == values.size:
+            order = np.empty_like(inverse)
+            order[inverse] = np.arange(inverse.size)
+        groups = (values, uniq, inverse, order)
         _groups_cache.clear()
         _groups_cache[key] = groups
     return groups
 
 
 def _cached_groups(values):
-    """(distinct values, inverse) of ``values`` when they are the read-only
-    values array of the ``_groups_cache`` entry, else None."""
-    for cached, uniq, inverse in _groups_cache.values():
+    """(distinct values, inverse, order) of ``values`` when they are the
+    read-only values array of the ``_groups_cache`` entry, else None."""
+    for cached, *groups in _groups_cache.values():
         if cached is values:
-            return uniq, inverse
+            return groups
     return None
+
+
+def _group_sums(probs, inverse, order):
+    """Each value group's mass: ``probs`` gathered by ``order`` when every
+    group holds one point, else summed by ``np.bincount``.  The two agree
+    bit for bit on masses >= +0, as 0.0 + p is p."""
+    if order is not None:
+        return probs[order]
+    return np.bincount(inverse, weights=probs)
 
 
 def exact_weights_all(family, theta, objective, scheme):
@@ -133,9 +151,9 @@ def exact_weights_all(family, theta, objective, scheme):
     running quantile (q- == q+), gets w(q+), as in ``exact_weight``.
     """
     points = family.enumerate_points()
-    values, _, inverse = _value_groups(family, objective, points)
-    probs = np.exp(family.enumerated_log_density(theta))
-    q_plus = np.cumsum(np.bincount(inverse, weights=probs))
+    values, _, inverse, order = _value_groups(family, objective, points)
+    probs = family.enumerated_probs(theta)
+    q_plus = np.cumsum(_group_sums(probs, inverse, order))
     np.minimum(q_plus, 1.0, out=q_plus)
     q_minus = np.empty_like(q_plus)
     q_minus[0] = 0.0
@@ -154,7 +172,7 @@ def exact_weights_all(family, theta, objective, scheme):
 def exact_weight(family, theta, objective, scheme, x):
     """W(x): exact quantile-rewritten preference of a single point."""
     values = _value_groups(family, objective, family.enumerate_points())[0]
-    probs = np.exp(family.enumerated_log_density(theta))
+    probs = family.enumerated_probs(theta)
     fx = float(objectives_mod.evaluate(objective, np.atleast_2d(x))[0])
     # capped as in exact_weights_all: the masses can sum to 1 + 2^-52
     q_minus = min(1.0, float(probs[values < fx].sum()))
@@ -233,10 +251,13 @@ def f_quantile(values, probs, q):
         # group's probabilities in index order, so no stable sort is needed.
         group = np.empty(v.size, dtype=np.intp)
         group[order] = np.cumsum(first) - 1
-        uniq = v[first]
+        uniq, order = v[first], None  # sum by bincount: groups may hold ties
     else:
-        uniq, group = groups  # the same ascending group ids, from the cache
-    mass = np.bincount(group, weights=probs / probs.sum(), minlength=uniq.size)
+        uniq, group, order = groups  # the same ascending group ids, from the cache
+    total = probs.sum()
+    if not 0.0 < total < math.inf:  # else no group would hold mass
+        raise ValueError(f"f_quantile needs a positive finite total mass, got {total}")
+    mass = _group_sums(probs / total, group, order)
     held = mass > 0.0  # zero-mass groups would put repeated nodes into the interpolation
     if not held.all():
         uniq, mass = uniq[held], mass[held]
@@ -365,9 +386,17 @@ class SphereFlow:
 
     def _tau_parts(self, state):
         r, sigma = self._split(state)
-        lam = (r / sigma) ** 2
-        y_over_s2 = _ncx2_ppf(self.q0, self.d, lam)
-        return r, sigma, y_over_s2
+        return r, sigma, self._scaled_quantile(self.q0, r, sigma)
+
+    def _scaled_quantile(self, q, r, sigma):
+        """The q-quantile of f over sigma^2; DomainError unless it is finite,
+        as scipy's noncentral chi-square quantile is not (NaN) once
+        (r / sigma)^2 is past about 1e10."""
+        y_over_s2 = float(_ncx2_ppf(q, self.d, (r / sigma) ** 2))
+        if not math.isfinite(y_over_s2):
+            raise DomainError(f"the {q}-quantile of f at (r, sigma) = ({r}, {sigma}) "
+                              f"is {y_over_s2}, not a finite float")
+        return y_over_s2
 
     def rhs(self, state):
         from scipy import integrate as sp_integrate
@@ -394,12 +423,20 @@ class SphereFlow:
 
         i_drift = sp_integrate.quad(drift, z_lo, z_hi, limit=200)[0]
         i_radial = sp_integrate.quad(radial, z_lo, z_hi, limit=200)[0]
-        return np.array([sigma * i_drift, i_radial / (2.0 * self.d)])
+        out = np.array([sigma * i_drift, i_radial / (2.0 * self.d)])
+        if not np.isfinite(out).all():
+            raise DomainError(f"the sphere flow's drift at (r, log sigma) = ({state[0]}, "
+                              f"{state[1]}) is {out}, not finite")
+        return out
 
     def median_f(self, state):
-        """Exact median of f under the current state (scaled ncx2 median)."""
+        """Exact median of f under the current state (scaled ncx2 median);
+        DomainError unless it is a finite float."""
         r, sigma = self._split(state)
-        return sigma**2 * _ncx2_ppf(0.5, self.d, (r / sigma) ** 2)
+        median = sigma**2 * self._scaled_quantile(0.5, r, sigma)
+        if not math.isfinite(median):
+            raise DomainError(f"the median of f at (r, sigma) = ({r}, {sigma}) overflows")
+        return median
 
     def speed(self, state, drift=None):
         """Fisher norm of d(theta)/dt in (m, log sigma) coordinates; ``drift``

@@ -423,8 +423,15 @@ def test_cli_flow_singular_fisher_exits_3(tmp_path, monkeypatch, capsys):
     cfgfile.write_text("family = bernoulli:d=1\nobjective = linear:d=1,space=bits\n"
                        "method = euler\nflow_step = 5\nhorizon = 5\ntheta0 = 0.4\n")
     assert cli.main(["flow", str(cfgfile)]) == 3
-    assert capsys.readouterr().err == (
-        "flow failed: Bernoulli probabilities must lie strictly inside (0, 1)\n")
+    assert capsys.readouterr().err == "flow failed: Bernoulli probabilities must lie in [0, 1]\n"
+    # so is an RK4 stage that leaves [0, 1]: theta + (h / 2) k1 = 1.125 here,
+    # whose products would pass for masses
+    cfgfile.write_text("family = bernoulli:d=3\nobjective = onemax:d=3\n"
+                       "horizon = 10\nflow_step = 10\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["flow", str(cfgfile)]) == 3
+    assert capsys.readouterr().err == "flow failed: Bernoulli probabilities must lie in [0, 1]\n"
     # a logit that rounds p to 1 fails before any log1p(-p) or 1 / (p (1 - p)):
     # no numpy warning precedes the line
     cfgfile.write_text("family = bernoulli_logit:d=2\nobjective = onemax:d=2\ntheta0 = 30 3\n"
@@ -649,6 +656,9 @@ def test_cli_flow_refuses_a_family_it_cannot_enumerate_at_parse_time(
      "(r, log sigma) = (3.0, -690.7755278982137) puts sigma^2 or (r / sigma)^2 outside the floats"),
     ("gaussian_iso:d=3", "theta0 = 0 800", "theta0 is outside the family's domain: "
      "(r, log sigma) = (0.0, 800.0) puts sigma^2 or (r / sigma)^2 outside the floats"),
+    # (r / sigma)^2 = 1e300 is a float, but its median is not: no quadrature runs
+    ("gaussian_iso:d=3,r0=1e150", "", "theta0 is outside the family's domain: "
+     "the 0.5-quantile of f at (r, sigma) = (1e+150, 1.0) is nan, not a finite float"),
 ])
 def test_cli_sphere_flow_checks_its_start_and_report(tmp_path, monkeypatch, capsys, family,
                                                      line, message):

@@ -154,34 +154,49 @@ def test_log_density_matches_xlogy_form_bit_for_bit():
     assert fam.log_density(thetas[3], pts)[0] == -np.inf
 
 
-# a probability, with exact 0 and 1 drawn often
-_PROBABILITY = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+# a probability, with exact 0, -0.0 and 1 drawn often
+_PROBABILITY = st.one_of(st.just(0.0), st.just(-0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+def product_masses(theta):
+    """Frozen reference: row k is the product, in bit order, of theta_i where
+    bit i of k is on and 1 - theta_i where it is off (-0.0 read as +0.0)."""
+    theta = [t + 0.0 for t in theta]
+    return np.array([math.prod(t if k >> i & 1 else 1.0 - t for i, t in enumerate(theta))
+                     for k in range(2 ** len(theta))])
+
+
+@given(st.integers(1, 10).flatmap(lambda d: st.lists(_PROBABILITY, min_size=d, max_size=d)))
+def test_enumerated_probs_are_the_products_in_bit_order_bit_for_bit(theta):
+    got = BernoulliFamily(len(theta)).enumerated_probs(np.array(theta))
+    np.testing.assert_array_equal(got.view(np.uint64), product_masses(theta).view(np.uint64))
+    assert not np.signbit(got).any()  # no -0.0, whatever the sign of a zero theta_i
 
 
 @given(st.integers(1, 12).flatmap(lambda d: st.lists(_PROBABILITY, min_size=d, max_size=d)))
-def test_enumerated_log_density_matches_xlogy_row_sums(theta):
-    # frozen reference: two xlogy passes over independently built bit rows
+def test_enumerated_probs_match_the_exponentiated_xlogy_row_sums(theta):
+    # frozen reference: the former log form, two xlogy passes over
+    # independently built bit rows, exponentiated.  Its exp rounds ln P's
+    # error, which grows with |ln P|, so the bound does too.
     theta = np.array(theta)
     d = theta.size
     x = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(float)
-    ref = xlogy(x, theta).sum(axis=1) + xlogy(1.0 - x, 1.0 - theta).sum(axis=1)
-    got = BernoulliFamily(d).enumerated_log_density(theta)
-    assert not np.isnan(got).any()
-    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(ref))
-    finite = np.isfinite(ref)
-    np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-13, atol=0.0)
-    if np.all((theta > 0.0) & (theta < 1.0)):
-        assert abs(math.fsum(np.exp(got)) - 1.0) <= 1e-14
+    log_ref = xlogy(x, theta).sum(axis=1) + xlogy(1.0 - x, 1.0 - theta).sum(axis=1)
+    ref = np.exp(log_ref)
+    got = BernoulliFamily(d).enumerated_probs(theta)
+    np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+    normal = ref >= np.finfo(float).tiny
+    bound = 4.0 * (d + np.abs(log_ref[normal])) * np.finfo(float).eps
+    assert np.all(np.abs(got[normal] - ref[normal]) <= bound * ref[normal])
+    assert abs(math.fsum(got) - 1.0) <= 1e-14
 
 
-@given(st.integers(1, 16).flatmap(lambda d: st.lists(_PROBABILITY, min_size=d, max_size=d)))
-def test_enumerated_log_density_matches_the_concatenation_loop_bit_for_bit(theta):
-    # frozen reference: the doubling as one new array per coordinate
-    theta = np.array(theta)
-    ref = np.zeros(1)
-    for on, off in zip(xlogy(1.0, theta), xlogy(1.0, 1.0 - theta)):
-        ref = np.concatenate((ref + off, ref + on))
-    np.testing.assert_array_equal(BernoulliFamily(theta.size).enumerated_log_density(theta), ref)
+@pytest.mark.parametrize("theta", [[0.5, 1.125, 0.5], [-1e-300, 0.5, 0.5],
+                                   [0.5, np.nan, 0.5], [np.inf, 0.5, 0.5]])
+def test_enumerated_probs_refuse_theta_outside_the_unit_interval(theta):
+    # an RK4 stage can overshoot [0, 1]; its products would look like masses
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        BernoulliFamily(3).enumerated_probs(np.array(theta))
 
 
 def test_enumeration_is_built_once_and_read_only():
@@ -193,11 +208,11 @@ def test_enumeration_is_built_once_and_read_only():
         pts[0, 0] = 1.0
     logit = LogitBernoulliFamily(5)
     assert logit.enumerate_points() is logit.enumerate_points()
-    # the logit family keeps its own log-density through the base-class hook
+    # the logit family keeps its own masses through the base-class hook
     theta = substream(91, 0).normal(size=5)
-    np.testing.assert_array_equal(logit.enumerated_log_density(theta),
-                                  logit.log_density(theta, logit.enumerate_points()))
+    np.testing.assert_array_equal(logit.enumerated_probs(theta),
+                                  np.exp(logit.log_density(theta, logit.enumerate_points())))
     big = BernoulliFamily(23)
-    for call in (big.enumerate_points, lambda: big.enumerated_log_density(np.full(23, 0.5))):
+    for call in (big.enumerate_points, lambda: big.enumerated_probs(np.full(23, 0.5))):
         with pytest.raises(CapabilityError):
             call()

@@ -14,7 +14,7 @@ from scipy.stats import ncx2
 
 import igopt.flow as flow_module
 from igopt import compute_quantile_weights, igo_step, substream, truncation
-from igopt.families import BernoulliFamily
+from igopt.families import BernoulliFamily, DomainError
 from igopt.flow import (
     SphereFlow,
     _ncx2_ppf,
@@ -40,7 +40,7 @@ def two_point_objective(dim=1):
 def reference_exact_weights(family, theta, objective, scheme):
     """The per-group loop the vectorized exact weights replace."""
     points = family.enumerate_points()
-    probs = np.exp(family.enumerated_log_density(theta))
+    probs = family.enumerated_probs(theta)
     values = evaluate(objective, family.points_of(points))
     w = np.empty_like(values)
     order = np.argsort(values, kind="stable")
@@ -145,7 +145,7 @@ def frozen_masked_exact_weights(family, theta, objective, scheme):
     each group through the masks, the shift term always added."""
     values = evaluate(objective, family.enumerate_points())
     inverse = np.unique(values, return_inverse=True)[1]
-    probs = np.exp(family.enumerated_log_density(theta))
+    probs = family.enumerated_probs(theta)
     q_plus = np.minimum(1.0, np.cumsum(np.bincount(inverse, weights=probs)))
     q_minus = np.concatenate(([0.0], q_plus[:-1]))
     wide = q_plus > q_minus
@@ -475,6 +475,20 @@ def test_sphere_flow_median_decreases():
     assert np.all(diffs < 0.0)
 
 
+def test_sphere_flow_refuses_a_quantile_or_median_that_is_not_finite():
+    # (r / sigma)^2 = 1e300 is a float, its ncx2 quantile is not: refused
+    # before quad sees a NaN bound and warns
+    flow = SphereFlow(3, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (flow.rhs, flow.median_f, flow.speed):
+            with pytest.raises(DomainError, match="0.5-quantile of f .* is nan, not a finite float"):
+                call(np.array([1e150, 0.0]))
+        # sigma^2 = e^709 is a float, sigma^2 times the median of chi2(3) is not
+        with pytest.raises(DomainError, match="median of f .* overflows"):
+            flow.median_f(np.array([0.0, 354.5]))
+
+
 def test_sphere_flow_speed_bounded_by_weight_variance():
     flow = SphereFlow(d=2, q0=0.5)
     bound = math.sqrt(truncation(0.5).variance())
@@ -545,6 +559,54 @@ def test_batch_quantile_matches_unique_form_bit_for_bit(values, q):
     equal = np.full(len(values), 1.0 / len(values))
     assert_same_quantile(batch_quantile(values, q), reference_f_quantile(values, equal, q),
                          values)
+
+
+@given(st.integers(1, 10).flatmap(lambda d: st.tuples(
+           st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.just(1.0), _PROBABILITY),
+                    min_size=d, max_size=d),
+           st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))),
+       st.booleans(), st.floats(0.01, 1.0), st.floats(0.0, 1.0))
+def test_distinct_values_gather_the_masses_to_the_bincount_bits(case, binval, q0, q):
+    # every group holds one point: exact_weights_all and f_quantile gather
+    # the masses by the cached permutation, and must give the bits of the
+    # bincount path (exact_weights_all with the permutation dropped) and of
+    # the sort path (f_quantile of a copy of the values)
+    theta, alpha = (np.array(v) for v in case)
+    d = theta.size
+    if binval:
+        alpha = 2.0 ** -np.arange(d)
+    family, objective, scheme = BernoulliFamily(d), linear(alpha, space="bits"), truncation(q0)
+    _, probs, values, w = exact_weights_all(family, theta, objective, scheme)
+    (key, groups), = flow_module._groups_cache.items()
+    order = groups[3]
+    if np.unique(values).size < values.size:  # a drawn alpha tied two points
+        assert order is None
+        return
+    np.testing.assert_array_equal(values[order], np.sort(values))
+    assert_same_quantile(f_quantile(values, probs, q), f_quantile(values.copy(), probs, q), values)
+    flow_module._groups_cache[key] = (*groups[:3], None)
+    try:
+        _, probs_b, _, w_b = exact_weights_all(family, theta, objective, scheme)
+    finally:
+        flow_module._groups_cache[key] = groups
+    np.testing.assert_array_equal(probs_b, probs)
+    np.testing.assert_array_equal(w_b.view(np.uint64), w.view(np.uint64))
+
+
+def test_tied_values_keep_the_bincount_path():
+    for objective in (onemax(5), two_min(np.array([1.0, 0, 1, 1, 0]))):
+        exact_weights_all(BernoulliFamily(5), np.full(5, 0.3), objective, truncation(0.3))
+        (groups,) = flow_module._groups_cache.values()
+        assert groups[3] is None
+
+
+@pytest.mark.parametrize("probs", [[0.0, 0.0], [np.nan, 0.5], [np.inf, 0.5]])
+def test_f_quantile_refuses_a_total_mass_that_is_not_positive_and_finite(probs):
+    # with no positive finite total, no group would hold mass to interpolate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive finite total mass"):
+            f_quantile([1.0, 2.0], probs, 0.5)
 
 
 @pytest.mark.parametrize("objective", [linear(2.0 ** -np.arange(14), space="bits"),
