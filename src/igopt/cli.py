@@ -10,9 +10,11 @@ Subcommands:
                   linear_constants:...
 
 Exit codes: 0 success, 2 config error (a file that cannot be read or
-parsed), 3 when any repeat of ``run`` failed on a singular or unreliable
-Fisher estimate (counts reported on stderr), or when ``flow`` meets a
-singular Fisher matrix or leaves the family's domain (one line on stderr).
+parsed), 3 when any repeat of ``run`` ended in a ``failed_*`` status (a
+singular or unreliable Fisher estimate, or objective values that are not
+finite; one line on stderr names each failed status and its count), or
+when ``flow`` meets a singular Fisher matrix or leaves the family's domain
+(one line on stderr).
 """
 
 import argparse
@@ -47,9 +49,10 @@ def cmd_run(args):
     counts = exp_mod.status_counts(records)
     for status, count in sorted(counts.items()):
         print(f"{status}: {count}")
-    failures = sum(c for s, c in counts.items() if s.startswith("failed"))
-    if failures:
-        print(f"{failures} repeat(s) failed on singular/unreliable Fisher",
+    failed = {s: c for s, c in sorted(counts.items()) if s.startswith("failed")}
+    if failed:
+        print(f"{sum(failed.values())} repeat(s) failed: "
+              + ", ".join(f"{status} {count}" for status, count in failed.items()),
               file=sys.stderr)
         return 3
     return 0

@@ -10,7 +10,8 @@ Failure semantics follow the Fisher reliability protocol: when the
 natural-gradient algorithm runs on a Monte-Carlo Fisher estimate, two
 independent sample splits cross-validate it; a singular or unreliable
 estimate marks the run ``failed_singular`` / ``failed_unreliable`` and stops
-it.  These statuses are recorded in the run record, never raised.
+it, as do objective values that are not all finite (``failed_nonfinite``).
+These statuses are recorded in the run record, never raised.
 """
 
 import math
@@ -388,12 +389,17 @@ def single_run(cfg, run_id):
             record.status = "failed_singular"
             break
         points = family.points_of(samples)
-        if cfg.lift_noisy:
-            values = objectives_mod.noisy_value(obj, points, samples[1])
-            base_samples = samples[0]
-        else:
-            values = objectives_mod.evaluate(obj, points, rng)
-            base_samples = samples
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow ends the run below
+            if cfg.lift_noisy:
+                values = objectives_mod.noisy_value(obj, points, samples[1])
+                base_samples = samples[0]
+            else:
+                values = objectives_mod.evaluate(obj, points, rng)
+                base_samples = samples
+        if not np.isfinite(values).all():
+            # no rank exists once an objective value overflows or is NaN
+            record.status = "failed_nonfinite"
+            break
         weights, record.weight_variance = _weights_for(values, scheme_obj, cfg.n)
 
         fm = None

@@ -11,7 +11,6 @@ O(dt^2), which the invariance tests exercise.
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
 from .base import CapabilityError, DomainError, Family, enumerate_bits
 
@@ -42,6 +41,8 @@ class BernoulliFamily(Family):
         return (rng.random((n, self.dim)) < theta).astype(np.uint8)
 
     def log_density(self, theta, samples):
+        from scipy.special import xlogy  # scipy.special stays off igopt's import path
+
         # One log per coordinate, picked per bit.  xlogy(1, .) gives -inf at an
         # exact 0 without a warning, and np.where drops it where the bit does
         # not use it
@@ -126,6 +127,8 @@ class BernoulliFamily(Family):
 
     def exact_kl(self, theta_p, theta_q):
         """KL between two product-Bernoulli laws, closed form."""
+        from scipy.special import xlogy
+
         p = np.asarray(theta_p, dtype=float)
         q = np.asarray(theta_q, dtype=float)
         terms = xlogy(p, p / q) + xlogy(1.0 - p, (1.0 - p) / (1.0 - q))

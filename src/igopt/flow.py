@@ -15,13 +15,20 @@ objective's content; per theta only the masses, the running quantiles of
 the groups and the scheme are left.  When every value is distinct the
 groups are the points themselves, and the masses are summed into groups by
 one cached permutation instead of ``np.bincount``, with the same bits.
+
+The weights are computed only as far as the scheme needs them: cells inside
+an exact step of w (value 0 or +-1, no shift) take its value, which is the
+integral's mean bit for bit, and only the cells at a breakpoint or in an
+inexact step are integrated (``WeightScheme.cell_means``).  When the last
+step is exact, the running quantile is summed a chunk at a time and stops at
+the first group strictly above that step's start (``scheme.stop``); every
+later group takes the step's value.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtrix, gammainc, gammaincinv
 
 from . import fisher as fisher_mod
 from . import objectives as objectives_mod
@@ -141,6 +148,39 @@ def _group_sums(probs, inverse, order):
     return np.bincount(inverse, weights=probs)
 
 
+# Groups summed per chunk of the running quantile when it may stop early.
+_CHUNK = 2048
+
+
+def _running_quantiles(probs, inverse, order, stop):
+    """The groups' running quantiles, capped at 1: the cumulative sum of
+    their masses, sequential, so a chunk whose first mass takes the carry
+    before its own ``np.cumsum`` continues the whole sum bit for bit.  With
+    ``stop`` not None and more than one chunk of groups, the sum is taken a
+    chunk at a time and ends at the first group strictly above ``stop``."""
+    sums = None if order is not None else np.bincount(inverse, weights=probs)
+    size = order.size if sums is None else sums.size
+    if stop is None or size <= _CHUNK:
+        q = np.cumsum(probs[order] if sums is None else sums)
+    else:
+        q = np.empty(size)
+        carry = 0.0
+        for lo in range(0, size, _CHUNK):
+            part = q[lo:lo + _CHUNK]
+            if sums is None:  # every index is valid; "clip" writes out unbuffered
+                np.take(probs, order[lo:lo + _CHUNK], out=part, mode="clip")
+            else:
+                part[:] = sums[lo:lo + _CHUNK]
+            part[0] += carry
+            np.cumsum(part, out=part)
+            carry = part[-1]
+            if carry > stop:  # the first group strictly above stop ends the sum
+                q = q[:lo + np.searchsorted(part, stop, side="right") + 1]
+                break
+    np.minimum(q, 1.0, out=q)
+    return q
+
+
 def exact_weights_all(family, theta, objective, scheme):
     """Preference weight of every enumerated point under P_theta.
 
@@ -148,24 +188,15 @@ def exact_weights_all(family, theta, objective, scheme):
     For a group of points sharing an objective value with lower/upper
     quantiles q- < q+, the weight is the average of w over [q-, q+].  A
     degenerate group, one whose mass is zero or too small to move the
-    running quantile (q- == q+), gets w(q+), as in ``exact_weight``.
+    running quantile (q- == q+), gets w(q+), as in ``exact_weight``.  The
+    running quantile stops past ``scheme.stop``, where every later group
+    takes the last step's value (``WeightScheme.cell_means``).
     """
     points = family.enumerate_points()
-    values, _, inverse, order = _value_groups(family, objective, points)
+    values, uniq, inverse, order = _value_groups(family, objective, points)
     probs = family.enumerated_probs(theta)
-    q_plus = np.cumsum(_group_sums(probs, inverse, order))
-    np.minimum(q_plus, 1.0, out=q_plus)
-    q_minus = np.empty_like(q_plus)
-    q_minus[0] = 0.0
-    q_minus[1:] = q_plus[:-1]
-    wide = q_plus > q_minus
-    if wide.all():  # every group moves the running quantile
-        w = scheme.integral(q_minus, q_plus)
-        w /= np.subtract(q_plus, q_minus, out=q_minus)
-    else:
-        w = np.empty_like(q_plus)
-        w[wide] = scheme.integral(q_minus[wide], q_plus[wide]) / (q_plus - q_minus)[wide]
-        w[~wide] = scheme(q_plus[~wide])  # w pointwise only where it is used
+    q_plus = _running_quantiles(probs, inverse, order, scheme.stop)
+    w = scheme.cell_means(q_plus, uniq.size)
     return points, probs, values, w[inverse]
 
 
@@ -346,6 +377,8 @@ def _ncx2_ppf(q, d, lam):
     """q-quantile of the noncentral chi-square law with d degrees of freedom
     and noncentrality lam: the two branches ``scipy.stats.ncx2.ppf`` takes,
     without importing ``scipy.stats``."""
+    from scipy.special import chndtrix, gammaincinv  # off igopt's import path
+
     if lam != 0:
         return chndtrix(q, d, lam)
     return 2 * gammaincinv(d / 2, q)
@@ -400,6 +433,7 @@ class SphereFlow:
 
     def rhs(self, state):
         from scipy import integrate as sp_integrate
+        from scipy.special import gammainc
 
         r, sigma, y = self._tau_parts(state)
         k = self.d - 1

@@ -10,7 +10,6 @@ checks.
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = ["phi", "Phi", "Phi_inv"]
 
@@ -35,6 +34,8 @@ def Phi(x):
 
 def Phi_inv(p):
     """Inverse of the standard normal cdf; p must lie strictly inside (0, 1)."""
+    from scipy.special import ndtri  # scipy.special stays off igopt's import path
+
     ps = np.asarray(p, dtype=float)
     if not np.all((ps > 0.0) & (ps < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")

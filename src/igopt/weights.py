@@ -19,7 +19,9 @@ Weights depend on objective values only through their ranks, so applying any
 strictly increasing transform to the objective leaves them unchanged.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +36,9 @@ __all__ = [
     "schedule_variance",
 ]
 
+# Fewest cells of a run that cell_means fills rather than integrates.
+_MIN_FILL = 2048
+
 
 @dataclass(frozen=True)
 class WeightScheme:
@@ -47,6 +52,15 @@ class WeightScheme:
     shift:  additive constant on w.  Shifting w leaves the flow unchanged
             and only alters the sampling noise of finite-N updates, so it is
             exposed as a free parameter and never optimized here.
+
+    A step is *exact* when the shift is 0 and its value is 0, +1 or -1.  The
+    mean of w over a cell of width d > 0 inside one step of value v is
+    ``integral(a, b) / d`` = fl(v d) / d, as every other step adds an exact
+    zero; on an exact step that quotient is v itself.  ``cell_means`` fills
+    such cells with v and integrates only the cells that straddle a
+    breakpoint or lie in an inexact step, to the same bits.  When the last
+    step is exact, every cell past its start (``stop``) takes its value, so
+    a running quantile may end at the first cell strictly above ``stop``.
     """
 
     kind: str
@@ -123,6 +137,88 @@ class WeightScheme:
         if self.shift:
             out += self.shift * (b - a)
         return float(out) if out.ndim == 0 else out
+
+    @cached_property
+    def _exact_steps(self):
+        """(start, value + 0.0 or None) per step: the value every cell inside
+        an exact step has as its mean, bit for bit (+0.0 for a -0.0 step, as
+        the integral skips it), and None on an inexact step.  A shift of
+        -0.0 counts as inexact, as w = -0.0 + -0.0 there."""
+        exact = self.shift == 0.0 and math.copysign(1.0, self.shift) > 0.0  # w(q) = v + 0.0
+        return tuple((q, v + 0.0 if exact and v in (0.0, 1.0, -1.0) else None)
+                     for q, v in self.steps)
+
+    @property
+    def stop(self):
+        """Start of the last step when that step is exact, else None: every
+        cell [a, b] with a > stop has that step's value as its mean, and so
+        does w(b) on a cell of zero width there, b = 1 included."""
+        start, value = self._exact_steps[-1]
+        return None if value is None else start
+
+    def cell_means(self, q, size=None):
+        """Mean of w over each cell [q[i-1], q[i]] (q[-1] := 0) of an
+        ascending array of running quantiles in [0, 1], and w(q[i]) on a cell
+        of zero width: the bits of ``integral(a, b) / (b - a)`` and of
+        ``self(b)``.
+
+        Cells strictly inside an exact step are filled with its value; the
+        cells at a breakpoint (the straddler, those of zero width there and
+        their neighbours) and the cells of inexact steps are integrated, in
+        one call per contiguous run.  With ``size`` > len(q), the result has
+        ``size`` entries, and the cells past q's end lie beyond q[-1] >
+        ``stop``: they take the last step's value.
+        """
+        q = np.asarray(q, dtype=float)
+        n = q.size
+        size = n if size is None else size
+        if size > n and (self.stop is None or not n or not q[-1] > self.stop):
+            raise ValueError("cells past q's end need q[-1] > stop")
+        fills = self._fills(q)
+        if not fills and size == n:  # one run over every cell
+            return self._integrated_means(q, 0, n)
+        out = np.empty(size)
+        out[n:] = self.steps[-1][1] + 0.0  # the last step is exact when size > n
+        done = 0
+        for lo, hi, v in fills:
+            if lo > done:
+                out[done:lo] = self._integrated_means(q, done, lo)
+            out[lo:hi] = v
+            done = hi
+        if n > done:
+            out[done:n] = self._integrated_means(q, done, n)
+        return out
+
+    def _fills(self, q):
+        """(first cell, end, value) of the runs of cells of q that lie
+        strictly inside an exact step, ascending; only runs of at least
+        ``_MIN_FILL`` cells, as a shorter one saves less than the extra
+        ``integral`` call it splits off."""
+        steps = self._exact_steps
+        n = q.size
+        if n < _MIN_FILL or all(v is None for _, v in steps):
+            return []
+        breaks = np.array([p for p, _ in steps[1:]])
+        first = np.searchsorted(q, breaks, side="left")  # first cell with b >= p
+        past = np.minimum(np.searchsorted(q, breaks, side="right") + 1, n)  # first a > p
+        return [(lo, hi, v) for lo, hi, (_, v) in zip([0, *past.tolist()], [*first.tolist(), n], steps)
+                if v is not None and hi - lo >= _MIN_FILL]
+
+    def _integrated_means(self, q, lo, hi):
+        """cell_means over the cells lo..hi-1 by ``integral`` and ``__call__``."""
+        b = q[lo:hi]
+        a = np.empty_like(b)
+        a[:1] = q[lo - 1] if lo else 0.0
+        a[1:] = b[:-1]
+        wide = b > a
+        if wide.all():  # every cell has a width
+            w = self.integral(a, b)
+            w /= np.subtract(b, a, out=a)
+        else:
+            w = np.empty_like(b)
+            w[wide] = self.integral(a[wide], b[wide]) / (b - a)[wide]
+            w[~wide] = self(b[~wide])  # w pointwise only where it is used
+        return w
 
     def mean(self):
         """integral of w over [0, 1]."""

@@ -289,6 +289,35 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["run", str(flaky)]) == 3
 
 
+def test_overflowing_objective_fails_the_run_with_one_line(tmp_path, monkeypatch, capsys):
+    # |m0|^2 = 2e320 overflows the sphere: the repeat ends failed_nonfinite
+    # before its first row, with no warning and no traceback
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("family = gaussian_iso:d=2,m0=1e160\nobjective = sphere:d=2\n"
+                       "n = 20\nsteps = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(cfgfile)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "failed_nonfinite: 1\n"
+    assert err == "1 repeat(s) failed: failed_nonfinite 1\n"
+    assert (tmp_path / "experiment_runs.csv").read_text().count("\n") == 2  # comment, header
+
+
+def test_cli_names_each_failed_status_and_its_count(tmp_path, monkeypatch, capsys):
+    records = [experiment.RunRecord(r, r) for r in range(4)]
+    for record, status in zip(records, ["failed_unreliable", "converged",
+                                        "failed_singular", "failed_unreliable"]):
+        record.status = status
+    monkeypatch.setattr(experiment, "run_experiment", lambda cfg, out_dir: records)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(PBIL_CONFIG)
+    assert cli.main(["run", str(cfgfile)]) == 3
+    assert capsys.readouterr().err == ("3 repeat(s) failed: failed_singular 1, "
+                                       "failed_unreliable 2\n")
+
+
 @pytest.mark.parametrize("text, steps_written", [
     # the second step sends log sigma to -398: sigma^2 underflows to 0
     ("n = 20\nobjective = sphere:d=2\ndt = 1e3\n", 1),

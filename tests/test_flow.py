@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy.special import ndtri
@@ -29,7 +29,7 @@ from igopt.flow import (
 )
 from igopt.normal import Phi_inv, phi
 from igopt.objectives import PHI_REGISTRY, evaluate, linear, monotone_transform, onemax, two_min
-from igopt.weights import signed_median, table
+from igopt.weights import WeightScheme, signed_median, table
 
 
 def two_point_objective(dim=1):
@@ -185,6 +185,55 @@ def test_exact_weights_all_matches_the_masked_form_bit_for_bit(case, kind, schem
     ref_probs, ref_w = frozen_masked_exact_weights(family, theta, objective, scheme)
     np.testing.assert_array_equal(probs, ref_probs)
     np.testing.assert_array_equal(w, ref_w)
+
+
+# dyadic probabilities: the running quantile then hits 0.25, 0.5 and 0.75
+# exactly, with the zero-mass groups of theta_i = 0 or 1 sitting on them
+_DYADIC = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=60)
+@given(st.integers(12, 13).flatmap(lambda d: st.lists(st.one_of(_DYADIC, _PROBABILITY),
+                                                      min_size=d, max_size=d)),
+       st.sampled_from(["binval", "paired_bits", "onemax"]),
+       st.one_of(st.builds(truncation, st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+                                                 st.floats(0.01, 1.0)), _SHIFT),
+                 st.builds(signed_median, _SHIFT),
+                 st.builds(lambda v, shift: table([(0.0, 1.0), (0.25, v), (0.75, -1.0)], shift),
+                           st.sampled_from([0.0, 0.5]), _SHIFT)))
+def test_exact_weights_all_stop_the_running_quantile_to_the_masked_bits(theta, kind, scheme):
+    # 2^12 or 2^13 groups (BinVal) and 2^11 + 1 or 2^12 + 1 tied pairs
+    # (paired_bits), so the running quantile is summed over several chunks
+    theta = np.array(theta)
+    d = theta.size
+    paired = np.concatenate((2.0 ** np.arange(d - 1), [1.0]))  # bits 0 and d-1 tie
+    objective = {"binval": linear(2.0 ** -np.arange(d), space="bits"),
+                 "paired_bits": linear(paired, space="bits"), "onemax": onemax(d)}[kind]
+    family = BernoulliFamily(d)
+    _, probs, _, w = exact_weights_all(family, theta, objective, scheme)
+    ref_probs, ref_w = frozen_masked_exact_weights(family, theta, objective, scheme)
+    np.testing.assert_array_equal(probs, ref_probs)
+    np.testing.assert_array_equal(w.view(np.int64), ref_w.view(np.int64))  # signed zeros too
+
+
+def test_truncation_sums_and_integrates_only_up_to_its_quantile(monkeypatch):
+    # flow_binval's state: the running quantile ends in the chunk where it
+    # passes 0.3, and integral sees the one cell that straddles 0.3
+    d = 14
+    family, scheme = BernoulliFamily(d), truncation(0.3)
+    objective = linear(2.0 ** -np.arange(d), space="bits")
+    theta = np.random.default_rng(1106).uniform(0.3, 0.7, d)
+    summed, integrated = [], []
+    running_quantiles, integral = flow_module._running_quantiles, WeightScheme.integral
+    monkeypatch.setattr(flow_module, "_running_quantiles",
+                        lambda *args: summed.append(running_quantiles(*args)) or summed[-1])
+    monkeypatch.setattr(WeightScheme, "integral",
+                        lambda self, a, b: integrated.append(np.size(a)) or integral(self, a, b))
+    _, _, _, w = exact_weights_all(family, theta, objective, scheme)
+    assert len(summed) == 1 and summed[0].size < 2**d and summed[0][-1] > 0.3
+    assert sum(integrated) <= 1
+    monkeypatch.undo()
+    np.testing.assert_array_equal(w, frozen_masked_exact_weights(family, theta, objective, scheme)[1])
 
 
 @st.composite
@@ -664,6 +713,13 @@ def test_import_loads_neither_scipy_stats_nor_integrate():
     assert "scipy.stats" not in loaded
     assert "scipy.integrate" not in loaded
     assert "scipy.linalg" not in loaded
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # normal, flow and bernoulli import it inside the functions that use it
+    assert "scipy.special" not in fresh_scipy_modules("import igopt, igopt.cli")
+    loaded = fresh_scipy_modules("import igopt; igopt.normal.Phi_inv(0.3)")
+    assert "scipy.special" in loaded
 
 
 def test_fisher_solve_leaves_scipy_linalg_unloaded():

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import igopt.weights as weights_module
 from igopt.objectives import PHI_REGISTRY
 from igopt.weights import (
     compute_quantile_weights,
@@ -247,3 +250,90 @@ def test_pbil_schedule_and_variance():
 def test_normalized_helper():
     rw = compute_quantile_weights([1.0, 2.0, 3.0, 4.0], truncation(0.5))
     assert rw.normalized().total == pytest.approx(1.0)
+
+
+def integrated_cell_means(scheme, q):
+    """cell_means by its definition: integral(a, b) / (b - a) on each cell
+    [a, b] with a width, w(b) on each cell of zero width."""
+    a = np.concatenate(([0.0], q[:-1]))
+    wide = q > a
+    w = np.empty_like(q)
+    w[wide] = scheme.integral(a[wide], q[wide]) / (q - a)[wide]
+    w[~wide] = scheme(q[~wide])
+    return w
+
+
+def assert_same_bits(got, expected):
+    # signed zeros differ here, unlike in assert_array_equal
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(expected).view(np.int64))
+
+
+_CELL_SHIFT = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0))
+# steps of value 0, -0, +1 or -1 are the exact ones; the others are integrated
+_STEP_VALUE = st.one_of(st.sampled_from([1.0, 0.0, -0.0, -1.0]), st.floats(-3.0, 3.0))
+CELL_SCHEMES = st.one_of(
+    st.builds(truncation, st.one_of(st.sampled_from([0.3, 0.5, 1.0]), st.floats(0.01, 1.0)),
+              _CELL_SHIFT),
+    st.builds(signed_median, _CELL_SHIFT),
+    st.builds(lambda qs, vs, shift: table(zip([0.0] + sorted(qs), sorted(vs, reverse=True)), shift),
+              st.lists(st.floats(0.01, 0.99), max_size=4, unique=True),
+              st.lists(_STEP_VALUE, min_size=5, max_size=5), _CELL_SHIFT),
+)
+
+
+@st.composite
+def _running_quantiles(draw, scheme):
+    """Ascending quantiles in [0, 1] with zero-width cells drawn often at 0,
+    at 1, at the breakpoints and next to them."""
+    special = [0.0, 1.0]
+    for p, _ in scheme.steps[1:]:
+        special += [p, float(np.nextafter(p, 0.0)), float(np.nextafter(p, 1.0))]
+    cuts = draw(st.lists(st.floats(0.0, 1.0), max_size=30)) + draw(
+        st.lists(st.sampled_from(special), min_size=1, max_size=12))
+    return np.sort(np.array(cuts))
+
+
+@settings(max_examples=300)
+@given(CELL_SCHEMES.flatmap(lambda scheme: st.tuples(st.just(scheme), _running_quantiles(scheme))),
+       st.integers(1, 6))
+def test_cell_means_are_the_integral_means_and_the_pointwise_w_bit_for_bit(case, min_fill):
+    # with fills of runs as short as min_fill, every path of cell_means runs
+    scheme, q = case
+    expected = integrated_cell_means(scheme, q)
+    with mock.patch.object(weights_module, "_MIN_FILL", min_fill):
+        assert_same_bits(scheme.cell_means(q), expected)
+        if scheme.stop is not None and q[-1] > scheme.stop:
+            # the cells past the first one strictly above stop take the last value
+            end = np.searchsorted(q, scheme.stop, side="right") + 1
+            assert_same_bits(scheme.cell_means(q[:end], q.size), expected)
+
+
+@pytest.mark.parametrize("scheme", [
+    truncation(0.3), truncation(1.0), signed_median(), table([(0.0, 1.0), (0.2, 0.5), (0.6, -1.0)]),
+    table([(0.0, 2.0), (0.25, 1.0), (0.6, -0.5)], shift=0.3)])
+def test_cell_means_fill_long_runs_to_the_same_bits(scheme):
+    # runs of thousands of cells, filled at the default _MIN_FILL, with 30
+    # zero-width cells at each breakpoint, at 0 and at 1
+    rng = np.random.default_rng(28)
+    breaks = [p for p, _ in scheme.steps[1:]]
+    q = np.sort(np.concatenate((rng.random(9000), np.repeat([0.0, 1.0, *breaks], 30))))
+    expected = integrated_cell_means(scheme, q)
+    assert_same_bits(scheme.cell_means(q), expected)
+    if scheme.stop is not None:
+        end = np.searchsorted(q, scheme.stop, side="right") + 1
+        assert_same_bits(scheme.cell_means(q[:end], q.size), expected)
+
+
+def test_cell_means_refuse_a_tail_they_cannot_fill():
+    q = np.array([0.1, 0.3, 0.5, 0.6])
+    assert_same_bits(truncation(0.5).cell_means(q, 6), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    assert truncation(0.5).stop == 0.5 and truncation(1.0).stop == 0.0
+    assert truncation(0.5, shift=0.1).stop is None
+    assert table([(0.0, 1.0), (0.4, 0.5)]).stop is None
+    for scheme, head in ((truncation(0.5, shift=0.1), q),          # inexact last step
+                         (table([(0.0, 1.0), (0.4, 0.5)]), q),     # inexact last step
+                         (truncation(0.6), q),                     # q[-1] == stop
+                         (truncation(0.5), q[:0])):                # no cell at all
+        with pytest.raises(ValueError, match="stop"):
+            scheme.cell_means(head, 6)
