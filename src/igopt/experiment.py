@@ -253,7 +253,12 @@ def _family_and_start(spec, burn_in, rng):
         family = FullGaussianFamily(d)
         return family, family.pack(GaussianParams(m0, s0**2 * np.eye(d)))
     if kind == "gaussian_iso":
-        return IsotropicGaussianFamily(d), np.concatenate([m0, [math.log(s0)]])
+        family, theta = IsotropicGaussianFamily(d), np.concatenate([m0, [math.log(s0)]])
+        try:
+            family.split(theta)
+        except DomainError as err:
+            raise ValueError(f"{spec!r}: {err}") from None
+        return family, theta
     return MeanGaussianFamily(d), m0
 
 
@@ -350,15 +355,17 @@ class RunRecord:
 
 
 def _weights_for(values, scheme_obj, n):
+    """The batch's weights, the variance of w behind them and the values in
+    ascending order, all from one sort of the batch."""
     if isinstance(scheme_obj, tuple):  # ("pbil", mu, lr)
         _, mu, lr = scheme_obj
         schedule = pbil_schedule(n, mu, lr)
         order = np.argsort(values, kind="stable")
         w = np.zeros(n)
         w[order] = schedule
-        return w, schedule_variance(schedule)
+        return w, schedule_variance(schedule), values[order]
     rw = compute_quantile_weights(values, scheme_obj)
-    return rw.weights, scheme_obj.variance()
+    return rw.weights, scheme_obj.variance(), rw.sorted_values
 
 
 def single_run(cfg, run_id):
@@ -400,7 +407,7 @@ def single_run(cfg, run_id):
             # no rank exists once an objective value overflows or is NaN
             record.status = "failed_nonfinite"
             break
-        weights, record.weight_variance = _weights_for(values, scheme_obj, cfg.n)
+        weights, record.weight_variance, ranked = _weights_for(values, scheme_obj, cfg.n)
 
         fm = None
         reliability = "exact"
@@ -432,7 +439,7 @@ def single_run(cfg, run_id):
             step=step,
             time=(step + 1) * cfg.dt,
             best_f=float(values.min()),
-            f_quantile=batch_quantile(values, q_report),
+            f_quantile=batch_quantile(ranked, q_report),
             dist_second=(_dist_second(dists, values)
                          if two_min_y is not None else float("nan")),
             mean_hidden=(float(np.asarray(base_samples[1], dtype=float).mean())

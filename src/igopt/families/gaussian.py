@@ -15,6 +15,7 @@ unified-j) on structured (m, C) or (m, A) parameters.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,14 +38,23 @@ _LOG2PI = math.log(2.0 * math.pi)
 
 # -- upper-triangle packing (row-major, documented serialization order) ------
 
+@lru_cache(maxsize=1)  # a run keeps one family
+def _triu(d):
+    """``np.triu_indices(d)``, its two index arrays read-only."""
+    iu = np.triu_indices(d)
+    for index in iu:
+        index.flags.writeable = False
+    return iu
+
+
 def utri_pack(mat):
     d = mat.shape[0]
-    return mat[np.triu_indices(d)]
+    return mat[_triu(d)]
 
 
 def utri_unpack(vec, d):
     out = np.zeros((d, d))
-    iu = np.triu_indices(d)
+    iu = _triu(d)
     out[iu] = vec
     out.T[iu] = vec
     return out
@@ -128,7 +138,7 @@ class FullGaussianFamily(Family):
         dev = np.asarray(samples, dtype=float) - p.m
         a = dev @ B                                    # rows: C^-1 (x - m)
         n = a.shape[0]
-        iu, ju = np.triu_indices(self.dim)
+        iu, ju = _triu(self.dim)
         s = 0.5 * (a[:, iu] * a[:, ju] - B[iu, ju])    # matrix derivative entries
         off = (iu != ju)
         s[:, off] *= 2.0                               # c_ij appears twice in C
@@ -138,7 +148,7 @@ class FullGaussianFamily(Family):
         # Fisher-preconditioned score in (m, C): [x - m, utri((x-m)(x-m)^T - C)].
         p = self.unpack(theta)
         dev = np.asarray(samples, dtype=float) - p.m
-        iu, ju = np.triu_indices(self.dim)
+        iu, ju = _triu(self.dim)
         quad = dev[:, iu] * dev[:, ju] - p.C[iu, ju]
         return np.concatenate([dev, quad], axis=1)
 
@@ -146,7 +156,7 @@ class FullGaussianFamily(Family):
         p = self.unpack(theta)
         B = np.linalg.inv(p.C)
         d = self.dim
-        iu, ju = np.triu_indices(d)
+        iu, ju = _triu(d)
         i, j, a, b = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
         # entry (r, s) pairs covariance coordinates c_ij (row r) and c_ab;
         # float_power is the scalar pow of B[i, a] ** 2, bit for bit
@@ -161,7 +171,7 @@ class FullGaussianFamily(Family):
 
     def sufficient_stats(self, samples):
         x = np.asarray(samples, dtype=float)
-        iu, ju = np.triu_indices(self.dim)
+        iu, ju = _triu(self.dim)
         return np.concatenate([x, x[:, iu] * x[:, ju]], axis=1)
 
     def to_expectation(self, theta):
@@ -196,7 +206,7 @@ class GaussianExpectationFamily(FullGaussianFamily):
     def _jacobian(self, theta):
         # J[r, c] = d(base coord r) / d(expectation coord c): c_kl = M_kl - m_k m_l
         d = self.dim
-        iu, ju = np.triu_indices(d)
+        iu, ju = _triu(d)
         rows = d + np.arange(iu.size)
         J = np.eye(self.dim_theta)
         J[rows, iu] -= theta[ju]
@@ -296,6 +306,11 @@ class MeanGaussianFamily(Family):
         return np.asarray(samples, dtype=float) - theta
 
     natural_grad_log_density = grad_log_density  # the Fisher matrix is I
+
+    def natural_drift(self, theta, samples, mass):
+        """sum_i mass_i (x_i - theta) as mass @ x - (sum_i mass_i) theta:
+        no n x d array of deviations."""
+        return mass @ np.asarray(samples, dtype=float) - mass.sum() * theta
 
     def fisher(self, theta):
         return np.eye(self.dim)

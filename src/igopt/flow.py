@@ -27,6 +27,7 @@ later group takes the step's value.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from . import fisher as fisher_mod
 from . import objectives as objectives_mod
 from .families.base import CapabilityError, DomainError
 from .normal import Phi_inv, phi
+from .weights import group_starts
 
 __all__ = [
     "FlowState",
@@ -277,7 +279,7 @@ def f_quantile(values, probs, q):
     if groups is None:
         order = np.argsort(values)
         v = values[order]
-        first = _group_starts(v)
+        first = group_starts(v)
         # Group ids scattered back to index order: bincount then sums each
         # group's probabilities in index order, so no stable sort is needed.
         group = np.empty(v.size, dtype=np.intp)
@@ -295,28 +297,42 @@ def f_quantile(values, probs, q):
     return _group_quantile(uniq, mass, q)
 
 
+@lru_cache(maxsize=1)  # a run reports the quantile of batches of one size
+def _batch_masses(n):
+    """The normalized equal masses p of a batch of n and the midpoints of
+    their running sum, cumsum(p) - p / 2 (the midpoints ``_group_quantile``
+    finds when every value is its own group), both read-only."""
+    probs = np.full(n, 1.0 / n)
+    p = probs / probs.sum()
+    masses = (p, np.cumsum(p) - 0.5 * p)
+    for array in masses:
+        array.flags.writeable = False
+    return masses
+
+
 def batch_quantile(values, q):
-    """Empirical q-quantile of a batch, same midpoint convention."""
+    """Empirical q-quantile of a batch, same midpoint convention.  Values
+    already in ascending order are not sorted again."""
     # Equal probabilities sum to the same bits in any order, so a plain sort
     # gives f_quantile's bits; so does normalizing by their (pairwise) float sum.
-    values = np.sort(np.asarray(values, dtype=float))
-    probs = np.full(values.size, 1.0 / values.size)
-    p = probs / probs.sum()
-    first = _group_starts(values)
+    values = np.asarray(values, dtype=float)
+    if not (values[1:] >= values[:-1]).all():  # NaN too fails the test
+        values = np.sort(values)
+    p, mid = _batch_masses(values.size)
+    first = group_starts(values)
+    if first.all():  # one-point groups: each mass is 0.0 + p = p
+        return _interpolate(values, mid, q)
     return _group_quantile(values[first], np.bincount(np.cumsum(first) - 1, weights=p), q)
-
-
-def _group_starts(v):
-    """Mask of the first entry of each run of equal values in sorted v."""
-    first = np.ones(v.size, dtype=bool)
-    first[1:] = v[1:] != v[:-1]
-    return first
 
 
 def _group_quantile(uniq, mass, q):
     """f_quantile of ascending distinct values uniq with masses mass."""
-    cum = np.cumsum(mass)
-    mid = cum - 0.5 * mass
+    return _interpolate(uniq, np.cumsum(mass) - 0.5 * mass, q)
+
+
+def _interpolate(uniq, mid, q):
+    """The value at quantile q through the groups' midpoints mid, held
+    constant past the first and the last."""
     if q <= mid[0]:
         return float(uniq[0])
     if q >= mid[-1]:

@@ -2,7 +2,9 @@
 
 Everything is minimized.  ``two_min`` is the bimodal bitstring objective
 min(|x - y|_1, |complement(x) - y|_1) with optima at y and its complement;
-``onemax`` is minimized as d - sum(x); ``linear`` is c - alpha . x.
+``onemax`` is minimized as d - sum(x); ``linear`` is c - alpha . x, and
+``binval`` is the linear objective on bits with alpha_i = 2^-i (up to d = 53
+every point has its own value).
 
 Monotone wrappers apply a registered strictly increasing transform, which
 must leave rank-based weights untouched.  Noisy wrappers draw a fresh noise
@@ -173,9 +175,10 @@ def parse_objective(spec, rng=None):
 
     Grammar: ``kind[:key=value,...]``.  Keys: d (dimension); onemax: none;
     linear: alpha (single value broadcast or comma-free list via alpha=1)
-    and c; sphere: center (scalar broadcast); two_min: seed (y drawn from
-    that seed) or per_run=1 (y drawn from the provided run stream); noise
-    and noise_scale wrap any kind; phi applies a monotone transform.
+    and c; binval: none; sphere: center (scalar broadcast); two_min: seed
+    (y drawn from that seed) or per_run=1 (y drawn from the provided run
+    stream); noise and noise_scale wrap any kind; phi applies a monotone
+    transform.
     """
     kind, kv = parse_spec(spec)
     d = kv.take("d", int, 0)
@@ -189,6 +192,8 @@ def parse_objective(spec, rng=None):
         alpha = kv.take("alpha", float, 1.0) * np.ones(d)
         obj = linear(alpha, kv.take("c", float, 0.0),
                      space=kv.take("space", str, "reals", _SPACES))
+    elif kind == "binval":
+        obj = linear(2.0 ** -np.arange(d), space="bits")
     elif kind == "sphere":
         center = kv.take("center", float, 0.0) * np.ones(d)
         obj = sphere(d, center)

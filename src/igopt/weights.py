@@ -21,7 +21,7 @@ strictly increasing transform to the objective leaves them unchanged.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -254,10 +254,12 @@ def table(nodes, shift=0.0):
 
 @dataclass
 class RankedWeights:
-    """Per-sample weights plus the tie structure they were computed from."""
+    """Per-sample weights plus the tie structure they were computed from,
+    and the batch's values in ascending order (None when not kept)."""
 
     weights: np.ndarray
     tie_groups: list = field(default_factory=list)
+    sorted_values: np.ndarray = None
 
     @property
     def total(self):
@@ -268,7 +270,18 @@ class RankedWeights:
         s = self.weights.sum()
         if s == 0.0:
             raise ValueError("cannot normalize: weights sum to zero")
-        return RankedWeights(self.weights / s, self.tie_groups)
+        return RankedWeights(self.weights / s, self.tie_groups, self.sorted_values)
+
+
+@lru_cache(maxsize=1)  # a run ranks batches of one size under one scheme
+def _rank_table(scheme, n):
+    """integral(w, k/n, (k+1)/n) for k = 0..n-1, read-only: the weight of the
+    sample of rank k when every value of the batch is distinct.  Equal
+    schemes integrate to the same bits, so the key compares them by value."""
+    lower = np.arange(n)
+    rank_table = scheme.integral(lower / n, (lower + 1) / n)
+    rank_table.flags.writeable = False
+    return rank_table
 
 
 def compute_quantile_weights(objective_values, scheme):
@@ -277,6 +290,12 @@ def compute_quantile_weights(objective_values, scheme):
     Minimization convention.  Ties receive the exact average of ``w`` over
     the whole rank block they occupy, so tied samples always carry equal
     weight and the total mass equals the integral of ``w`` over [0, 1].
+
+    One ``np.argsort`` (the quicksort ``np.unique`` takes) orders the batch;
+    the value groups are the runs of equal sorted values (-0.0 and 0.0 are
+    one group).  When every value is distinct the weights are the cached
+    rank table scattered through that order; otherwise each group gets
+    integral(w, rk-/n, rk+/n) / count.  Both give ``np.unique``'s bits.
     """
     values = np.asarray(objective_values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -284,16 +303,32 @@ def compute_quantile_weights(objective_values, scheme):
     if not np.all(np.isfinite(values)):
         raise ValueError("objective values must all be finite")
     n = values.size
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    upper = np.cumsum(counts)          # rk+ per unique value
-    lower = upper - counts             # rk- per unique value
+    order = np.argsort(values)
+    ranked = values[order]
+    first = group_starts(ranked)
+    if first.all():
+        weights = np.empty(n)
+        weights[order] = _rank_table(scheme, n)
+        return RankedWeights(weights, [], ranked)
+    bounds = np.append(np.flatnonzero(first), n)
+    lower, upper = bounds[:-1], bounds[1:]  # rk- and rk+ per group
+    counts = upper - lower
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
     w_uniq = scheme.integral(lower / n, upper / n) / counts
     # Tied samples in value order, ascending index within each block.
     tied = np.flatnonzero(counts[inverse] > 1)
     tied = tied[np.argsort(inverse[tied], kind="stable")]
     ends = np.cumsum(counts[counts > 1]).tolist()
     groups = [tied[lo:hi] for lo, hi in zip([0] + ends, ends)]
-    return RankedWeights(w_uniq[inverse], groups)
+    return RankedWeights(w_uniq[inverse], groups, ranked)
+
+
+def group_starts(v):
+    """Mask of the first entry of each run of equal values in sorted v."""
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    return first
 
 
 def pbil_schedule(n, mu, lr):

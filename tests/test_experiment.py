@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from igopt import cli
 from igopt import experiment
 from igopt import flow as flow_mod
+from igopt import objectives
 from igopt.experiment import (
     CSV_SCHEMA_VERSION,
     ExperimentConfig,
@@ -161,6 +163,21 @@ def test_single_run_frees_each_batch_before_drawing_the_next(monkeypatch, family
     monkeypatch.setattr(experiment, "_setup", setup)
     assert experiment.single_run(cfg.validate(), 0).status == "step_limit"
     assert len(batches) == 5
+
+
+@pytest.mark.parametrize("scheme", ["signed_median", "truncation:q0=0.3", "pbil:mu=5,lr=0.2"])
+def test_mean_gaussian_run_sorts_each_batch_once(monkeypatch, scheme):
+    # the weights and the reported f-quantile share one sort of the batch
+    cfg = parse_config("family = gaussian_mean:d=3\nobjective = linear:d=3,alpha=-1,c=0\n"
+                       f"scheme = {scheme}\nn = 200\ndt = 0.01\nsteps = 4\nseed = 5\n")
+    calls = Counter()
+    for name in ("argsort", "sort", "unique"):
+        def counted(*args, _name=name, _original=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    assert len(experiment.single_run(cfg, 0).rows) == 4
+    assert calls["argsort"] + calls["sort"] == 4 and not calls["unique"]
 
 
 def test_both_optima_stop():
@@ -396,6 +413,21 @@ def test_cli_flow_bernoulli(tmp_path, monkeypatch):
     assert np.all(rows["lyapunov"] >= 0)
     assert np.all(np.diff(rows["f_quantile"]) < 0)  # median improves
     assert np.all(rows["speed"] <= 0.5 + 1e-9)      # sqrt(Var w) bound
+
+
+def test_cli_flow_on_binval_is_the_linear_bits_flow(tmp_path, monkeypatch):
+    # binval:d=N spells linear(2^-i, space=bits): the CSV bytes agree
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text("family = bernoulli:d=10\nobjective = binval:d=10\n"
+                       "scheme = truncation:q0=0.3\nhorizon = 0.4\nflow_step = 0.1\n")
+    assert cli.main(["flow", str(cfgfile)]) == 0
+    spelled = (tmp_path / "flow_trajectory.csv").read_bytes()
+    built = objectives.linear(2.0 ** -np.arange(10), space="bits")
+    monkeypatch.setattr(objectives, "parse_objective", lambda spec, rng=None: built)
+    assert cli.main(["flow", str(cfgfile)]) == 0
+    assert (tmp_path / "flow_trajectory.csv").read_bytes() == spelled
+    assert spelled.count(b"\n") == 7  # comment, header and five states
 
 
 def test_cli_flow_sphere(tmp_path, monkeypatch):
@@ -887,6 +919,13 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
      "option sigma0 must be finite and > 0, got 0.0"),
     ("family = gaussian_iso:d=10,sigma0=inf\nobjective = sphere:d=10\n",
      "option sigma0 must be finite and > 0, got inf"),
+    # sigma0 is a float, but sigma^2 underflows to 0 or overflows
+    ("family = gaussian_iso:d=2,sigma0=1e-200\nobjective = sphere:d=2\n",
+     "'gaussian_iso:d=2,sigma0=1e-200': log sigma = -460.51701859880916 puts sigma^2 "
+     "outside the floats"),
+    ("family = gaussian_iso:d=2,sigma0=1e200\nobjective = linear:d=2\n",
+     "'gaussian_iso:d=2,sigma0=1e200': log sigma = 460.51701859880916 puts sigma^2 "
+     "outside the floats"),
     ("stop = target:nan\n", "stop target must be a finite number, got 'nan'"),
     # a number with no range of its own must be finite
     ("family = gaussian:d=3,m0=nan\nobjective = sphere:d=3\n",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from igopt.families import (
     gaussian_step,
     to_second_moment,
 )
+from igopt.families import gaussian as gaussian_module
 from igopt.families.gaussian import _gaussian_kl, utri_pack, utri_unpack
 from igopt.fisher import mc_fisher
 
@@ -364,3 +366,53 @@ def test_mc_fisher_matches_exact_fisher_full_gaussian():
     est = mc_fisher(fam, theta, 200000, rng)
     F = fam.fisher(theta)
     np.testing.assert_allclose(est.matrix, F, rtol=0.08, atol=0.02)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 300), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+def test_mean_gaussian_drift_in_closed_form_is_the_deviation_sum(n, d, seed, centre, spread):
+    # mass @ x - sum(mass) theta and mass @ (x - theta) are the same sum in
+    # two orders: each is within (n + 2) eps sum_i |m_i| (|x_ij| + |theta_j|)
+    # of the exact value (recursive summation bound), so they are within
+    # twice that of each other
+    rng = np.random.default_rng(seed)
+    theta = centre + spread * rng.normal(size=d)
+    x = theta + spread * rng.normal(size=(n, d))
+    mass = rng.normal(size=n) / n
+    family = MeanGaussianFamily(d)
+    scale = np.abs(mass) @ (np.abs(x) + np.abs(theta))
+    bound = 2.0 * (n + 2) * np.finfo(float).eps * scale
+    got = family.natural_drift(theta, x, mass)
+    assert np.all(np.abs(got - mass @ (x - theta)) <= bound)
+    assert np.array_equal(family.natural_step(theta, x, mass, 0.5), theta + 0.5 * got)
+
+
+def test_mean_gaussian_step_allocates_no_batch_sized_array():
+    n, d = 50_000, 10
+    rng = np.random.default_rng(5)
+    family = MeanGaussianFamily(d)
+    theta = rng.normal(size=d)
+    x = family.sample(theta, n, rng)
+    w = rng.normal(size=n) / n
+    tracemalloc.start()
+    try:
+        family.natural_step(theta, x, w, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8
+
+
+def test_triu_index_memo_holds_one_read_only_entry():
+    memo = gaussian_module._triu
+    for d in (3, 4, 4):
+        FullGaussianFamily(d).fisher(np.concatenate([np.zeros(d), utri_pack(np.eye(d))]))
+    info = memo.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    iu = memo(4)
+    assert memo.cache_info().hits == info.hits + 1
+    assert not any(index.flags.writeable for index in iu)
+    for got, want in zip(iu, np.triu_indices(4)):
+        np.testing.assert_array_equal(got, want)
+    assert utri_pack(np.eye(4)).flags.writeable

@@ -610,6 +610,48 @@ def test_batch_quantile_matches_unique_form_bit_for_bit(values, q):
                          values)
 
 
+def frozen_batch_quantile(values, q):
+    """batch_quantile as it was when it sorted every batch itself and summed
+    one-point groups by np.bincount, frozen here."""
+    values = np.sort(np.asarray(values, dtype=float))
+    probs = np.full(values.size, 1.0 / values.size)
+    p = probs / probs.sum()
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    uniq, mass = values[first], np.bincount(np.cumsum(first) - 1, weights=p)
+    cum = np.cumsum(mass)
+    mid = cum - 0.5 * mass
+    if q <= mid[0]:
+        return float(uniq[0])
+    if q >= mid[-1]:
+        return float(uniq[-1])
+    return float(np.interp(q, mid, uniq))
+
+
+@settings(max_examples=300)
+@given(st.one_of(QUANTILE_VALUES, st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200,
+                                            unique=True)),
+       st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_batch_quantile_on_sorted_and_shuffled_input_keeps_the_frozen_bits(values, q, random):
+    ref = frozen_batch_quantile(values, q)
+    shuffled = list(values)
+    random.shuffle(shuffled)
+    ranked = compute_quantile_weights(values, truncation(0.5)).sorted_values
+    for batch in (values, shuffled, np.sort(values), ranked):
+        assert_same_quantile(batch_quantile(batch, q), ref, values)
+
+
+def test_batch_masses_memo_holds_one_read_only_entry():
+    memo = flow_module._batch_masses
+    for n in (4, 9, 9):
+        batch_quantile(np.arange(float(n)), 0.3)
+    info = memo.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    batch_quantile(np.zeros(9), 0.3)  # ties read the same entry
+    assert memo.cache_info().hits == info.hits + 1
+    assert not any(array.flags.writeable for array in memo(9))
+
+
 @given(st.integers(1, 10).flatmap(lambda d: st.tuples(
            st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.just(1.0), _PROBABILITY),
                     min_size=d, max_size=d),

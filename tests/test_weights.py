@@ -337,3 +337,63 @@ def test_cell_means_refuse_a_tail_they_cannot_fill():
                          (truncation(0.5), q[:0])):                # no cell at all
         with pytest.raises(ValueError, match="stop"):
             scheme.cell_means(head, 6)
+
+
+def frozen_unique_quantile_weights(values, scheme):
+    """compute_quantile_weights as it was when ``np.unique`` ranked the
+    batch, frozen here: (weights, tie groups)."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    upper = np.cumsum(counts)
+    lower = upper - counts
+    w_uniq = scheme.integral(lower / n, upper / n) / counts
+    tied = np.flatnonzero(counts[inverse] > 1)
+    tied = tied[np.argsort(inverse[tied], kind="stable")]
+    ends = np.cumsum(counts[counts > 1]).tolist()
+    groups = [tied[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    return w_uniq[inverse], groups
+
+
+# batches with heavy ties (signed zeros among them), distinct batches, and n = 1
+RANKED_VALUES = st.one_of(
+    st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]), min_size=1, max_size=60),
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80, unique=True),
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80),
+    st.floats(-1e6, 1e6).map(lambda v: [v]),
+)
+SHIFTED_SCHEMES = st.one_of(SCHEMES, CELL_SCHEMES,
+                            st.tuples(CELL_SCHEMES, st.floats(-2.0, 2.0)).map(
+                                lambda p: p[0].shifted(p[1])))
+
+
+@settings(max_examples=400)
+@given(RANKED_VALUES, SHIFTED_SCHEMES)
+def test_one_sort_gives_the_unique_path_bits(values, scheme):
+    rw = compute_quantile_weights(values, scheme)
+    weights, groups = frozen_unique_quantile_weights(values, scheme)
+    assert_same_bits(rw.weights, weights)
+    assert len(rw.tie_groups) == len(groups)
+    for got, want in zip(rw.tie_groups, groups):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    # the sorted values are the batch in ascending order (a signed zero's
+    # place among the zeros is the sort's own)
+    np.testing.assert_array_equal(rw.sorted_values, np.sort(values))
+    assert sorted(rw.sorted_values.view(np.int64)) == sorted(np.asarray(values).view(np.int64))
+
+
+def test_rank_table_memo_holds_one_read_only_entry():
+    memo = weights_module._rank_table
+    for n in (5, 7, 7):
+        compute_quantile_weights(np.arange(n, 0, -1.0), signed_median())
+    info = memo.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    # an equal scheme finds the entry; another scheme or size replaces it
+    rank_table = memo(signed_median(), 7)
+    assert memo.cache_info().hits == info.hits + 1 and not rank_table.flags.writeable
+    rw = compute_quantile_weights(np.arange(7, 0, -1.0), signed_median())
+    assert rw.weights.flags.writeable and rw.weights is not rank_table
+    compute_quantile_weights(np.arange(7.0), truncation(0.5))
+    memo(signed_median(), 7)
+    assert memo.cache_info().misses == info.misses + 2
