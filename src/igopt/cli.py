@@ -21,14 +21,17 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import experiment as exp_mod
 from . import flow as flow_mod
 from . import objectives as objectives_mod
+from .experiment import FILE_PREFIX, key
 from .families import (BernoulliFamily, CapabilityError, DegenerateUpdate, DomainError,
                        SingularFisher)
+from .objectives import COUNT, FINITE, INT, NUMBER, SCALE, TEXT, Option, finite_numbers
 from .rng import INIT, substream
 
 OUTPUT_DIR_ENV = "IGOPT_OUTPUT_DIR"
@@ -58,52 +61,46 @@ def cmd_run(args):
     return 0
 
 
-_FLOW_DEFAULTS = {"scheme": "truncation:q0=0.5", "horizon": 1.0, "flow_step": 0.01,
-                  "method": "rk4", "out_prefix": "flow", "theta0": None, "q_report": 0.5,
-                  "seed": 1}
-_FLOW_KEYS = {"family", "objective", *_FLOW_DEFAULTS}
-_FLOW_TYPED = {**dict.fromkeys(("horizon", "flow_step", "q_report"), (float, "a number")),
-               "seed": (int, "an integer"),
-               "method": ({"euler": "euler", "rk4": "rk4"}.__getitem__, "euler or rk4"),
-               "theta0": (lambda v: _finite(np.array([float(t) for t in v.split()])),
-                          "finite numbers separated by spaces")}
 MAX_FLOW_STEPS = 100_000  # fixed steps of one flow integration
-_FLOW_RANGES = {"horizon": (lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
-                "flow_step": (lambda x: 0.0 < x < math.inf, "finite and > 0"),
-                "q_report": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-                "out_prefix": exp_mod._KEY_RANGES["out_prefix"]}
 
 
-def _finite(values):
-    if not np.isfinite(values).all():
-        raise ValueError("not finite")
-    return values
+@dataclass
+class FlowConfig:
+    family: str = key(TEXT)
+    objective: str = key(TEXT)
+    scheme: str = key(TEXT, "truncation:q0=0.5")
+    horizon: float = key(NUMBER, 1.0, (lambda x: 0.0 <= x < math.inf, "finite and >= 0"))
+    flow_step: float = key(NUMBER, 0.01, SCALE)
+    method: str = key(({"euler": "euler", "rk4": "rk4"}.__getitem__, "euler or rk4"), "rk4")
+    out_prefix: str = key(TEXT, "flow", FILE_PREFIX)
+    theta0: np.ndarray = key((lambda text: np.array(finite_numbers(text)),
+                              "finite numbers separated by spaces"), None)
+    q_report: float = key(NUMBER, 0.5, (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"))
+    seed: int = key(INT, 1)
+
+
+_ISO = exp_mod.FAMILIES["gaussian_iso"]  # the sphere flow starts at (r0, log sigma0)
+SPHERE_FLOW = {"gaussian_iso": {"d": _ISO["d"], "r0": Option(NUMBER, 3.0, FINITE),
+                                "sigma0": _ISO["sigma0"]}}
 
 
 def cmd_flow(args):
     try:
         with open(args.config) as fh:
-            spec = {**_FLOW_DEFAULTS,
-                    **exp_mod.read_key_values(fh.read(), _FLOW_KEYS, _FLOW_TYPED)}
-        for required in ("family", "objective"):
-            if required not in spec:
-                raise ValueError(f"flow config needs {required!r}")
-        for key, (ok, what) in _FLOW_RANGES.items():
-            if not ok(spec[key]):
-                raise ValueError(f"{key} must be {what}, got {spec[key]!r}")
-        _check_flow_steps(spec["horizon"], spec["flow_step"])
-        header, theta0, rhs, cells = _flow_setup(spec)
+            cfg = FlowConfig(**exp_mod.read_config(fh.read(), FlowConfig, "flow config"))
+        exp_mod.check_keys(cfg)
+        _check_flow_steps(cfg.horizon, cfg.flow_step)
+        header, theta0, rhs, cells = _flow_setup(cfg)
     except (OSError, ValueError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     try:
-        states = flow_mod.trajectory(rhs, theta0, spec["horizon"], spec["flow_step"],
-                                     spec["method"])
+        states = flow_mod.trajectory(rhs, theta0, cfg.horizon, cfg.flow_step, cfg.method)
         rows = [[state.t, *state.theta, *cells(state.theta)] for state in states]
     except (SingularFisher, DomainError, DegenerateUpdate) as err:
         print(f"flow failed: {err}", file=sys.stderr)
         return 3
-    print(exp_mod.write_csv(_out_dir(), f"{spec['out_prefix']}_trajectory.csv",
+    print(exp_mod.write_csv(_out_dir(), f"{cfg.out_prefix}_trajectory.csv",
                             f"igopt flow schema v{exp_mod.CSV_SCHEMA_VERSION}", header, rows))
     return 0
 
@@ -120,29 +117,27 @@ def _check_flow_steps(horizon, step):
                          f"flow_step {step!r} (horizon / flow_step = {steps:.6g})")
 
 
-def _flow_setup(spec):
+def _flow_setup(cfg):
     """The CSV header, starting state and drift of a flow config, and
     cells(theta): a state's f-quantile, speed and Lyapunov cells."""
-    scheme = exp_mod._parse_scheme(spec["scheme"])
+    scheme = exp_mod.parse_scheme(cfg.scheme)
     if isinstance(scheme, tuple):
         raise ValueError("flow integration needs a quantile scheme, not a schedule")
-    fam_kind, fam_opts = objectives_mod.parse_spec(spec["family"])
-    obj = objectives_mod.parse_objective(spec["objective"])
+    obj = objectives_mod.parse_objective(cfg.objective)
     if obj.kind == "noisy":
         raise ValueError(f"the exact flow needs a noise-free objective, "
-                         f"got {spec['objective']!r}")
+                         f"got {cfg.objective!r}")
 
-    if fam_kind == "gaussian_iso" and obj.kind == "sphere":
+    if obj.kind == "sphere" and cfg.family.partition(":")[0].strip() == "gaussian_iso":
         if scheme.kind != "truncation":
             raise ValueError(f"the sphere flow needs a truncation scheme, "
-                             f"got {spec['scheme']!r}")
-        if spec["q_report"] != 0.5:
+                             f"got {cfg.scheme!r}")
+        if cfg.q_report != 0.5:
             raise ValueError(f"the sphere flow reports the exact median, so q_report "
-                             f"must be 0.5, got {spec['q_report']!r}")
-        sphere = flow_mod.SphereFlow(fam_opts.take("d", int, valid=exp_mod._COUNT), scheme.q0)
-        start = np.array([fam_opts.take("r0", float, 3.0),
-                          math.log(fam_opts.take("sigma0", float, 1.0, exp_mod._SCALE))])
-        fam_opts.finish()
+                             f"must be 0.5, got {cfg.q_report!r}")
+        _, o = objectives_mod.parse_spec(cfg.family, SPHERE_FLOW, "")
+        sphere = flow_mod.SphereFlow(o["d"], scheme.q0)
+        start = np.array([o["r0"], math.log(o["sigma0"])])
         dim, in_domain = sphere.d, sphere.median_f  # as the f_quantile cell of every row
         header = ["t", "r", "log_sigma"]
         memo = _last_state(lambda theta: (sphere.rhs(theta),))
@@ -150,8 +145,8 @@ def _flow_setup(spec):
         def cells(theta):
             return [sphere.median_f(theta), sphere.speed(theta, memo(theta)[0]), float("nan")]
     else:
-        family, start = exp_mod._family_and_start(spec["family"], 0,  # the flow draws nothing
-                                                  substream(spec["seed"], 0, INIT))
+        family, start = exp_mod.parse_family(cfg.family, 0,  # the flow draws nothing
+                                             substream(cfg.seed, 0, INIT))
         try:
             family.enumerate_points()  # refuses a family, or a size, it cannot enumerate
         except CapabilityError as err:
@@ -177,12 +172,12 @@ def _flow_setup(spec):
             drift, values, probs = memo(theta)
             speed = math.sqrt(max(0.0, float(drift @ family.fisher(theta) @ drift)))
             lyap = float(alpha @ drift) if alpha is not None else float("nan")
-            return [flow_mod.f_quantile(values, probs, spec["q_report"]), speed, lyap]
+            return [flow_mod.f_quantile(values, probs, cfg.q_report), speed, lyap]
 
     if obj.dim != dim:
         raise ValueError(f"objective dimension {obj.dim} does not match "
                          f"the family's {dim}")
-    theta0 = start if spec["theta0"] is None else spec["theta0"]
+    theta0 = start if cfg.theta0 is None else cfg.theta0
     if len(theta0) != len(start):
         raise ValueError(f"theta0 needs {len(start)} numbers, got {len(theta0)}")
     try:
@@ -213,10 +208,8 @@ def _last_state(evaluate):
 
 def cmd_table(args):
     try:
-        kind, opts = objectives_mod.parse_spec(args.spec)
-        if kind not in _TABLES:
-            raise ValueError(f"unknown table {kind!r}")
-        path = _TABLES[kind](opts)
+        kind, o = objectives_mod.parse_spec(args.spec, TABLES, "unknown table {kind!r}")
+        path = _critical_dt_table(o) if kind == "critical_dt" else _linear_constants_table(o)
     except (ValueError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -225,38 +218,38 @@ def cmd_table(args):
 
 
 MAX_TABLE_POINTS = 10_000  # rows of one reference table
-_POINTS = (lambda n: 1 <= n <= MAX_TABLE_POINTS, f"in [1, {MAX_TABLE_POINTS}]")
 
 
-def _grid(opts, lo, hi, valid):
-    """The q grid of options q_min, q_max (defaults lo, hi, each ``valid``)
-    and points, each table's last."""
-    grid = np.linspace(opts.take("q_min", float, lo, valid), opts.take("q_max", float, hi, valid),
-                       opts.take("points", int, 60, _POINTS))
-    opts.finish()
-    return grid
+def _grid_options(lo, hi, valid):
+    """A table's q grid: q_min, q_max (defaults lo, hi, each ``valid``) and points."""
+    return {"q_min": Option(NUMBER, lo, valid), "q_max": Option(NUMBER, hi, valid),
+            "points": Option(INT, 60, (lambda n: 1 <= n <= MAX_TABLE_POINTS,
+                                       f"in [1, {MAX_TABLE_POINTS}]"))}
 
 
-def _critical_dt_table(opts):
+TABLES = {
+    "critical_dt": _grid_options(0.01, 0.6, (lambda q: 0.0 < q < 1.0, "in (0, 1)")),
+    "linear_constants": {"d": Option(INT, 1, COUNT),
+                         **_grid_options(0.05, 0.95, (lambda q: 0.0 < q <= 1.0, "in (0, 1]"))},
+}
+
+
+def _critical_dt_table(o):
     rows = [[q] + [flow_mod.critical_dt(float(q), j) for j in (0, 1, 2, math.inf)]
-            for q in _grid(opts, 0.01, 0.6, (lambda q: 0.0 < q < 1.0, "in (0, 1)"))]
+            for q in np.linspace(o["q_min"], o["q_max"], o["points"])]
     return exp_mod.write_csv(_out_dir(), "critical_dt.csv",
                              "critical step size vs truncation quantile, per update family j",
                              ["q", "j0", "j1", "j2", "j_inf"], rows)
 
 
-def _linear_constants_table(opts):
-    d = opts.take("d", int, 1, exp_mod._COUNT)
+def _linear_constants_table(o):
     rows = []
-    for q0 in _grid(opts, 0.05, 0.95, (lambda q: 0.0 < q <= 1.0, "in (0, 1]")):
-        lc = flow_mod.gaussian_linear_constants(float(q0), d)
+    for q0 in np.linspace(o["q_min"], o["q_max"], o["points"]):
+        lc = flow_mod.gaussian_linear_constants(float(q0), o["d"])
         rows.append([q0, lc.alpha, lc.beta])
-    return exp_mod.write_csv(_out_dir(), f"linear_constants_d{d}.csv",
+    return exp_mod.write_csv(_out_dir(), f"linear_constants_d{o['d']}.csv",
                              "isotropic-Gaussian linear-objective flow rates",
                              ["q0", "alpha", "beta"], rows)
-
-
-_TABLES = {"critical_dt": _critical_dt_table, "linear_constants": _linear_constants_table}
 
 
 def main(argv=None):

@@ -18,7 +18,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -53,7 +53,8 @@ from .families import (
 # names of this module because perfbench/tracing.py wraps them here
 from .fisher import mc_fisher, reliability_check, solve  # noqa: F401
 from .flow import batch_quantile
-from .objectives import parse_spec
+from .objectives import (COUNT, FINITE, INT, NUMBER, SCALE, TEXT, Option, check_value,
+                         finite_numbers, parse_spec, read_value)
 from .rng import spawn_run_seed, substream
 from .weights import (
     compute_quantile_weights,
@@ -76,51 +77,44 @@ MAX_ENTRIES = 2**24
 # the most Gibbs sweeps before an RBM draw (1,000 times the default); it
 # applies only to shapes that sample by Gibbs, yet is checked for every config
 MAX_GIBBS_BURN_IN = 100_000
-# (holds, what the value must be) of the spec options and config keys with a range
-_COUNT = (lambda v: v >= 1, "at least 1")
-_OPEN_UNIT = (lambda p: 0.0 < p < 1.0, "in (0, 1)")
-_SCALE = (lambda s: 0.0 < s < math.inf, "finite and > 0")
-_RATE = (lambda r: 0.0 < r <= 1.0, "in (0, 1]")
-_KEY_RANGES = {
-    "gibbs_burn_in": (lambda k: 0 <= k <= MAX_GIBBS_BURN_IN,
-                      f"in [0, MAX_GIBBS_BURN_IN = {MAX_GIBBS_BURN_IN}]"),
-    "concentration_stop": (lambda k: k >= 0, ">= 0"),
-    # the CSV files go into the output directory itself
-    "out_prefix": (lambda p: not {os.sep, "/"} & set(p),
-                   "a file name prefix with no path separator"),
-}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+BOOL = (lambda v: _BOOL_WORDS[v.lower()], "true or false")
+NON_NEGATIVE = (lambda k: k >= 0, ">= 0")
+# the CSV files go into the output directory itself
+FILE_PREFIX = (lambda p: not {os.sep, "/"} & set(p), "a file name prefix with no path separator")
+
+
+def key(kind, default=MISSING, valid=None):
+    """A config dataclass field whose key reads as ``Option(kind, default, valid)``."""
+    return field(default=default, metadata={"option": Option(kind, default, valid)})
 
 
 @dataclass
 class ExperimentConfig:
-    family: str = ""
-    objective: str = ""
-    scheme: str = "truncation:q0=0.5"
-    algorithm: str = "igo"
-    fisher: str = "exact"
-    n: int = 100
-    dt: float = 0.1
-    steps: int = 100
-    seed: int = 1
-    repeats: int = 1
-    stop: str = "steps"          # steps | both_optima | target:<value>
-    gibbs_burn_in: int = 100
-    lift_noisy: bool = False
-    workers: int = 1
-    out_prefix: str = "experiment"
-    paper_scale: bool = False
-    concentration_stop: int = 0  # stop after this many steps of pinned hidden unit
+    family: str = key(TEXT, "")
+    objective: str = key(TEXT, "")
+    scheme: str = key(TEXT, "truncation:q0=0.5")
+    algorithm: str = key(TEXT, "igo")
+    fisher: str = key(TEXT, "exact")
+    n: int = key(INT, 100, COUNT)
+    dt: float = key(NUMBER, 0.1, SCALE)
+    steps: int = key(INT, 100, NON_NEGATIVE)
+    seed: int = key(INT, 1)
+    repeats: int = key(INT, 1, COUNT)
+    stop: str = key(TEXT, "steps")  # steps | both_optima | target:<value>
+    gibbs_burn_in: int = key(INT, 100, (lambda k: 0 <= k <= MAX_GIBBS_BURN_IN,
+                                        f"in [0, MAX_GIBBS_BURN_IN = {MAX_GIBBS_BURN_IN}]"))
+    lift_noisy: bool = key(BOOL, False)
+    workers: int = key(INT, 1, COUNT)
+    out_prefix: str = key(TEXT, "experiment", FILE_PREFIX)
+    paper_scale: bool = key(BOOL, False)
+    concentration_stop: int = key(INT, 0, NON_NEGATIVE)  # steps of pinned hidden unit
 
     def validate(self):
+        check_keys(self)
         if self.algorithm not in STEPS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.n < 1 or self.steps < 0 or self.repeats < 1 or self.workers < 1:
-            raise ValueError("n, repeats and workers must be positive, steps non-negative")
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
-        for key, (holds, what) in _KEY_RANGES.items():
-            if not holds(getattr(self, key)):
-                raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
         m = _fisher_sample_count(self.fisher)
         if not (self.stop in ("steps", "both_optima") or _stop_target(self) is not None):
             raise ValueError(f"unknown stop rule {self.stop!r}")
@@ -154,106 +148,108 @@ class ExperimentConfig:
         return self
 
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-_TYPED_KEYS = {**dict.fromkeys(("n", "steps", "seed", "repeats", "gibbs_burn_in", "workers",
-                                 "concentration_stop"), (int, "an integer")),
-               "dt": (float, "a number"),
-               **dict.fromkeys(("lift_noisy", "paper_scale"),
-                               (lambda v: _BOOL_WORDS[v.lower()], "true or false"))}
-
-
-def read_key_values(text, known, typed):
-    """Values of a flat config text by key: ``#`` comments, one known key per
-    ``key = value`` line, each key once; ``typed`` maps a key to (convert,
-    what the value must be).  Errors are ValueErrors that name the line."""
+def read_config(text, cls, name="config"):
+    """The values by key of flat config text for the config dataclass ``cls``:
+    ``#`` comments, one ``key = value`` line per key, each key once, converted
+    as its field declares; a missing required key is refused as ``name``'s."""
+    options = {f.name: f.metadata["option"] for f in fields(cls)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, val = map(str.strip, line.partition("="))
+        if not sep:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in options:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        convert, kind = typed.get(key, (str, "text"))
         try:
-            values[key] = convert(val)
-        except (ValueError, KeyError):
-            raise ValueError(f"line {lineno}: {key} must be {kind}, got {val!r}") from None
+            values[key] = read_value(key, options[key], val)
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
+    for key, option in options.items():
+        if option.default is MISSING and key not in values:
+            raise ValueError(f"{name} needs {key!r}")
     return values
+
+
+def check_keys(cfg):
+    """Check each field of the config dataclass ``cfg`` against its key's range."""
+    for f in fields(cfg):
+        check_value(f.name, f.metadata["option"], getattr(cfg, f.name))
+
+
+# full-protocol defaults under paper_scale: 40 visible units, 10,000 objective
+# calls per step, 100 repeats, and a two_min objective of the family's n_x
+PAPER_SCALE = {"family": "rbm:n_x=40,n_h=1", "n": 10000, "fisher": "mc:m=10000", "repeats": 100}
 
 
 def parse_config(text):
     """Parse flat ``key = value`` config text; unknown keys are rejected."""
-    values = read_key_values(text, {f.name for f in fields(ExperimentConfig)}, _TYPED_KEYS)
-    cfg = ExperimentConfig(**values)
-    if cfg.paper_scale:
-        _apply_paper_scale(cfg, values)
-    return cfg.validate()
+    values = read_config(text, ExperimentConfig)
+    if values.get("paper_scale"):  # the keys the config gives win
+        values = {**PAPER_SCALE, **values}
+        if "objective" not in values:
+            d = parse_spec(values["family"], FAMILIES, _UNKNOWN_FAMILY)[1].get("n_x", 40)
+            values["objective"] = f"two_min:d={d},per_run=1"
+    return ExperimentConfig(**values).validate()
 
 
-def _apply_paper_scale(cfg, given):
-    """Full-protocol defaults (40 visible units, 10,000 objective calls per
-    step, 100 repeats); explicit keys always win."""
-    if "family" not in given:
-        cfg.family = "rbm:n_x=40,n_h=1"
-    if "objective" not in given:
-        d = parse_spec(cfg.family)[1].take("n_x", int, 40)
-        cfg.objective = f"two_min:d={d},per_run=1"
-    if "n" not in given:
-        cfg.n = 10000
-    if "fisher" not in given:
-        cfg.fisher = "mc:m=10000"
-    if "repeats" not in given:
-        cfg.repeats = 100
+# -- spec-string builders ------------------------------------------------------
+# Each spec kind's options, by name, as parse_spec reads them.
+
+_DIM = Option(INT, valid=COUNT)
+_P0 = Option(NUMBER, 0.5, (lambda p: 0.0 < p < 1.0, "in (0, 1)"))
+_M0 = Option(NUMBER, 0.0, FINITE)
+FAMILIES = {
+    **dict.fromkeys(("rbm", "rbm_marginal"), {"n_x": _DIM, "n_h": Option(INT, 1, COUNT)}),
+    **dict.fromkeys(("bernoulli", "bernoulli_logit"), {"d": _DIM, "p0": _P0}),
+    **dict.fromkeys(("gaussian", "gaussian_iso"),
+                    {"d": _DIM, "m0": _M0, "sigma0": Option(NUMBER, 1.0, SCALE)}),
+    "gaussian_mean": {"d": _DIM, "m0": _M0},
+}
+_UNKNOWN_FAMILY = "unknown family spec {spec!r}"
+_SHIFT = {"shift": Option(NUMBER, 0.0, FINITE)}
+SCHEMES = {
+    "truncation": {"q0": Option(NUMBER, 0.5, FINITE), **_SHIFT},
+    "signed_median": _SHIFT,
+    # nodes=q:v;q:v;...  e.g. table:nodes=0:2;0.25:1;0.5:0
+    "table": {"nodes": Option((lambda text: [finite_numbers(p, ":") for p in text.split(";")],
+                               "q:v pairs of finite numbers separated by ';'")), **_SHIFT},
+    "pbil": {"mu": Option(INT, 1, COUNT), "lr": Option(NUMBER, valid=(
+        lambda r: 0.0 < r <= 1.0, "in (0, 1]"))},
+}
+FISHERS = {"exact": {}, "mc": {"m": Option(INT)}}
 
 
 def _fisher_sample_count(spec):
     """Monte-Carlo Fisher sample count of a ``fisher`` spec; 0 for exact."""
-    if spec == "exact":
-        return 0
-    kind, opts = parse_spec(spec)
-    if kind != "mc" or "m" not in opts:
-        raise ValueError(f"bad fisher spec {spec!r}; expected exact or mc:m=<count>")
-    m = opts.take("m", int)
-    opts.finish()
-    return m
+    return parse_spec(spec, FISHERS, "bad fisher spec {spec!r}; expected exact or "
+                      "mc:m=<count>")[1].get("m", 0)
 
 
-# -- spec-string builders ------------------------------------------------------
-
-def _family_and_start(spec, burn_in, rng):
+def parse_family(spec, burn_in, rng):
     """The family of a family ``spec`` and its start; ``rng`` draws an RBM's,
-    which takes ``burn_in`` Gibbs sweeps per draw.  Each kind takes only its own options."""
-    kind, opts = parse_spec(spec)
+    which takes ``burn_in`` Gibbs sweeps per draw."""
+    kind, o = parse_spec(spec, FAMILIES, _UNKNOWN_FAMILY)
     if kind in ("rbm", "rbm_marginal"):
         rbm = JointRbmFamily if kind == "rbm" else MarginalRbmFamily
-        family = rbm(opts.take("n_x", int, valid=_COUNT), opts.take("n_h", int, 1, _COUNT),
-                     burn_in=burn_in)
-        opts.finish()
+        family = rbm(o["n_x"], o["n_h"], burn_in=burn_in)
         return family, family.init_params(rng)
-    if kind not in ("bernoulli", "bernoulli_logit", "gaussian", "gaussian_iso", "gaussian_mean"):
-        raise ValueError(f"unknown family spec {spec!r}")
-    d = opts.take("d", int, valid=_COUNT)
+    d = o["d"]
     if kind in ("bernoulli", "bernoulli_logit"):
-        p0 = opts.take("p0", float, 0.5, _OPEN_UNIT) * np.ones(d)
-        opts.finish()
+        p0 = o["p0"] * np.ones(d)
         if kind == "bernoulli":
             return BernoulliFamily(d), p0
         return LogitBernoulliFamily(d), LogitBernoulliFamily.from_probabilities(p0)
-    m0 = opts.take("m0", float, 0.0) * np.ones(d)
-    s0 = None if kind == "gaussian_mean" else opts.take("sigma0", float, 1.0, _SCALE)
-    opts.finish()
+    m0 = o["m0"] * np.ones(d)
     if kind == "gaussian":
         family = FullGaussianFamily(d)
-        return family, family.pack(GaussianParams(m0, s0**2 * np.eye(d)))
+        return family, family.pack(GaussianParams(m0, o["sigma0"]**2 * np.eye(d)))
     if kind == "gaussian_iso":
-        family, theta = IsotropicGaussianFamily(d), np.concatenate([m0, [math.log(s0)]])
+        family, theta = IsotropicGaussianFamily(d), np.concatenate([m0, [math.log(o["sigma0"])]])
         try:
             family.split(theta)
         except DomainError as err:
@@ -268,25 +264,23 @@ def _stop_target(cfg):
     if kind != "target":
         return None
     try:
-        target = float(value)
+        (target,) = finite_numbers(value)
     except ValueError:
-        target = math.nan
-    if not math.isfinite(target):
-        raise ValueError(f"stop target must be a finite number, got {value!r}")
+        raise ValueError(f"stop target must be a finite number, got {value!r}") from None
     return target
 
 
 def _setup(cfg, objective_rng, init_rng):
     """Family, starting theta, objective, weight scheme and step part of one
     run; raises ValueError when they do not fit together."""
-    family, theta = _family_and_start(cfg.family, cfg.gibbs_burn_in, init_rng)
+    family, theta = parse_family(cfg.family, cfg.gibbs_burn_in, init_rng)
     obj = objectives_mod.parse_objective(cfg.objective, rng=objective_rng)
     if obj.dim != family.dim:
         raise ValueError(f"objective dimension {obj.dim} does not match "
                          f"the family's {family.dim}")
     if cfg.lift_noisy and obj.kind != "noisy":
         raise ValueError("lift_noisy needs a noisy objective")
-    scheme = _parse_scheme(cfg.scheme)
+    scheme = parse_scheme(cfg.scheme)
     needs, make = STEPS[cfg.algorithm]
     missing = needs - (lift_noisy(family) if cfg.lift_noisy else family).capabilities
     if missing:
@@ -295,29 +289,16 @@ def _setup(cfg, objective_rng, init_rng):
     return family, theta, obj, scheme, make(cfg, scheme)
 
 
-def _parse_scheme(spec):
-    kind, opts = parse_spec(spec)
+def parse_scheme(spec):
+    """The WeightScheme, or ("pbil", mu, lr), of a scheme ``spec``."""
+    kind, o = parse_spec(spec, SCHEMES, "unknown scheme spec {spec!r}")
     if kind == "truncation":
-        scheme = truncation(opts.take("q0", float, 0.5), shift=opts.take("shift", float, 0.0))
-    elif kind == "signed_median":
-        scheme = signed_median(shift=opts.take("shift", float, 0.0))
-    elif kind == "table":
-        # nodes=q:v;q:v;...  e.g. table:nodes=0:2;0.25:1;0.5:0
-        text = opts.take("nodes", str)
-        try:
-            nodes = [tuple(float(p) for p in pair.split(":")) for pair in text.split(";")]
-            if not np.isfinite(sum(nodes, ())).all():
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"{spec!r}: option nodes must be q:v pairs of finite numbers "
-                             f"separated by ';', got {text!r}") from None
-        scheme = table(nodes, shift=opts.take("shift", float, 0.0))
-    elif kind == "pbil":
-        scheme = ("pbil", opts.take("mu", int, 1, _COUNT), opts.take("lr", float, valid=_RATE))
-    else:
-        raise ValueError(f"unknown scheme spec {spec!r}")
-    opts.finish()
-    return scheme
+        return truncation(o["q0"], shift=o["shift"])
+    if kind == "signed_median":
+        return signed_median(shift=o["shift"])
+    if kind == "table":
+        return table(o["nodes"], shift=o["shift"])
+    return ("pbil", o["mu"], o["lr"])
 
 
 # -- run records ---------------------------------------------------------------

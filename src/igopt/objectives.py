@@ -13,7 +13,9 @@ is the deterministic two-argument function f(x, omega) used by the noisy-
 coupling construction.
 """
 
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -119,101 +121,123 @@ def two_min_random(d, rng):
     return two_min((rng.random(d) < 0.5).astype(float))
 
 
-class _Options(dict):
-    """The options of a spec string; asking for a missing one is a config error."""
-
-    def __missing__(self, key):
-        raise ValueError(f"{self.spec!r} needs option {key!r}")
-
-    def take(self, key, kind, default=None, valid=None):
-        """Remove option ``key`` and return it as ``kind`` (int, float or str),
-        or ``default`` when it is absent; without a default it is required.
-        ``valid`` is (holds, what): a value that ``holds`` refuses must be
-        ``what``.  Without it a float must be finite."""
-        value = self[key] if default is None else self.get(key, default)
-        self.pop(key, None)
-        try:
-            value = kind(value)
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ValueError(f"{self.spec!r}: option {key} must be {what}, "
-                             f"got {value!r}") from None
-        if valid is None and kind is float:
-            valid = (np.isfinite, "a finite number")
-        if valid is not None and not valid[0](value):
-            raise ValueError(f"{self.spec!r}: option {key} must be {valid[1]}, got {value!r}")
-        return value
-
-    def finish(self):
-        """Refuse the options no ``take`` asked for: the kind has none such."""
-        if self:
-            raise ValueError(f"{self.spec!r}: unknown option{'s' if len(self) > 1 else ''} "
-                             + ", ".join(map(repr, sorted(self))))
+# Config grammar ---------------------------------------------------------------
+# A config key or spec option: its type (convert, what the text must be), default
+# (MISSING if it is required) and range (holds, what the value must be, or None).
+Option = namedtuple("Option", "type default valid", defaults=(MISSING, None))
 
 
-def parse_spec(spec):
-    """Split a spec string ``kind[:key=value,...]`` (the grammar of every
-    family, objective, scheme and table spec) into its kind and options."""
+INT = (int, "an integer")
+NUMBER = (float, "a number")
+TEXT = (str, "text")
+FINITE = (math.isfinite, "a finite number")
+COUNT = (lambda v: v >= 1, "at least 1")
+SCALE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+
+
+def one_of(*words):
+    """The range of a word option: one of ``words``."""
+    return (lambda v: v in words, " or ".join(words))
+
+
+def finite_numbers(text, sep=None):
+    """The numbers in ``text`` split at ``sep``; a ValueError unless all are finite."""
+    values = [float(t) for t in text.split(sep)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(text)
+    return values
+
+
+def read_value(name, option, text):
+    """``text`` converted to option ``name``'s type; a ValueError says what it must be."""
+    convert, what = option.type
+    try:
+        return convert(text)
+    except (ValueError, KeyError):
+        raise ValueError(f"{name} must be {what}, got {text!r}") from None
+
+
+def check_value(name, option, value):
+    """``value``, or a ValueError when it is outside option ``name``'s range."""
+    if option.valid is not None and not option.valid[0](value):
+        raise ValueError(f"{name} must be {option.valid[1]}, got {value!r}")
+    return value
+
+
+def parse_spec(spec, kinds, unknown):
+    """The kind of a spec string ``kind[:key=value,...]`` and its options by name,
+    read as ``kinds[kind]`` declares them; ``unknown`` formats the refusal of a
+    kind ``kinds`` lacks from ``spec`` and ``kind``."""
     kind, _, rest = spec.partition(":")
-    opts = _Options()
-    opts.spec = spec
-    if rest:
-        for item in rest.split(","):
-            k, sep, v = item.partition("=")
-            if not sep:
-                raise ValueError(f"bad option {item!r} in {spec!r}")
-            opts[k.strip()] = v.strip()
-    return kind.strip(), opts
+    kind = kind.strip()
+    if kind not in kinds:
+        raise ValueError(unknown.format(spec=spec, kind=kind))
+    given = {}
+    for item in rest.split(",") if rest else ():
+        key, sep, text = map(str.strip, item.partition("="))
+        if not sep:
+            raise ValueError(f"bad option {item!r} in {spec!r}")
+        given[key] = text
+    declared = kinds[kind]
+    extra = sorted(set(given) - set(declared))
+    if extra:
+        raise ValueError(f"{spec!r}: unknown option{'s' if len(extra) > 1 else ''} "
+                         + ", ".join(map(repr, extra)))
+    values = {}
+    for name, option in declared.items():
+        if name in given:
+            try:
+                values[name] = check_value(name, option, read_value(name, option, given[name]))
+            except ValueError as err:
+                raise ValueError(f"{spec!r}: option {err}") from None
+        elif option.default is MISSING:
+            raise ValueError(f"{spec!r} needs option {name!r}")
+        else:
+            values[name] = option.default
+    return kind, values
 
 
-_NOISE_KINDS = (lambda v: v in ("uniform", "gaussian"), "uniform or gaussian")
-_SPACES = (lambda v: v in ("bits", "reals"), "bits or reals")
+_NUMBER = Option(NUMBER, 0.0, FINITE)
+_WRAPPERS = {"d": Option(INT, 0), "noise": Option(TEXT, None, one_of("uniform", "gaussian")),
+             "noise_scale": Option(NUMBER, 1.0, FINITE), "phi": Option(TEXT, None)}
+OBJECTIVES = {
+    "onemax": _WRAPPERS,
+    "linear": {**_WRAPPERS, "alpha": Option(NUMBER, 1.0, FINITE), "c": _NUMBER,
+               "space": Option(TEXT, "reals", one_of("bits", "reals"))},
+    "binval": _WRAPPERS,
+    "sphere": {**_WRAPPERS, "center": _NUMBER},
+    # y is drawn from seed, or from the run's stream with per_run=1
+    "two_min": {**_WRAPPERS, "seed": Option(INT, None),
+                "per_run": Option(INT, None, (lambda v: v == 1, "1"))},
+}
 
 
 def parse_objective(spec, rng=None):
-    """Parse a CLI objective string, e.g. ``two_min:d=16,seed=7``.
-
-    Grammar: ``kind[:key=value,...]``.  Keys: d (dimension); onemax: none;
-    linear: alpha (single value broadcast or comma-free list via alpha=1)
-    and c; binval: none; sphere: center (scalar broadcast); two_min: seed
-    (y drawn from that seed) or per_run=1 (y drawn from the provided run
-    stream); noise and noise_scale wrap any kind; phi applies a monotone
-    transform.
-    """
-    kind, kv = parse_spec(spec)
-    d = kv.take("d", int, 0)
-    noise = kv.take("noise", str, valid=_NOISE_KINDS) if "noise" in kv else None
-    noise_scale = kv.take("noise_scale", float, 1.0)
-    phi = kv.pop("phi", None)
-
+    """The objective of a spec string such as ``two_min:d=16,seed=7``; a
+    ``per_run`` two_min draws its optimum from ``rng``."""
+    kind, o = parse_spec(spec, OBJECTIVES, "unknown objective kind {kind!r}")
+    d = o["d"]
     if kind == "onemax":
         obj = onemax(d)
     elif kind == "linear":
-        alpha = kv.take("alpha", float, 1.0) * np.ones(d)
-        obj = linear(alpha, kv.take("c", float, 0.0),
-                     space=kv.take("space", str, "reals", _SPACES))
+        obj = linear(o["alpha"] * np.ones(d), o["c"], space=o["space"])
     elif kind == "binval":
         obj = linear(2.0 ** -np.arange(d), space="bits")
     elif kind == "sphere":
-        center = kv.take("center", float, 0.0) * np.ones(d)
-        obj = sphere(d, center)
-    elif kind == "two_min":
-        if "seed" in kv:
-            from .rng import substream
-            y_rng = substream(kv.take("seed", int), 0)
-            obj = two_min_random(d, y_rng)
-        elif "per_run" in kv:
-            kv.take("per_run", int, valid=(lambda v: v == 1, "1"))
-            if rng is None:
-                raise ValueError("per_run two_min needs a run stream")
-            obj = two_min_random(d, rng)
-        else:
-            raise ValueError("two_min needs seed=... or per_run=1")
+        obj = sphere(d, o["center"] * np.ones(d))
+    elif o["seed"] is not None and o["per_run"] is not None:
+        raise ValueError("two_min takes seed=... or per_run=1, not both")
+    elif o["seed"] is not None:
+        from .rng import substream
+        obj = two_min_random(d, substream(o["seed"], 0))
+    elif o["per_run"] is not None:
+        if rng is None:
+            raise ValueError("per_run two_min needs a run stream")
+        obj = two_min_random(d, rng)
     else:
-        raise ValueError(f"unknown objective kind {kind!r}")
-    kv.finish()
-    if phi is not None:
-        obj = monotone_transform(obj, phi)
-    if noise is not None:
-        obj = add_noise(obj, noise, noise_scale)
+        raise ValueError("two_min needs seed=... or per_run=1")
+    if o["phi"] is not None:
+        obj = monotone_transform(obj, o["phi"])
+    if o["noise"] is not None:
+        obj = add_noise(obj, o["noise"], o["noise_scale"])
     return obj

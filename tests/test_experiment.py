@@ -977,7 +977,7 @@ def test_bad_values_exit_2_with_one_line(tmp_path, monkeypatch, capsys, extra, k
 @pytest.mark.parametrize("text, message", [
     (PBIL_CONFIG + "gibbs_burn_in = abc\n", "line 12: gibbs_burn_in must be an integer, got 'abc'"),
     (PBIL_CONFIG.replace("dt = 0.1", "dt = fast"), "line 8: dt must be a number, got 'fast'"),
-    (PBIL_CONFIG.replace("dt = 0.1", "dt = nan"), "dt must be positive and finite"),
+    (PBIL_CONFIG.replace("dt = 0.1", "dt = nan"), "dt must be finite and > 0, got nan"),
 ])
 def test_bad_numbers_exit_2_with_one_line(tmp_path, monkeypatch, capsys, text, message):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
