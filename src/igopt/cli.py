@@ -121,7 +121,7 @@ def _flow_setup(cfg):
     """The CSV header, starting state and drift of a flow config, and
     cells(theta): a state's f-quantile, speed and Lyapunov cells."""
     scheme = exp_mod.parse_scheme(cfg.scheme)
-    if isinstance(scheme, tuple):
+    if scheme.kind == "pbil":
         raise ValueError("flow integration needs a quantile scheme, not a schedule")
     obj = objectives_mod.parse_objective(cfg.objective)
     if obj.kind == "noisy":
@@ -139,6 +139,7 @@ def _flow_setup(cfg):
         sphere = flow_mod.SphereFlow(o["d"], scheme.q0)
         start = np.array([o["r0"], math.log(o["sigma0"])])
         dim, in_domain = sphere.d, sphere.median_f  # as the f_quantile cell of every row
+        points = None  # the sphere flow has its objective in closed form
         header = ["t", "r", "log_sigma"]
         memo = _last_state(lambda theta: (sphere.rhs(theta),))
 
@@ -148,7 +149,7 @@ def _flow_setup(cfg):
         family, start = exp_mod.parse_family(cfg.family, 0,  # the flow draws nothing
                                              substream(cfg.seed, 0, INIT))
         try:
-            family.enumerate_points()  # refuses a family, or a size, it cannot enumerate
+            points = family.enumerate_points()  # refuses a family, or a size, it cannot enumerate
         except CapabilityError as err:
             raise ValueError(f"flow integration needs an enumerable family "
                              f"(or gaussian_iso with a sphere objective): {err}") from None
@@ -177,6 +178,11 @@ def _flow_setup(cfg):
     if obj.dim != dim:
         raise ValueError(f"objective dimension {obj.dim} does not match "
                          f"the family's {dim}")
+    if points is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            finite = np.isfinite(objectives_mod.evaluate(obj, points)).all()
+        if not finite:
+            raise ValueError(f"{cfg.objective!r} is not a finite float on every point")
     theta0 = start if cfg.theta0 is None else cfg.theta0
     if len(theta0) != len(start):
         raise ValueError(f"theta0 needs {len(start)} numbers, got {len(theta0)}")

@@ -177,20 +177,30 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
     theta_after left the family's domain: it raises DegenerateUpdate.  The
     norm is sqrt(delta M delta) with M the ``fisher`` estimate's matrix, or
     the family's exact Fisher matrix at theta_before (NaN when it has
-    none).  The cosine is the same M's scalar product between the previous
-    and current increments.
+    none); delta M delta outside the floats, or an infinite KL, raises
+    DegenerateUpdate.  The cosine is the same M's scalar product between
+    the previous and current increments.
     """
     theta_before = np.asarray(theta_before, dtype=float)
     theta_after = np.asarray(theta_after, dtype=float)
     delta = theta_after - theta_before
     try:
-        mat = family.fisher(theta_before) if fisher is None else fisher.matrix
-        fisher_step_norm = math.sqrt(max(0.0, float(delta @ mat @ delta)))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            mat = family.fisher(theta_before) if fisher is None else fisher.matrix
+            square = float(delta @ mat @ delta)
     except (CapabilityError, DomainError):
         mat, fisher_step_norm = None, float("nan")
+    else:
+        if not math.isfinite(square):
+            raise DegenerateUpdate(f"the step's squared Fisher length is {square}, "
+                                   "not a finite float")
+        fisher_step_norm = math.sqrt(max(0.0, square))
 
     try:
-        kl, stderr = float(family.exact_kl(theta_before, theta_after)), 0.0
+        with np.errstate(all="ignore"):  # an infinite KL is refused below
+            kl, stderr = float(family.exact_kl(theta_before, theta_after)), 0.0
+    except OverflowError:  # a Python float power past the floats
+        kl, stderr = math.inf, 0.0
     except (CapabilityError, DomainError, DegenerateUpdate):
         try:
             if samples is None:
@@ -206,6 +216,8 @@ def step_diagnostics(family, theta_before, theta_after, *, previous_step=None,
             m = diff.size
             kl = float(diff.mean())
             stderr = float(diff.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
+    if math.isinf(kl):
+        raise DegenerateUpdate("the step's KL divergence is not a finite float")
 
     cosine = None
     if previous_step is not None and mat is not None:

@@ -57,6 +57,7 @@ from .objectives import (COUNT, FINITE, INT, NUMBER, SCALE, TEXT, Option, check_
                          finite_numbers, parse_spec, read_value)
 from .rng import spawn_run_seed, substream
 from .weights import (
+    Pbil,
     compute_quantile_weights,
     pbil_schedule,
     schedule_variance,
@@ -120,9 +121,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown stop rule {self.stop!r}")
         rng = np.random.default_rng(0)  # stands in for the run's streams
         fam, _, obj, scheme, _ = _setup(self, rng, rng)
-        if isinstance(scheme, tuple) and scheme[1] > self.n:  # ("pbil", mu, lr)
+        if scheme.kind == "pbil" and scheme.mu > self.n:
             raise ValueError(f"{self.scheme!r}: option mu must be at most n = {self.n}, "
-                             f"got {scheme[1]}")
+                             f"got {scheme.mu}")
         if self.stop == "both_optima" and obj.kind != "two_min":
             raise ValueError(f"stop = both_optima needs a noise-free two_min objective, "
                              f"got {self.objective!r}")
@@ -239,23 +240,26 @@ def parse_family(spec, burn_in, rng):
         family = rbm(o["n_x"], o["n_h"], burn_in=burn_in)
         return family, family.init_params(rng)
     d = o["d"]
-    if kind in ("bernoulli", "bernoulli_logit"):
-        p0 = o["p0"] * np.ones(d)
+    if kind == "gaussian_mean":
+        return MeanGaussianFamily(d), o["m0"] * np.ones(d)
+    try:
         if kind == "bernoulli":
-            return BernoulliFamily(d), p0
-        return LogitBernoulliFamily(d), LogitBernoulliFamily.from_probabilities(p0)
-    m0 = o["m0"] * np.ones(d)
-    if kind == "gaussian":
-        family = FullGaussianFamily(d)
-        return family, family.pack(GaussianParams(m0, o["sigma0"]**2 * np.eye(d)))
-    if kind == "gaussian_iso":
-        family, theta = IsotropicGaussianFamily(d), np.concatenate([m0, [math.log(o["sigma0"])]])
-        try:
-            family.split(theta)
-        except DomainError as err:
-            raise ValueError(f"{spec!r}: {err}") from None
-        return family, theta
-    return MeanGaussianFamily(d), m0
+            family, theta = BernoulliFamily(d), o["p0"] * np.ones(d)
+        elif kind == "bernoulli_logit":
+            family = LogitBernoulliFamily(d)
+            theta = family.from_probabilities(o["p0"] * np.ones(d))
+        elif kind == "gaussian":
+            family, var = FullGaussianFamily(d), o["sigma0"] * o["sigma0"]
+            if not 0.0 < var < math.inf:
+                raise DomainError(f"sigma0 = {o['sigma0']!r} puts sigma^2 outside the floats")
+            theta = family.pack(GaussianParams(o["m0"] * np.ones(d), var * np.eye(d)))
+        else:
+            family = IsotropicGaussianFamily(d)
+            theta = np.concatenate([o["m0"] * np.ones(d), [math.log(o["sigma0"])]])
+        family.check_domain(theta)
+    except DomainError as err:
+        raise ValueError(f"{spec!r}: {err}") from None
+    return family, theta
 
 
 def _stop_target(cfg):
@@ -290,15 +294,20 @@ def _setup(cfg, objective_rng, init_rng):
 
 
 def parse_scheme(spec):
-    """The WeightScheme, or ("pbil", mu, lr), of a scheme ``spec``."""
+    """The WeightScheme, or Pbil record, of a scheme ``spec``; a WeightScheme's
+    w must have a finite second moment."""
     kind, o = parse_spec(spec, SCHEMES, "unknown scheme spec {spec!r}")
+    if kind == "pbil":
+        return Pbil(o["mu"], o["lr"])
     if kind == "truncation":
-        return truncation(o["q0"], shift=o["shift"])
-    if kind == "signed_median":
-        return signed_median(shift=o["shift"])
-    if kind == "table":
-        return table(o["nodes"], shift=o["shift"])
-    return ("pbil", o["mu"], o["lr"])
+        scheme = truncation(o["q0"], shift=o["shift"])
+    elif kind == "signed_median":
+        scheme = signed_median(shift=o["shift"])
+    else:
+        scheme = table(o["nodes"], shift=o["shift"])
+    if not math.isfinite(scheme.second_moment()):  # the square of w overflows
+        raise ValueError(f"{spec!r}: the mean of w^2 is not a finite float")
+    return scheme
 
 
 # -- run records ---------------------------------------------------------------
@@ -338,9 +347,8 @@ class RunRecord:
 def _weights_for(values, scheme_obj, n):
     """The batch's weights, the variance of w behind them and the values in
     ascending order, all from one sort of the batch."""
-    if isinstance(scheme_obj, tuple):  # ("pbil", mu, lr)
-        _, mu, lr = scheme_obj
-        schedule = pbil_schedule(n, mu, lr)
+    if scheme_obj.kind == "pbil":
+        schedule = pbil_schedule(n, scheme_obj.mu, scheme_obj.lr)
         order = np.argsort(values, kind="stable")
         w = np.zeros(n)
         w[order] = schedule
@@ -363,8 +371,7 @@ def single_run(cfg, run_id):
     mc_count = _fisher_sample_count(cfg.fisher)
     two_min_y = obj.params["y"] if obj.kind == "two_min" else None
     target = _stop_target(cfg)
-    truncating = not isinstance(scheme_obj, tuple) and scheme_obj.kind == "truncation"
-    q_report = scheme_obj.q0 if truncating else 0.5
+    q_report = scheme_obj.q0 if scheme_obj.kind == "truncation" else 0.5
     seen_optima = (False, False)
     pinned_steps = 0
 
@@ -393,8 +400,12 @@ def single_run(cfg, run_id):
         fm = None
         reliability = "exact"
         if mc_count:
-            fm = mc_fisher(family, theta, mc_count,
-                           substream(run_seed, step, rng_mod.FISHER))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                fm = mc_fisher(family, theta, mc_count,
+                               substream(run_seed, step, rng_mod.FISHER))
+            if not np.isfinite(fm.matrix).all():  # the scores' products overflow
+                record.status = "failed_singular"
+                break
             reliability = fm.reliability
             # only the natural gradient steps on the estimate itself
             if cfg.algorithm == "igo" and reliability == "fail":
@@ -402,13 +413,17 @@ def single_run(cfg, run_id):
                 break
 
         try:
-            new_theta = family.project(
-                part(family, theta, samples, values, weights, cfg.dt, fm))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                new_theta = family.project(
+                    part(family, theta, samples, values, weights, cfg.dt, fm))
+            if not np.isfinite(new_theta).all():
+                raise DegenerateUpdate("the update left the floats")
             report = step_diagnostics(family, theta, new_theta, fisher=fm, samples=samples)
-        except (SingularFisher, DegenerateUpdate, DomainError):
-            # a degenerate parameter state has the same operational meaning
-            # as a singular Fisher matrix: the run cannot continue, and an
-            # update that left the domain writes no row
+        except (SingularFisher, DegenerateUpdate, DomainError, np.linalg.LinAlgError):
+            # a degenerate parameter state (one LAPACK finds singular too) has
+            # the same operational meaning as a singular Fisher matrix: the
+            # run cannot continue, and an update that left the domain writes
+            # no row
             record.status = "failed_singular"
             break
         if two_min_y is not None:
@@ -472,20 +487,24 @@ def _vanilla(family, theta, samples, values, weights, dt, fm):
                         model_stats=getattr(fm, "model_stats", None))
 
 
-def _blend_dt(cfg):
-    """Refuse a dt the blending steps cannot take: theirs is a convex weight."""
+def _blend(cfg, scheme):
+    """Refuse what the blending steps cannot take: theirs is a convex weight
+    dt of the weighted average, whose weights must have a positive sum."""
     if cfg.dt > 1.0:
         raise ValueError(f"{cfg.algorithm} needs dt in (0, 1], got {cfg.dt:g}")
+    if scheme.kind != "pbil" and not scheme.mean() > 0.0:
+        raise ValueError(f"{cfg.algorithm} needs a scheme whose w has a positive mean, "
+                         f"got {cfg.scheme!r}")
 
 
 def _igo_ml(cfg, scheme):
-    _blend_dt(cfg)
+    _blend(cfg, scheme)
     return lambda family, theta, samples, values, weights, dt, fm: igo_ml_step(
         family, theta, samples, weights, dt)
 
 
 def _cem(cfg, scheme):
-    if isinstance(scheme, tuple) or scheme.kind != "truncation":
+    if scheme.kind != "truncation":
         raise ValueError("cem needs a truncation scheme for its elite fraction")
     return lambda family, theta, samples, values, weights, dt, fm: cem_step(
         family, samples, values, scheme.q0)
@@ -493,7 +512,7 @@ def _cem(cfg, scheme):
 
 def _smoothed_cem(cfg, scheme):
     """Blends in the family's own coordinates; in expectation ones it is igo_ml."""
-    _blend_dt(cfg)
+    _blend(cfg, scheme)
     return lambda family, theta, samples, values, weights, dt, fm: smoothed_cem_step(
         family, theta, samples, weights, dt, "natural")
 

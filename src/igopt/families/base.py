@@ -108,6 +108,10 @@ class Family:
         """Clamp theta back into the valid domain (identity by default)."""
         return theta
 
+    def check_domain(self, theta):
+        """DomainError when theta is outside the family's domain (by default
+        no theta is)."""
+
     def points_of(self, samples):
         """Search-space points to hand to an objective function."""
         return samples

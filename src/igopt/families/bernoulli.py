@@ -25,6 +25,9 @@ ROUND_OFF = 4 * np.finfo(float).eps
 def _check_interior(theta):
     if np.any(theta <= 0.0) or np.any(theta >= 1.0):
         raise DomainError("Bernoulli probabilities must lie strictly inside (0, 1)")
+    if np.any(theta * (1.0 - theta) < np.finfo(float).tiny):  # 1 / p(1 - p) overflows
+        raise DomainError("Bernoulli probabilities within 2^-1022 of 0 or 1 have no "
+                          "finite Fisher information")
 
 
 class BernoulliFamily(Family):
@@ -137,6 +140,9 @@ class BernoulliFamily(Family):
     def project(self, theta):
         return np.clip(theta, EPS, 1.0 - EPS)
 
+    def check_domain(self, theta):
+        _check_interior(theta)
+
 
 class LogitBernoulliFamily(Family):
     """Same distributions in the logit representation P(x_i=1) = sigmoid(t_i).
@@ -155,7 +161,8 @@ class LogitBernoulliFamily(Family):
 
     @staticmethod
     def mean(theta):
-        return 1.0 / (1.0 + np.exp(-np.asarray(theta, dtype=float)))
+        with np.errstate(over="ignore"):  # exp(-theta) = inf gives the limit p = 0
+            return 1.0 / (1.0 + np.exp(-np.asarray(theta, dtype=float)))
 
     @staticmethod
     def from_probabilities(p):
@@ -191,6 +198,9 @@ class LogitBernoulliFamily(Family):
         p = self._interior_mean(theta)
         return np.diag(p * (1.0 - p))
 
+    def check_domain(self, theta):
+        self._interior_mean(theta)
+
     def sufficient_stats(self, samples):
         return np.asarray(samples, dtype=float)
 
@@ -204,5 +214,6 @@ class LogitBernoulliFamily(Family):
         return self._probabilities.enumerate_points()
 
     def exact_kl(self, theta_p, theta_q):
-        return self._probabilities.exact_kl(self.mean(theta_p), self.mean(theta_q))
+        return self._probabilities.exact_kl(self._interior_mean(theta_p),
+                                            self._interior_mean(theta_q))
 

@@ -248,6 +248,9 @@ class IsotropicGaussianFamily(Family):
             raise DomainError(f"log sigma = {theta[self.dim]} puts sigma^2 outside the floats")
         return theta[: self.dim], sigma
 
+    def check_domain(self, theta):
+        self.split(theta)
+
     def sample(self, theta, n, rng):
         m, sigma = self.split(theta)
         return m + sigma * rng.standard_normal((n, self.dim))

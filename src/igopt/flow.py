@@ -337,7 +337,12 @@ def _interpolate(uniq, mid, q):
         return float(uniq[0])
     if q >= mid[-1]:
         return float(uniq[-1])
-    return float(np.interp(q, mid, uniq))
+    value = float(np.interp(q, mid, uniq))
+    if not math.isfinite(value):  # the slope overflows: weigh the two values instead
+        i = int(np.searchsorted(mid, q, side="right")) - 1
+        t = float((q - mid[i]) / (mid[i + 1] - mid[i]))
+        value = (1.0 - t) * float(uniq[i]) + t * float(uniq[i + 1])
+    return value
 
 
 # -- closed-form constants for linear objectives ------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "signed_median",
     "table",
     "compute_quantile_weights",
+    "Pbil",
     "pbil_schedule",
     "schedule_variance",
 ]
@@ -228,7 +229,7 @@ class WeightScheme:
         cells = self._cells()
         sq = sum(v * v * (hi - lo) for lo, hi, v in cells)
         cross = sum(v * (hi - lo) for lo, hi, v in cells)
-        return sq + 2.0 * self.shift * cross + self.shift**2
+        return sq + 2.0 * self.shift * cross + self.shift * self.shift
 
     def variance(self):
         """Var of w under the uniform law on [0, 1]; shift-invariant."""
@@ -329,6 +330,16 @@ def group_starts(v):
     first = np.ones(v.size, dtype=bool)
     first[1:] = v[1:] != v[:-1]
     return first
+
+
+@dataclass(frozen=True)
+class Pbil:
+    """The PBIL scheme: rank weights ``pbil_schedule(n, mu, lr)`` for a batch
+    of n, where the quantile schemes have a function w of q."""
+
+    mu: int
+    lr: float
+    kind = "pbil"
 
 
 def pbil_schedule(n, mu, lr):

@@ -357,6 +357,42 @@ def test_isotropic_gaussian_leaving_the_float_range_fails_the_run(tmp_path, monk
         assert math.isfinite(float(row.split(",")[header.split(",").index("kl")]))
 
 
+@pytest.mark.parametrize("text", [
+    # LAPACK finds the xNES update's matrix singular
+    "family = gaussian:d=2\nobjective = sphere:d=2\nalgorithm = xnes\ndt = 50\n",
+    # the step's squared Fisher length overflows
+    "family = gaussian:d=2\nobjective = sphere:d=2\nalgorithm = xnes\ndt = 1e300\n",
+    "family = gaussian_iso:d=2\nobjective = sphere:d=2\ndt = 1e300\n",
+    "family = bernoulli_logit:d=2\nobjective = onemax:d=2\ndt = 1e300\n",
+    "family = rbm:n_x=3,n_h=1\nobjective = onemax:d=3\ndt = 1e300\n",
+    # the step rounds a probability to 0: its KL is infinite
+    "family = bernoulli_logit:d=2\nobjective = onemax:d=2\ndt = 50\n",
+])
+def test_numbers_leaving_the_floats_fail_the_run_with_one_line(tmp_path, monkeypatch, capsys,
+                                                               text):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text + "n = 20\nsteps = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(cfgfile)]) == 3
+    assert capsys.readouterr().err == "1 repeat(s) failed: failed_singular 1\n"
+
+
+def test_noise_near_the_float_limit_keeps_a_finite_quantile(tmp_path, monkeypatch, capsys):
+    # values of about +-1e308 differ by more than the largest float
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("family = bernoulli:d=3\nobjective = onemax:d=3,noise=gaussian,"
+                       "noise_scale=1e308\nn = 20\nsteps = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(cfgfile)]) == 0
+    assert capsys.readouterr().err == ""
+    _, header, *runs = (tmp_path / "experiment_runs.csv").read_text().splitlines()
+    column = header.split(",").index("f_quantile")
+    assert all(math.isfinite(float(row.split(",")[column])) for row in runs)
+
 def test_cli_table_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     assert cli.main(["table", "critical_dt:points=30,q_min=0.05,q_max=0.6"]) == 0
@@ -603,6 +639,12 @@ def test_cli_sphere_flow_reuses_the_drift_of_each_state(tmp_path, monkeypatch):
     ("bernoulli_logit:d=3", "theta0 = 50 3 0\n",
      "theta0 is outside the family's domain: Bernoulli logits must keep every probability "
      "strictly inside (0, 1)"),
+    ("bernoulli:d=3", "theta0 = 5e-324 0.5 0.5\n",
+     "theta0 is outside the family's domain: Bernoulli probabilities within 2^-1022 of 0 "
+     "or 1 have no finite Fisher information"),
+    ("bernoulli_logit:d=3", "theta0 = -1e300 0 0\n",
+     "theta0 is outside the family's domain: Bernoulli logits must keep every probability "
+     "strictly inside (0, 1)"),
     ("bernoulli:d=3", "theta0 = nan 0.5 0.5\n",
      "line 4: theta0 must be finite numbers separated by spaces, got 'nan 0.5 0.5'"),
     ("rbm:n_x=3,n_h=1", "theta0 = nan 0.5 0.5 0 0 0 0\n",
@@ -688,6 +730,9 @@ def test_cli_flow_steps_must_fit_the_horizon(tmp_path, monkeypatch, capsys, line
     ("gaussian_iso:d=3,r0=nan", "sphere:d=3", "option r0 must be a finite number, got nan"),
     ("bernoulli:d=3", "linear:d=3,alpha=inf,space=bits",
      "'linear:d=3,alpha=inf,space=bits': option alpha must be a finite number, got inf"),
+    # an objective that overflows on some point of the enumeration
+    ("bernoulli:d=3", "linear:d=3,alpha=1e308,space=bits",
+     "'linear:d=3,alpha=1e308,space=bits' is not a finite float on every point"),
     # the exact flow has no noise stream, for either flow kind
     ("bernoulli:d=3", "onemax:d=3,noise=uniform",
      "the exact flow needs a noise-free objective, got 'onemax:d=3,noise=uniform'"),
@@ -926,6 +971,27 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("family = gaussian_iso:d=2,sigma0=1e200\nobjective = linear:d=2\n",
      "'gaussian_iso:d=2,sigma0=1e200': log sigma = 460.51701859880916 puts sigma^2 "
      "outside the floats"),
+    # sigma^2 of a full Gaussian start, or p (1 - p) of a Bernoulli one, outside the floats
+    ("family = gaussian:d=2,sigma0=1e200\nobjective = sphere:d=2\n",
+     "'gaussian:d=2,sigma0=1e200': sigma0 = 1e+200 puts sigma^2 outside the floats"),
+    ("family = gaussian:d=2,sigma0=1e-200\nobjective = sphere:d=2\n",
+     "'gaussian:d=2,sigma0=1e-200': sigma0 = 1e-200 puts sigma^2 outside the floats"),
+    ("family = bernoulli:d=10,p0=1e-320\n", "'bernoulli:d=10,p0=1e-320': Bernoulli "
+     "probabilities within 2^-1022 of 0 or 1 have no finite Fisher information"),
+    ("family = bernoulli_logit:d=10,p0=1e-320\n", "'bernoulli_logit:d=10,p0=1e-320': "
+     "Bernoulli probabilities within 2^-1022 of 0 or 1 have no finite Fisher information"),
+    # a shift whose square overflows
+    ("scheme = truncation:q0=0.3,shift=1e308\n",
+     "'truncation:q0=0.3,shift=1e308': the mean of w^2 is not a finite float"),
+    ("scheme = signed_median:shift=1e300\n",
+     "'signed_median:shift=1e300': the mean of w^2 is not a finite float"),
+    ("scheme = table:nodes=0:1;0.5:0,shift=1e300\n",
+     "'table:nodes=0:1;0.5:0,shift=1e300': the mean of w^2 is not a finite float"),
+    ("scheme = table:nodes=0:1e300;0.5:0\n",
+     "'table:nodes=0:1e300;0.5:0': the mean of w^2 is not a finite float"),
+    # the blends divide by the sum of the weights
+    ("scheme = signed_median\nalgorithm = igo_ml\n",
+     "igo_ml needs a scheme whose w has a positive mean, got 'signed_median'"),
     ("stop = target:nan\n", "stop target must be a finite number, got 'nan'"),
     # a number with no range of its own must be finite
     ("family = gaussian:d=3,m0=nan\nobjective = sphere:d=3\n",

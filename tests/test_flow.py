@@ -558,6 +558,15 @@ def test_f_quantile_midpoint_interpolation():
     assert batch_quantile(big, 0.5) == pytest.approx(np.median(big), abs=1e-6)
 
 
+
+def test_f_quantile_between_values_whose_gap_overflows_stays_finite():
+    # np.interp's slope (1.5e308 - -1.5e308) / 0.5 overflows; the quantile
+    # between the two midpoints is still their weighted mean
+    vals = np.array([-1.5e308, 1.5e308])
+    assert batch_quantile(vals, 0.5) == 0.0
+    assert batch_quantile(vals, 0.375) == -0.75e308
+    assert f_quantile([-1.5e308, 1.5e308], [0.5, 0.5], 0.625) == 0.75e308
+
 def reference_f_quantile(values, probs, q):
     """The np.unique / np.add.at form the single-sort quantile replaces."""
     values = np.asarray(values, dtype=float)
