@@ -196,7 +196,7 @@ def _write(workdir, lines):
     return str(path)
 
 
-@settings(max_examples=250)
+@settings(max_examples=200)
 @given(lines=config(experiment.ExperimentConfig, RUN_SPECS,
                     always=("family", "objective", "n", "steps", "repeats")))
 def test_run_configs_exit_cleanly(workdir, lines):
@@ -210,7 +210,7 @@ def _flow_steps(lines):
         return 0.0
 
 
-@settings(max_examples=250)
+@settings(max_examples=200)
 @given(lines=config(cli.FlowConfig, FLOW_SPECS,
                     always=("family", "objective", "horizon", "flow_step")))
 def test_flow_configs_exit_cleanly(workdir, lines):
@@ -219,7 +219,7 @@ def test_flow_configs_exit_cleanly(workdir, lines):
     _main("flow", _write(workdir, lines), workdir)
 
 
-@settings(max_examples=50)
+@settings(max_examples=40)
 @given(text=spec(cli.TABLES, "1"))
 def test_table_specs_exit_cleanly(workdir, text):
     _main("table", text, workdir)
