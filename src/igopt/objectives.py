@@ -177,6 +177,8 @@ def parse_spec(spec, kinds, unknown):
         key, sep, text = map(str.strip, item.partition("="))
         if not sep:
             raise ValueError(f"bad option {item!r} in {spec!r}")
+        if key in given:
+            raise ValueError(f"{spec!r}: duplicate option {key!r}")
         given[key] = text
     declared = kinds[kind]
     extra = sorted(set(given) - set(declared))

@@ -940,6 +940,7 @@ GAUSS_ISO = "family = gaussian_iso:d=10\nobjective = sphere:d=10\nscheme = trunc
     ("family = rbm:n_x=10,n_h=1,burn=5\nobjective = two_min:d=10,per_run=1\n",
      "'rbm:n_x=10,n_h=1,burn=5': unknown option 'burn'"),
     ("objective = onemax:d=10,k=1,j=2\n", "'onemax:d=10,k=1,j=2': unknown options 'j', 'k'"),
+    ("family = bernoulli:d=10,d=3\n", "'bernoulli:d=10,d=3': duplicate option 'd'"),
     # spec numbers outside their option's domain
     ("family = bernoulli:d=3\nobjective = onemax:d=3\nscheme = pbil:mu=5,lr=0.1\nn = 3\n",
      "'pbil:mu=5,lr=0.1': option mu must be at most n = 3, got 5"),
