@@ -169,8 +169,8 @@ def config(draw, cls, specs, always=("family", "objective")):
 
 
 def _main(command, argument, workdir):
-    """Exit code and stderr of ``igopt command argument``, with every
-    warning raised as an error."""
+    """Run ``igopt command argument`` with every warning raised as an error;
+    check its exit code and its stderr lines."""
     err = io.StringIO()
     with (mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: str(workdir)}),
           contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
